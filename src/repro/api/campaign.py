@@ -44,6 +44,7 @@ from repro.api.specs import (
     ExperimentSpec,
     SpecError,
     _NAME_PATTERN,
+    _check_legacy_engine,
     _from_payload,
     _set,
 )
@@ -262,16 +263,15 @@ class CampaignSpec:
     :class:`CampaignExperiment`); ``precision`` is the campaign-wide adaptive
     sampling target (entries may override it).  ``profile`` pins the
     execution profile (``"quick"``/``"full"``; ``None`` follows
-    ``REPRO_PROFILE``), ``engine``/``n_workers``/``seed`` are the shared
-    execution knobs applied to every member experiment — a CLI flag still
-    beats them, mirroring ``--spec`` runs.
+    ``REPRO_PROFILE``), ``n_workers``/``seed`` are the shared execution
+    knobs applied to every member experiment — a CLI flag still beats them,
+    mirroring ``--spec`` runs.
     """
 
     name: str
     experiments: tuple[CampaignExperiment, ...] = ()
     precision: PrecisionSpec = field(default_factory=PrecisionSpec)
     profile: str | None = None
-    engine: str | None = None
     n_workers: int | None = None
     seed: int | None = None
     title: str = ""
@@ -323,8 +323,6 @@ class CampaignSpec:
             )
         if self.profile is not None and self.profile not in ("quick", "full"):
             raise SpecError(f"campaign profile must be 'quick' or 'full', got {self.profile!r}")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
-            raise SpecError(f"campaign engine must be 'fast' or 'reference', got {self.engine!r}")
         if self.n_workers is not None and self.n_workers < 1:
             raise SpecError(f"campaign n_workers must be >= 1, got {self.n_workers}")
         _set(self, "notes", tuple(self.notes or ()))
@@ -343,7 +341,6 @@ class CampaignSpec:
             "experiments": [entry.to_dict() for entry in self.experiments],
             "precision": self.precision.to_dict(),
             "profile": self.profile,
-            "engine": self.engine,
             "n_workers": self.n_workers,
             "seed": self.seed,
             "notes": list(self.notes),
@@ -365,6 +362,9 @@ class CampaignSpec:
                 f"unsupported campaign-spec schema version {version!r} "
                 f"(this build reads <= {CAMPAIGN_SCHEMA_VERSION})"
             )
+        # repro-lint: disable=RPR010 -- deliberate legacy read: campaigns
+        # written before the engine knob was removed carry this key.
+        _check_legacy_engine(payload.pop("engine", None), "campaign spec")
         data = dict(_from_payload(cls, payload, "campaign spec"))
         if data.get("experiments") is not None:
             data["experiments"] = tuple(data["experiments"])

@@ -7,8 +7,8 @@ through — the eleven builtin figures and any user-authored spec alike:
   major), applies each axis value to the scenario template (or to the
   receiver set, for the segment-budget axes), and dispatches one
   :class:`repro.experiments.sweeps.SweepPoint` per grid cell through the
-  shared execution layer — the process pool, the persistent point cache and
-  the engine selection apply exactly as they always have.  Series are
+  shared execution layer — the process pool and the persistent point cache
+  apply exactly as they always have.  Series are
   assembled per (outer-axes combination x receiver) and named by the
   spec's ``series_label`` template.
 * ``kind="analysis"`` resolves a registered analysis runner
@@ -145,7 +145,6 @@ def expand_psr_points(spec: ExperimentSpec) -> tuple[list[SweepPoint], list[dict
                 receivers=receivers,
                 n_packets=spec.n_packets,
                 seed=spec.seed,
-                engine=spec.engine,
             )
         )
         contexts.append(
@@ -197,19 +196,15 @@ def run_experiment_spec(
     spec: ExperimentSpec,
     profile: Any = None,
     n_workers: int | None = None,
-    engine: str | None = None,
 ) -> FigureResult:
     """Run one :class:`ExperimentSpec` and return its :class:`FigureResult`.
 
     ``profile`` fills the spec's unresolved execution-scale fields
-    (default: :func:`repro.experiments.config.default_profile`); ``engine``
-    overrides the spec's link engine for every sweep point.
+    (default: :func:`repro.experiments.config.default_profile`).
     """
     from repro.experiments.config import default_profile
 
     profile = profile if profile is not None else default_profile()
-    if engine is not None and spec.kind == "psr":
-        spec = replace(spec, engine=engine)
     spec = spec.resolve(profile)
 
     if spec.kind == "analysis":

@@ -112,6 +112,21 @@ def _from_payload(cls: type[Any], payload: dict[str, Any], path: str) -> dict[st
     return payload
 
 
+def _check_legacy_engine(value: Any, path: str) -> None:
+    """Accept the ``engine`` key that specs dumped by older builds carry.
+
+    Those specs hold ``"engine": null`` (or ``"fast"``, the batched path
+    every run takes); any other value asks for a link engine that no longer
+    exists.
+    """
+    if value not in (None, "fast"):
+        raise SpecError(
+            f"{path} pins engine {value!r}, which no longer exists: every run uses "
+            "the batched link engine, and the per-packet reference path survives "
+            "only as a test oracle; remove the 'engine' field"
+        )
+
+
 def _require_mcs(name: str, path: str) -> None:
     if name not in MCS_NAMES:
         raise SpecError(f"{path} names unknown MCS {name!r}; choose one of {list(MCS_NAMES)}")
@@ -909,7 +924,6 @@ class ExperimentSpec:
     n_packets: int | None = None
     payload_length: int | None = None
     seed: int | None = None
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -923,8 +937,6 @@ class ExperimentSpec:
             )
         if self.kind not in ("psr", "analysis"):
             raise SpecError(f"experiment kind must be 'psr' or 'analysis', got {self.kind!r}")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
-            raise SpecError(f"experiment engine must be 'fast' or 'reference', got {self.engine!r}")
         if self.n_packets is not None and self.n_packets < 1:
             raise SpecError(f"experiment n_packets must be >= 1, got {self.n_packets}")
         if self.payload_length is not None and self.payload_length < 1:
@@ -953,11 +965,6 @@ class ExperimentSpec:
             raise SpecError(
                 f"analysis experiment {self.name!r} must not define scenario/sweep/receivers "
                 "(its parameters go in 'params')"
-            )
-        if self.engine is not None:
-            raise SpecError(
-                f"analysis experiment {self.name!r} must not pin an engine: analyses "
-                "never touch the link engine"
             )
         if self.params is not None:
             if not isinstance(self.params, dict):
@@ -1137,7 +1144,6 @@ class ExperimentSpec:
             "n_packets": self.n_packets,
             "payload_length": self.payload_length,
             "seed": self.seed,
-            "engine": self.engine,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -1156,6 +1162,9 @@ class ExperimentSpec:
                 f"unsupported experiment-spec schema version {version!r} "
                 f"(this build reads <= {SPEC_SCHEMA_VERSION})"
             )
+        # repro-lint: disable=RPR010 -- deliberate legacy read: specs dumped
+        # before the engine knob was removed carry this key.
+        _check_legacy_engine(payload.pop("engine", None), "experiment spec")
         data = dict(_from_payload(cls, payload, "experiment spec"))
         if data.get("receivers") is not None:
             data["receivers"] = tuple(data["receivers"])

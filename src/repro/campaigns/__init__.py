@@ -2,7 +2,7 @@
 
 A campaign (:class:`repro.api.CampaignSpec`) schedules an arbitrary mix of
 builtin figures, hand-written experiment specs and network deployment runs
-as one managed unit: shared engine/worker configuration, one point cache,
+as one managed unit: shared worker configuration, one point cache,
 cross-experiment deduplication of identical grid cells, and — the heart of
 the subsystem — **adaptive precision-targeted Monte-Carlo sampling**.
 Instead of burning a fixed ``n_packets`` per packet-success-rate point,

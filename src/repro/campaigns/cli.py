@@ -29,7 +29,6 @@ from repro.campaigns.report import (
     format_summary_markdown,
 )
 from repro.campaigns.scheduler import run_campaign
-from repro.experiments.link import default_engine
 from repro.experiments.parallel import (
     RETRIES_ENV_VAR,
     TIMEOUT_ENV_VAR,
@@ -90,12 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         "and REPRO_WORKERS)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="link-simulation engine (overrides the campaign spec and REPRO_ENGINE)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print one stderr line per completed sweep chunk (same as REPRO_PROGRESS=1)",
@@ -131,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.engine is None:
-            default_engine()
         resolve_workers(args.workers)
         policy = FailurePolicy.from_env(args.max_retries, args.task_timeout)
         if not args.progress:
@@ -169,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
             workspace,
             resume=args.resume,
             n_workers=args.workers,
-            engine=args.engine,
             policy=policy,
         )
     except (SpecError, ValueError) as error:

@@ -29,8 +29,7 @@ def _totals_lines(summary: dict[str, Any]) -> list[str]:
     lines = [
         f"# Campaign {summary['campaign']}",
         "",
-        f"profile `{summary['profile']}`, engine `{summary['engine']}`, "
-        f"hash `{summary['campaign_hash']}`",
+        f"profile `{summary['profile']}`, hash `{summary['campaign_hash']}`",
         "",
         f"- precision target: ±{precision['ci_halfwidth_pct']:g} pp PSR at "
         f"{100 * precision['confidence']:g}% confidence "

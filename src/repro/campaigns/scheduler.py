@@ -4,11 +4,11 @@
 managed unit:
 
 1. every member experiment resolves to an :class:`~repro.api.ExperimentSpec`
-   against the campaign's profile and shared engine/worker config;
+   against the campaign's profile and shared worker config;
 2. the packet-success-rate experiments' grids expand through the same
    :func:`repro.api.experiment.expand_psr_points` path as standalone runs,
-   and cells that several experiments share (same scenario, receiver set,
-   seed and engine — identified by their
+   and cells that several experiments share (same scenario, receiver set
+   and seed — identified by their
    :func:`repro.experiments.store.stable_key` content hash) collapse into
    one *campaign cell* that simulates once;
 3. cells run in geometric sampling rounds through the shared sweep layer
@@ -58,7 +58,7 @@ from repro.experiments.config import (
     ExperimentProfile,
     default_profile,
 )
-from repro.experiments.link import default_engine, psr
+from repro.experiments.link import psr
 from repro.experiments.parallel import FailurePolicy, supervisor_stats
 from repro.experiments.results import FigureResult
 from repro.experiments.store import (
@@ -165,11 +165,9 @@ def _cell_key(point: SweepPoint) -> str:
     """Content hash identifying one campaign cell across experiments/runs.
 
     Excludes the packet window (``n_packets``/``first_packet``) — the
-    campaign owns the budget — and resolves an inherited engine so cells
-    match the environment they will actually simulate under.
+    campaign owns the budget.
     """
-    engine = point.engine if point.engine is not None else default_engine()
-    return stable_key((point.scenario, point.receivers, point.seed, engine))
+    return stable_key((point.scenario, point.receivers, point.seed))
 
 
 def run_campaign(
@@ -177,7 +175,6 @@ def run_campaign(
     workspace: str | Path,
     resume: bool = False,
     n_workers: int | None = None,
-    engine: str | None = None,
     profile: ExperimentProfile | None = None,
     policy: FailurePolicy | None = None,
 ) -> CampaignRun:
@@ -189,9 +186,8 @@ def run_campaign(
     manifest refuses to run again without ``resume=True`` (and refuses a
     manifest of a different campaign outright); a resumed run continues
     from the checkpointed counts and finishes bit-identical to an
-    uninterrupted one.  ``n_workers``/``engine`` follow the usual
-    precedence: explicit argument, then the campaign spec, then the
-    environment.
+    uninterrupted one.  ``n_workers`` follows the usual precedence:
+    explicit argument, then the campaign spec, then the environment.
 
     ``policy`` tunes the supervised executor's failure handling for the
     sampling rounds (default: the ``REPRO_MAX_RETRIES``/... environment);
@@ -201,21 +197,15 @@ def run_campaign(
     workspace = Path(workspace)
     stats_before = supervisor_stats().snapshot()
     profile = _resolve_profile(spec, profile)
-    engine = engine if engine is not None else spec.engine
     n_workers = n_workers if n_workers is not None else spec.n_workers
 
     resolved: dict[str, ExperimentSpec] = {}
     precisions: dict[str, PrecisionSpec] = {}
     for entry in spec.experiments:
-        member = entry.build()
-        if engine is not None and member.kind == "psr":
-            member = replace(member, engine=engine)
-        resolved[entry.resolved_name] = member.resolve(profile)
+        resolved[entry.resolved_name] = entry.build().resolve(profile)
         precisions[entry.resolved_name] = spec.precision_for(entry)
 
-    campaign_hash = stable_key(
-        (spec, profile, resolved, engine if engine is not None else default_engine())
-    )[:12]
+    campaign_hash = stable_key((spec, profile, resolved))[:12]
 
     manifest = CampaignManifest(workspace / "manifest.json")
     if manifest.existed and not resume:
@@ -368,16 +358,7 @@ def run_campaign(
                     extra = {"campaign": spec.name}
                 results[name] = result
                 store.save(
-                    name,
-                    result,
-                    profile=profile,
-                    engine=(
-                        (member.engine if member.engine is not None else default_engine())
-                        if member.kind == "psr"
-                        else None
-                    ),
-                    spec_hash=spec_hash(member),
-                    extra=extra,
+                    name, result, profile=profile, spec_hash=spec_hash(member), extra=extra
                 )
                 experiment_summaries.append(
                     {
@@ -404,7 +385,6 @@ def run_campaign(
         "title": spec.title,
         "campaign_hash": campaign_hash,
         "profile": profile.name,
-        "engine": engine if engine is not None else default_engine(),
         "precision": spec.precision.to_dict(),
         "totals": {
             "n_experiments": len(resolved),

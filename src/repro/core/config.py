@@ -46,12 +46,6 @@ class CPRecycleConfig:
         clean/dirty segment pattern persists from the preamble to the data
         symbols.  ``"pooled"`` pools all segments into one density per
         subcarrier — the literal construction of the paper's Eq. 4.
-    use_batched_decoder:
-        Use the vectorised fast path that scores all OFDM symbols (and, in
-        batched link simulations, all packets) in one sphere selection and one
-        KDE evaluation.  ``False`` falls back to the per-symbol reference
-        implementation; the two produce bit-identical decisions, so the flag
-        exists for verification and benchmarking only.
     kde_chunk_elements:
         Memory budget (in elements of the KDE kernel-distance intermediate)
         forwarded to :class:`repro.core.kde.GaussianProductKde`.  ``None``
@@ -69,7 +63,6 @@ class CPRecycleConfig:
     min_bandwidth_amplitude: float = 0.02
     min_bandwidth_phase: float = 0.5
     model_scope: str = "per-segment"
-    use_batched_decoder: bool = True
     kde_chunk_elements: int | None = None
 
     def __post_init__(self) -> None:

@@ -71,32 +71,23 @@ class FixedSphereMlDecoder:
         best = np.argmax(log_likelihood, axis=1)
         return candidates.indices[np.arange(n_data), best]
 
-    def decode_frame(
-        self,
-        observations: np.ndarray,
-        model: InterferenceModel,
-        batched: bool | None = None,
-    ) -> np.ndarray:
+    def decode_frame(self, observations: np.ndarray, model: InterferenceModel) -> np.ndarray:
         """Decode all data symbols of a frame.
 
         ``observations`` has shape ``(P, n_symbols, n_data_subcarriers)``;
         the result has shape ``(n_symbols, n_data_subcarriers)``.
 
-        ``batched`` selects the vectorised fast path (one sphere selection and
-        one KDE evaluation covering every symbol) or the per-symbol reference
-        loop; ``None`` defers to ``config.use_batched_decoder``.  The fast
-        path evaluates the same likelihoods through the fused kernel, whose
-        floating-point reassociation changes log-densities only at the
-        ~1e-12 level; decisions are identical unless two candidates tie to
-        within that rounding, which the equivalence suite pins down across
-        constellations, scopes and real scenario workloads.
+        One sphere selection and one KDE evaluation cover every symbol.  The
+        likelihoods go through the fused kernel, whose floating-point
+        reassociation changes log-densities only at the ~1e-12 level
+        relative to the per-symbol :meth:`decode_frame_reference`; decisions
+        are identical unless two candidates tie to within that rounding,
+        which the equivalence suite pins down across constellations, scopes
+        and real scenario workloads.
         """
         observations = np.asarray(observations, dtype=complex)
         if observations.ndim != 3:
             raise ValueError("observations must have shape (P, n_symbols, n_data)")
-        use_batched = self.config.use_batched_decoder if batched is None else batched
-        if not use_batched:
-            return self.decode_frame_reference(observations, model)
         n_segments, n_symbols, n_data = observations.shape
         if n_data != model.n_subcarriers:
             raise ValueError(
@@ -132,8 +123,8 @@ class FixedSphereMlDecoder:
     ) -> np.ndarray:
         """Per-symbol reference implementation of :meth:`decode_frame`.
 
-        Kept as the verification fallback: the fast path must match its output
-        bit for bit (see ``tests/test_fast_path.py``).
+        A test oracle, never called by the library: :meth:`decode_frame`
+        must match its output bit for bit (see ``tests/test_fast_path.py``).
         """
         observations = np.asarray(observations, dtype=complex)
         if observations.ndim != 3:

@@ -90,7 +90,7 @@ class CPRecycleReceiver(OfdmReceiverBase):
         for bit by the fast-path equivalence tests.
         """
         rxs = list(rxs)
-        if not self.config.use_batched_decoder or len(rxs) <= 1:
+        if len(rxs) <= 1:
             return [self.demodulate(rx) for rx in rxs]
         # The pooled model below spans every packet of a group; no single
         # per-frame model exists, so do not leave a stale one behind.
@@ -116,7 +116,7 @@ class CPRecycleReceiver(OfdmReceiverBase):
                 )
                 model = InterferenceModel(stacked_deviations, self.config)
                 decoder = FixedSphereMlDecoder(constellation, self.config)
-                decisions = decoder.decode_frame(stacked_obs, model, batched=True)
+                decisions = decoder.decode_frame(stacked_obs, model)
             for position, i in enumerate(indices):
                 packet_decisions = np.ascontiguousarray(
                     decisions[:, position * n_data : (position + 1) * n_data]

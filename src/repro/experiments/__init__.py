@@ -14,7 +14,6 @@ from repro.experiments.config import (
 from repro.experiments.link import (
     LinkResult,
     PacketStats,
-    default_engine,
     packet_success_rate,
     psr,
     symbol_error_rate,
@@ -50,7 +49,6 @@ __all__ = [
     "cci_scenario",
     "PointCache",
     "ResultStore",
-    "default_engine",
     "default_profile",
     "format_csv",
     "format_table",

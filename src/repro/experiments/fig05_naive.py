@@ -9,8 +9,8 @@ The paper's point: at -10 dB the naive decoder matches the Oracle, but at
 Each panel is one declarative :class:`~repro.api.ExperimentSpec`: the three
 receivers are registry-resolved :class:`~repro.api.ReceiverSpec` entries
 with a 16-segment budget, and each guard-band value is one sweep point on
-the shared execution layer, so ``--workers``/``--engine`` and the
-persistent point cache apply.
+the shared execution layer, so ``--workers`` and the persistent point
+cache apply.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ N_SEGMENTS = 16
 def build_spec(
     sir_db: float = -20.0,
     guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
-    engine: str | None = None,
 ) -> ExperimentSpec:
     """One panel of Figure 5 (a single SIR value) as a spec."""
     return ExperimentSpec(
@@ -63,7 +62,6 @@ def build_spec(
         x_label="Guard band (MHz)",
         x_transform="guard_mhz",
         notes=("single adjacent-channel interferer with rectangular symbol edges",),
-        engine=engine,
     )
 
 
@@ -75,11 +73,10 @@ def run(
     sir_db: float = -20.0,
     guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
     n_workers: int | None = None,
-    engine: str | None = None,
 ) -> FigureResult:
     """One panel of Figure 5 (a single SIR value)."""
     return run_experiment_spec(
-        build_spec(sir_db, guard_band_subcarriers, engine=engine), profile, n_workers=n_workers
+        build_spec(sir_db, guard_band_subcarriers), profile, n_workers=n_workers
     )
 
 

@@ -9,8 +9,8 @@ The figure is one declarative :class:`~repro.api.ExperimentSpec` (``SPEC``):
 the (SIR x guard-band) grid is two sweep axes, the guard axis doubles as the
 x-axis (rendered in MHz via ``x_transform``), and every grid cell runs as an
 independent sweep point through the shared execution layer, so
-``--workers``/``--engine`` and the persistent point cache apply exactly as
-in the SIR-sweep figures.
+``--workers`` and the persistent point cache apply exactly as in the
+SIR-sweep figures.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ MCS_NAME = "16qam-1/2"
 def build_spec(
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
     guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
-    engine: str | None = None,
 ) -> ExperimentSpec:
     """The canonical Figure 10 spec (optionally with a custom grid)."""
     return ExperimentSpec(
@@ -56,7 +55,6 @@ def build_spec(
         series_label="SIR {sir_db:g} dB, {receiver}",
         x_label="Guard band (MHz)",
         x_transform="guard_mhz",
-        engine=engine,
     )
 
 
@@ -68,13 +66,10 @@ def run(
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
     guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
     n_workers: int | None = None,
-    engine: str | None = None,
 ) -> FigureResult:
     """Packet success rate vs guard band, with and without CPRecycle."""
     return run_experiment_spec(
-        build_spec(sir_values_db, guard_band_subcarriers, engine=engine),
-        profile,
-        n_workers=n_workers,
+        build_spec(sir_values_db, guard_band_subcarriers), profile, n_workers=n_workers
     )
 
 

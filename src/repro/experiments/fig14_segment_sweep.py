@@ -12,8 +12,8 @@ The figure is one declarative :class:`~repro.api.ExperimentSpec`: the
 segment budget (``max(1, round(fraction * cp_length))``) and the x-axis is
 rendered as a percentage of the cyclic prefix via ``x_transform``.  Every
 (SIR x fraction) grid cell is an independent sweep point on the shared
-execution layer, so ``--workers``/``--engine`` and the persistent point
-cache apply exactly as in the SIR-sweep figures.
+execution layer, so ``--workers`` and the persistent point cache apply
+exactly as in the SIR-sweep figures.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ SEGMENT_FRACTIONS: tuple[float, ...] = (0.025, 0.2, 0.4, 0.6, 0.8, 1.0)
 def build_spec(
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
     segment_fractions: tuple[float, ...] = SEGMENT_FRACTIONS,
-    engine: str | None = None,
 ) -> ExperimentSpec:
     """The canonical Figure 14 spec (optionally with a custom grid)."""
     return ExperimentSpec(
@@ -59,7 +58,6 @@ def build_spec(
         x_label="Number of FFT Segments (% of CP)",
         x_transform="segment_percent_of_cp",
         notes=("one FFT segment is equivalent to the standard OFDM receiver",),
-        engine=engine,
     )
 
 
@@ -71,11 +69,10 @@ def run(
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
     segment_fractions: tuple[float, ...] = SEGMENT_FRACTIONS,
     n_workers: int | None = None,
-    engine: str | None = None,
 ) -> FigureResult:
     """Packet success rate vs number of FFT segments (as % of the CP)."""
     return run_experiment_spec(
-        build_spec(sir_values_db, segment_fractions, engine=engine), profile, n_workers=n_workers
+        build_spec(sir_values_db, segment_fractions), profile, n_workers=n_workers
     )
 
 

@@ -1,28 +1,21 @@
-"""Packet-level link simulation engine.
+"""Packet-level link simulation.
 
 ``packet_success_rate`` runs the same sequence of channel/interference
 realisations through several receivers and reports each receiver's packet
 success rate — the paper's primary metric.
 
-Two execution engines are provided:
-
-* ``"fast"`` (default) — the batched path: every packet of a sweep point is
-  realised up front (:meth:`Scenario.realize_batch`), each receiver
-  demodulates the whole batch through its ``demodulate_batch`` entry point
-  (CPRecycle pools KDE training and the ML decision across packets and
-  symbols), and the forward-error-correction stage runs as one vectorised
-  Viterbi sweep per receiver.
-* ``"reference"`` — the original per-packet loop, kept as the verification
-  fallback.  Both engines consume identical per-packet child RNG streams and
-  produce bit-identical decisions; ``tests/test_fast_path.py`` asserts it.
-
-Select the engine per call or process-wide with the ``REPRO_ENGINE``
-environment variable.
+Every packet of a sweep point is realised up front in batches of
+:data:`FAST_ENGINE_BATCH` (:meth:`Scenario.realize_batch`), each receiver
+demodulates a whole batch through its ``demodulate_batch`` entry point
+(CPRecycle pools KDE training and the ML decision across packets and
+symbols), and the forward-error-correction stage runs as one vectorised
+Viterbi sweep per receiver.  ``tests/test_fast_path.py`` checks this path
+against a per-packet, per-symbol oracle: both consume identical per-packet
+child RNG streams and reach bit-identical decisions.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -31,47 +24,22 @@ import numpy as np
 from repro import obs
 from repro.channel.scenario import Scenario
 from repro.receiver.base import OfdmReceiverBase
-from repro.receiver.decode_chain import (
-    decode_coded_bits_batch,
-    decode_coded_bits_batch_reference,
-)
-from repro.utils.rng import child_rng
+from repro.receiver.decode_chain import decode_coded_bits_batch
 
 __all__ = [
     "LinkResult",
     "PacketStats",
-    "default_engine",
     "packet_success_rate",
     "psr",
     "symbol_error_rate",
 ]
 
-_ENGINES = ("fast", "reference")
-
-#: Packets realised and demodulated together by the fast engine.  Bounds the
-#: engine's working set (waveforms, stacked FFT tensors, equalised spectra)
-#: at paper-scale packet counts while keeping batches large enough for the
-#: pooled KDE/ML decode to amortise; chunk boundaries do not change a single
-#: sample because every packet derives from its own child RNG stream.
+#: Packets realised and demodulated together.  Bounds the working set
+#: (waveforms, stacked FFT tensors, equalised spectra) at paper-scale packet
+#: counts while keeping batches large enough for the pooled KDE/ML decode to
+#: amortise; batch boundaries do not change a single sample because every
+#: packet derives from its own child RNG stream.
 FAST_ENGINE_BATCH = 16
-
-
-def default_engine() -> str:
-    """Link engine selected by the ``REPRO_ENGINE`` environment variable."""
-    choice = os.environ.get("REPRO_ENGINE", "fast").strip().lower()
-    if choice == "":
-        return "fast"
-    if choice not in _ENGINES:
-        raise ValueError(f"unknown REPRO_ENGINE {choice!r}; use 'fast' or 'reference'")
-    return choice
-
-
-def _resolve_engine(engine: str | None) -> str:
-    if engine is None:
-        return default_engine()
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use 'fast' or 'reference'")
-    return engine
 
 
 def psr(n_success: int, n_packets: int) -> float:
@@ -98,9 +66,9 @@ class LinkResult:
     """Packet-decoding statistics of one receiver over one scenario point.
 
     ``successes`` records the per-packet CRC outcome in packet order; the
-    benchmark harness compares it between engines so that compensating
-    errors (one engine failing packet A, the other packet B) cannot hide
-    behind equal aggregate counts.
+    oracle tests compare it packet by packet so that compensating errors
+    (one path failing packet A, the other packet B) cannot hide behind
+    equal aggregate counts.
 
     ``first_packet`` is the global index of the first simulated packet —
     packet ``i`` of this result derives every random draw from the child RNG
@@ -192,7 +160,6 @@ def packet_success_rate(
     receivers: Mapping[str, OfdmReceiverBase],
     n_packets: int,
     seed: int = 0,
-    engine: str | None = None,
     first_packet: int = 0,
 ) -> dict[str, LinkResult]:
     """Packet success rate of each receiver over ``n_packets`` realisations.
@@ -213,34 +180,20 @@ def packet_success_rate(
         raise ValueError(f"first_packet must be >= 0, got {first_packet}")
     if not receivers:
         raise ValueError("at least one receiver is required")
-    engine = _resolve_engine(engine)
     spec = scenario.frame_spec
     coded: dict[str, list[np.ndarray]] = {name: [] for name in receivers}
-    if engine == "fast":
-        for start in range(0, n_packets, FAST_ENGINE_BATCH):
-            count = min(FAST_ENGINE_BATCH, n_packets - start)
-            with obs.span("engine.realize", n_packets=count):
-                rxs = scenario.realize_batch(count, seed, first_index=first_packet + start)
-            for name, receiver in receivers.items():
-                with obs.span("engine.demodulate", receiver=name, n_packets=count):
-                    coded[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
-    else:
-        # One coarse span for the whole per-packet loop: the reference
-        # engine exists for bit-exact verification, not profiling, and
-        # per-packet spans would dominate the trace.
-        with obs.span("engine.reference", n_packets=n_packets):
-            for index in range(n_packets):
-                rx = scenario.realize(child_rng(seed, first_packet + index))
-                for name, receiver in receivers.items():
-                    coded[name].append(receiver.demodulate(rx).coded_bits)
+    for start in range(0, n_packets, FAST_ENGINE_BATCH):
+        count = min(FAST_ENGINE_BATCH, n_packets - start)
+        with obs.span("engine.realize", n_packets=count):
+            rxs = scenario.realize_batch(count, seed, first_index=first_packet + start)
+        for name, receiver in receivers.items():
+            with obs.span("engine.demodulate", receiver=name, n_packets=count):
+                coded[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
 
-    decode_batch = (
-        decode_coded_bits_batch if engine == "fast" else decode_coded_bits_batch_reference
-    )
     stats: dict[str, LinkResult] = {}
     for name in receivers:
         with obs.span("engine.fec", receiver=name, n_packets=n_packets):
-            frames = decode_batch(spec, np.stack(coded[name]))
+            frames = decode_coded_bits_batch(spec, np.stack(coded[name]))
         successes = tuple(bool(frame.crc_ok) for frame in frames)
         stats[name] = LinkResult(
             receiver=name,
@@ -257,37 +210,25 @@ def symbol_error_rate(
     receivers: Mapping[str, OfdmReceiverBase],
     n_packets: int,
     seed: int = 0,
-    engine: str | None = None,
 ) -> dict[str, float]:
     """Raw (pre-FEC) symbol error rate of each receiver — a diagnostic metric.
 
-    With the fast engine each waveform is realised once and every receiver
-    demodulates the same batch, so adding a receiver never re-draws the
-    channel and the per-packet work is shared across the comparison.
+    Each waveform is realised once and every receiver demodulates the same
+    batch, so adding a receiver never re-draws the channel and the
+    per-packet work is shared across the comparison.
     """
     if n_packets < 1:
         raise ValueError("n_packets must be at least 1")
-    engine = _resolve_engine(engine)
     errors = {name: 0 for name in receivers}
     total = 0
-    if engine == "fast":
-        for start in range(0, n_packets, FAST_ENGINE_BATCH):
-            count = min(FAST_ENGINE_BATCH, n_packets - start)
-            rxs = scenario.realize_batch(count, seed, first_index=start)
-            true_indices = [
-                rx.spec.mcs.constellation.nearest_indices(rx.tx_frame.data_points) for rx in rxs
-            ]
-            total += sum(indices.size for indices in true_indices)
-            for name, receiver in receivers.items():
-                for demodulated, truth in zip(receiver.demodulate_batch(rxs), true_indices):
-                    errors[name] += int(np.count_nonzero(demodulated.decisions != truth))
-    else:
-        for index in range(n_packets):
-            rx = scenario.realize(child_rng(seed, index))
-            constellation = rx.spec.mcs.constellation
-            true_indices = constellation.nearest_indices(rx.tx_frame.data_points)
-            total += true_indices.size
-            for name, receiver in receivers.items():
-                decisions = receiver.demodulate(rx).decisions
-                errors[name] += int(np.count_nonzero(decisions != true_indices))
+    for start in range(0, n_packets, FAST_ENGINE_BATCH):
+        count = min(FAST_ENGINE_BATCH, n_packets - start)
+        rxs = scenario.realize_batch(count, seed, first_index=start)
+        true_indices = [
+            rx.spec.mcs.constellation.nearest_indices(rx.tx_frame.data_points) for rx in rxs
+        ]
+        total += sum(indices.size for indices in true_indices)
+        for name, receiver in receivers.items():
+            for demodulated, truth in zip(receiver.demodulate_batch(rxs), true_indices):
+                errors[name] += int(np.count_nonzero(demodulated.decisions != truth))
     return {name: errors[name] / total for name in receivers}

@@ -366,8 +366,8 @@ def _run_task(
     worker that opens a per-task spool; in the parent it nests as a span of
     the sweep's record.  The dedup key ``<dispatch>/<ordinal>`` is shared
     by every re-execution of the same task (retries, timeout twins), so the
-    merge keeps exactly one; the ``key`` attr is the engine-normalised task
-    digest, aligning fast/reference traces task by task.
+    merge keeps exactly one; the ``key`` attr is the task's content
+    digest, aligning traces of different worker counts task by task.
     """
     if trace is None:
         if plan is not None:

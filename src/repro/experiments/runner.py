@@ -3,10 +3,10 @@
 Every builtin experiment is a declarative :class:`repro.api.ExperimentSpec`
 (``BUILTIN_SPECS``) executed through the
 :func:`repro.api.run_experiment_spec` facade on the shared sweep-execution
-layer, so ``--workers`` and ``--engine`` apply uniformly to all of them,
-results persist as reloadable JSON artifacts keyed by profile/engine/spec
-hash (:mod:`repro.experiments.store`), and custom scenarios run from a spec
-file without any new figure module.
+layer, so ``--workers`` applies uniformly to all of them, results persist
+as reloadable JSON artifacts keyed by profile/spec hash
+(:mod:`repro.experiments.store`), and custom scenarios run from a spec file
+without any new figure module.
 
 Usage::
 
@@ -14,7 +14,6 @@ Usage::
     cprecycle-experiments fig8 fig11      # run a subset
     cprecycle-experiments --profile full  # paper-scale run (hours)
     cprecycle-experiments --workers 8     # process-pool parallel sweep points
-    cprecycle-experiments --engine reference  # per-packet verification engine
     cprecycle-experiments --out results   # write results/<figure>.json artifacts
     cprecycle-experiments --format json   # print JSON (or csv) instead of tables
     cprecycle-experiments --profile full --out results --resume
@@ -52,7 +51,7 @@ Usage::
     cprecycle-experiments sanitize-diff DIR1 DIR2 [DIR...]
                                           # digest-compare REPRO_SANITIZE
                                           # spools from runs differing only in
-                                          # engine or worker count; exits 1 on
+                                          # worker count; exits 1 on
                                           # any mismatch (see
                                           # repro.utils.sanitize)
     cprecycle-experiments fig4 --trace traces/fig4 --workers 2
@@ -66,7 +65,7 @@ Usage::
                                           # + a chrome://tracing export and
                                           # print span/wallclock/recovery
                                           # reports (several DIRs compare
-                                          # engines or worker counts)
+                                          # worker counts)
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from __future__ import annotations
 import argparse
 import os
 from collections.abc import Callable
-from dataclasses import replace
 from pathlib import Path
 
 from repro.api import ExperimentSpec, SpecError, run_experiment_spec, spec_hash
@@ -92,7 +90,6 @@ from repro.experiments import (
     table01_cp,
 )
 from repro.experiments.config import FULL_PROFILE, QUICK_PROFILE, ExperimentProfile
-from repro.experiments.link import default_engine
 from repro.experiments.parallel import (
     RETRIES_ENV_VAR,
     TIMEOUT_ENV_VAR,
@@ -285,13 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: REPRO_WORKERS or serial); results are identical for any N",
     )
     parser.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="link-simulation engine: 'fast' (batched, default) or 'reference' "
-        "(per-packet/per-symbol verification fallback)",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=None,
@@ -337,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIR",
         help="write one reloadable <experiment>.json artifact per experiment "
-        "into DIR (keyed by profile/engine/spec hash)",
+        "into DIR (keyed by profile/spec hash)",
     )
     parser.add_argument(
         "--format",
@@ -394,14 +384,11 @@ def main(argv: list[str] | None = None) -> int:
                 "fig13-simulated" if name == "fig13" else name for name in args.experiments
             ]
 
-    # Fail fast on malformed worker/engine knobs (--workers 0,
-    # REPRO_ENGINE=fsat, REPRO_WORKERS=0) instead of erroring deep inside
-    # the first sweep; an explicit CLI flag shadows the corresponding
-    # environment variable, so the env value is only checked when it is
-    # the one that will be consumed.
+    # Fail fast on malformed execution knobs (--workers 0, REPRO_WORKERS=0)
+    # instead of erroring deep inside the first sweep; an explicit CLI flag
+    # shadows the corresponding environment variable, so the env value is
+    # only checked when it is the one that will be consumed.
     try:
-        if args.engine is None:
-            default_engine()
         resolve_workers(args.workers)
         FailurePolicy.from_env(args.max_retries, args.task_timeout)
         if not args.progress:
@@ -418,8 +405,6 @@ def main(argv: list[str] | None = None) -> int:
             spec = builtin_spec(args.experiments[0]).resolve(profile)
         except ValueError as error:
             parser.error(str(error))
-        if args.engine is not None and spec.kind == "psr":
-            spec = replace(spec, engine=args.engine)
         print(spec.to_json())
         return 0
 
@@ -433,11 +418,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"cannot read spec file {args.spec}: {error}")
         except SpecError as error:
             parser.error(f"invalid spec file {args.spec}: {error}")
-        if args.engine is not None and spec_file.kind == "psr":
-            # An explicit CLI flag beats the spec's pinned engine (per-point
-            # engine fields would otherwise override the environment).
-            # Analysis specs never touch the link engine and cannot pin one.
-            spec_file = replace(spec_file, engine=args.engine)
 
     names = args.experiments or list(EXPERIMENTS)
     out_dir: Path | None = args.out
@@ -446,12 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     # Thread the execution knobs through the figure modules via the
     # environment so that every nested sweep picks them up; restore the
     # previous values on exit so an in-process caller's later work is not
-    # silently switched to this invocation's engine, worker count or cache.
+    # silently switched to this invocation's worker count or cache.
     overrides: dict[str, str] = {}
     if args.workers is not None:
         overrides["REPRO_WORKERS"] = str(args.workers)
-    if args.engine is not None:
-        overrides["REPRO_ENGINE"] = args.engine
     if args.resume:
         overrides[CACHE_ENV_VAR] = str(out_dir / ".cache")
     if args.progress:
@@ -471,14 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_FORMATTERS[args.format](result))
         print()
         if store is not None:
-            # A spec that pins its own engine wins over the environment at
-            # every sweep point; record what actually ran.
             store.save(
-                name,
-                result,
-                profile=profile,
-                engine=spec.engine if spec.engine is not None else default_engine(),
-                spec_hash=spec_hash(spec.resolve(profile)),
+                name, result, profile=profile, spec_hash=spec_hash(spec.resolve(profile))
             )
 
     try:

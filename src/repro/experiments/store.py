@@ -4,7 +4,7 @@ Two durable layers back the experiment harness:
 
 * :class:`ResultStore` — one ``results/<experiment>.json`` artifact per
   figure/table, wrapping the :class:`~repro.experiments.results.FigureResult`
-  payload with a schema version and the execution key (profile, engine and a
+  payload with a schema version and the execution key (profile and a
   content hash of the configuration) so downstream consumers can reload a
   result without re-running the sweep and can tell which configuration
   produced it.
@@ -230,7 +230,6 @@ class ResultStore:
         name: str,
         result: FigureResult,
         profile: Any = None,
-        engine: str | None = None,
         extra: dict[str, Any] | None = None,
         spec_hash: str | None = None,
     ) -> Path:
@@ -238,7 +237,7 @@ class ResultStore:
 
         ``profile`` is the :class:`ExperimentProfile` (or ``None`` for static
         analyses); the artifact records its fields plus a content hash of
-        (experiment, profile, engine) so a reloaded artifact identifies the
+        (experiment, profile) so a reloaded artifact identifies the
         run that produced it.  ``spec_hash`` — the content hash of the
         resolved :class:`repro.api.ExperimentSpec` that produced the result —
         is recorded and folded into the config hash when provided, so two
@@ -250,12 +249,11 @@ class ResultStore:
             if dataclasses.is_dataclass(profile) and not isinstance(profile, type)
             else None
         )
-        key_parts = [name, profile, engine] + ([spec_hash] if spec_hash is not None else [])
+        key_parts = [name, profile] + ([spec_hash] if spec_hash is not None else [])
         record = {
             "schema_version": STORE_SCHEMA_VERSION,
             "experiment": name,
             "profile": getattr(profile, "name", None),
-            "engine": engine,
             "config_hash": config_hash(*key_parts),
             "spec_hash": spec_hash,
             "config": config,

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro import obs
-from repro.experiments.link import default_engine, packet_success_rate
+from repro.experiments.link import packet_success_rate
 from repro.experiments.parallel import FailurePolicy, parallel_map_chunked
 from repro.experiments.store import CACHE_ENV_VAR, PointCache, stable_key
 from repro.obs.progress import PROGRESS_ENV_VAR, ProgressReporter, progress_enabled
@@ -77,23 +77,6 @@ def _point_cache_for(fn: Callable[..., Any]) -> PointCache | None:
         return None
     label = f"{getattr(fn, '__module__', 'task')}.{getattr(fn, '__qualname__', 'fn')}"
     return PointCache(Path(cache_dir) / (label.replace(".", "-") + ".json"))
-
-
-_NO_ENGINE = object()
-
-
-def _point_key(task: Any) -> str:
-    """Content hash identifying one sweep point across runs.
-
-    A task whose ``engine`` field is ``None`` inherits ``REPRO_ENGINE`` at
-    execution time, so the resolved default engine is part of that point's
-    identity; tasks with an explicit engine — or none at all (analysis and
-    Monte-Carlo tasks that never touch the link engine) — hash on their
-    content alone and survive an environment-engine change.
-    """
-    if getattr(task, "engine", _NO_ENGINE) is None:
-        return stable_key((default_engine(), task))
-    return stable_key(task)
 
 
 def execute_points(
@@ -163,7 +146,7 @@ def _execute(
         )
 
     with obs.span("sweep.cache_lookup", n_tasks=len(tasks)):
-        keys = [_point_key(task) for task in tasks]
+        keys = [stable_key(task) for task in tasks]
         outcomes: dict[int, Any] = {
             index: cache.get(key) for index, key in enumerate(keys) if key in cache
         }
@@ -212,7 +195,6 @@ class SweepPoint:
     receivers: tuple["ReceiverSpec", ...]
     n_packets: int
     seed: int
-    engine: str | None = field(default=None)
     first_packet: int = 0
 
 
@@ -228,7 +210,6 @@ def _simulate_point(point: SweepPoint) -> dict:
         receivers,
         point.n_packets,
         seed=point.seed,
-        engine=point.engine,
         first_packet=point.first_packet,
     )
 

@@ -6,7 +6,7 @@ derives one co-channel interference scenario *per AP pair* from the
 deployment's pairwise RSS matrix and runs the scenarios through the shared
 sweep-execution machinery — the same declarative
 :class:`~repro.api.specs.ScenarioSpec` / :class:`SweepPoint` path the PSR
-figures use, so ``--workers``, ``--engine`` and the persistent point cache
+figures use, so ``--workers`` and the persistent point cache
 (``REPRO_RESULT_CACHE``) apply at network scale.
 
 The link model, per ordered AP pair ``(i, j)``:
@@ -180,7 +180,6 @@ def simulate_link_matrices(
     sir_quantize_db: float = 0.5,
     clean_sir_db: float = DEFAULT_CLEAN_SIR_DB,
     floor_sir_db: float = DEFAULT_FLOOR_SIR_DB,
-    engine: str | None = None,
     n_workers: int | None = None,
 ) -> list[LinkSimulation]:
     """Simulate the links of several RSS matrices through *one* sweep.
@@ -224,7 +223,6 @@ def simulate_link_matrices(
             receivers=tuple(receivers),
             n_packets=n_packets,
             seed=seed,
-            engine=engine,
         )
         for value in grid
     ]

@@ -16,9 +16,8 @@ a spool directory into a single sorted, checksum-stamped ``trace.json``:
   monotonic ``perf_counter`` timestamps) with a per-event ``pid``, and
   their within-process parent pointers are rewritten to merged ids.
 
-Because task root spans carry an engine-normalised content key, traces of
-the same workload under ``engine=fast`` vs ``reference`` — or ``workers=1``
-vs ``2`` — merge into directly comparable reports (see
+Because task root spans carry a content key, traces of the same workload
+under ``workers=1`` vs ``2`` merge into directly comparable reports (see
 :mod:`repro.obs.report`).
 """
 

@@ -5,7 +5,7 @@ one ``progress.chunk`` instant event per line, so ``--progress`` and
 ``--trace`` compose: the trace records exactly when each chunk of which
 sweep completed.
 
-Parsing is strict, matching ``REPRO_ENGINE``/``REPRO_WORKERS``: a value
+Parsing is strict, matching ``REPRO_WORKERS``: a value
 that is neither truthy (``1``/``true``/``yes``/``on``) nor falsy
 (``0``/``false``/``no``/``off``/empty) raises naming the variable, instead
 of silently disabling progress (the historical behaviour for e.g.

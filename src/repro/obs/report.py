@@ -9,19 +9,20 @@ Backs the ``cprecycle-experiments trace-report DIR [DIR...]`` subcommand:
 * renders a per-span-name self-time/cumulative-time table (self time is
   exact — spans carry parent pointers, no timestamp heuristics);
 * prints a per-worker wallclock breakdown — serialize (parent-side pickle
-  time), queue wait (``dispatch.submit`` → worker task start, joined on the
-  dispatch id), compute (task span duration) and merge (cache flush /
-  result reassembly) — the split the ROADMAP's pool-overhead item needs;
+  time), compute (task span duration) and merge (cache flush / result
+  reassembly) tile the process window, and the median and maximum queue
+  latency (``dispatch.submit`` → worker task start, joined on the dispatch
+  id) of the worker's tasks show how long work waited for it;
 * folds the supervisor's parent-only recovery counters
   (``supervise.stats`` events) into a recovery section.
 
 With several directories the footer compares their totals side by side, so
-``engine=fast`` vs ``reference`` — or ``workers=1`` vs ``2`` — overhead is
-one command away.
+``workers=1`` vs ``2`` overhead is one command away.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
 from pathlib import Path
 from typing import Any
@@ -77,13 +78,18 @@ def format_span_table(rows: list[dict[str, Any]]) -> str:
 
 
 def wallclock_breakdown(report: dict[str, Any]) -> dict[str, Any]:
-    """Per-process serialize/wait/compute/merge split of the traced run.
+    """Per-process serialize/compute/merge split of the traced run.
 
     ``tasks`` holds one row per executed pool-boundary task: queue wait
     (parent ``dispatch.submit`` → worker span start), compute (task span
     duration) and the parent-side serialize cost of its dispatch.  Waits
     are only defined for tasks whose submit event is in the trace (serial
     in-process tasks have no submit and report a wait of ``0.0``).
+
+    Each process row reports the median (``wait_p50``) and maximum
+    (``wait_max``) wait of its tasks, never their sum: a chunk submits all
+    of its tasks at once, so the waits of tasks queued behind one worker
+    overlap in time and their sum can exceed the window many times over.
     """
     events = report.get("events", [])
     submits: dict[tuple[Any, Any], list[float]] = {}
@@ -106,7 +112,7 @@ def wallclock_breakdown(report: dict[str, Any]) -> dict[str, Any]:
                 "last": None,
                 "n_tasks": 0,
                 "compute": 0.0,
-                "wait": 0.0,
+                "waits": [],
                 "serialize": 0.0,
                 "merge": 0.0,
             },
@@ -145,7 +151,7 @@ def wallclock_breakdown(report: dict[str, Any]) -> dict[str, Any]:
         row = pid_row(pid)
         row["n_tasks"] += 1
         row["compute"] += compute
-        row["wait"] += wait
+        row["waits"].append(wait)
         tasks.append(
             {
                 "dispatch": attrs.get("dispatch"),
@@ -163,6 +169,7 @@ def wallclock_breakdown(report: dict[str, Any]) -> dict[str, Any]:
         row["window"] = window
         accounted = row["compute"] + row["serialize"] + row["merge"]
         row["other"] = max(0.0, window - accounted)
+        row["wait_p50"], row["wait_max"] = _latency(row.pop("waits"))
         del row["first"], row["last"]
 
     starts = [float(e["start"]) for e in events]
@@ -172,6 +179,11 @@ def wallclock_breakdown(report: dict[str, Any]) -> dict[str, Any]:
         "per_pid": {str(pid): row for pid, row in sorted(per_pid.items(), key=lambda p: str(p[0]))},
         "tasks": sorted(tasks, key=lambda t: (str(t["dispatch"]), str(t["ordinal"]))),
     }
+
+
+def _latency(waits: list[float]) -> tuple[float, float]:
+    """Median and maximum of per-task queue waits (zeros when there are none)."""
+    return (statistics.median(waits), max(waits)) if waits else (0.0, 0.0)
 
 
 def recovery_totals(report: dict[str, Any]) -> dict[str, int]:
@@ -214,7 +226,7 @@ def _format_breakdown(breakdown: dict[str, Any]) -> str:
         parts = [f"window {row['window']:.4f}s"]
         if row["n_tasks"]:
             parts.append(f"compute {row['compute']:.4f}s over {row['n_tasks']} task(s)")
-            parts.append(f"wait {row['wait']:.4f}s")
+            parts.append(f"wait p50 {row['wait_p50']:.4f}s max {row['wait_max']:.4f}s")
         if row["serialize"]:
             parts.append(f"serialize {row['serialize']:.4f}s")
         if row["merge"]:
@@ -277,12 +289,15 @@ def trace_report_main(argv: list[str]) -> int:
 
     if len(comparison) > 1:
         print("== comparison ==")
-        print(f"{'directory':<32} {'wallclock s':>12} {'compute s':>10} {'wait s':>10} {'tasks':>6}")
+        print(
+            f"{'directory':<32} {'wallclock s':>12} {'compute s':>10} "
+            f"{'wait p50 s':>10} {'wait max s':>10} {'tasks':>6}"
+        )
         for name, breakdown in comparison:
             compute = sum(row["compute"] for row in breakdown["per_pid"].values())
-            wait = sum(row["wait"] for row in breakdown["per_pid"].values())
+            wait_p50, wait_max = _latency([task["wait"] for task in breakdown["tasks"]])
             print(
                 f"{name:<32} {breakdown['wallclock']:>12.4f} {compute:>10.4f} "
-                f"{wait:>10.4f} {len(breakdown['tasks']):>6}"
+                f"{wait_p50:>10.4f} {wait_max:>10.4f} {len(breakdown['tasks']):>6}"
             )
     return 1 if failures else 0

@@ -79,9 +79,9 @@ class ViterbiDecoder:
         starts from the best surviving state.
     reference:
         Run the original generic trellis sweep instead of the optimised one.
-        Both produce bit-identical decisions; the reference sweep is kept so
-        that the link engine's ``"reference"`` mode preserves the seed
-        implementation end to end for verification and benchmarking.
+        Both produce bit-identical decisions; the reference sweep is a test
+        oracle (see :func:`repro.receiver.decode_chain.decode_coded_bits_batch_reference`)
+        that the library itself never selects.
     """
 
     #: Memory bound (in float64 elements) for the precomputed branch-cost

@@ -14,8 +14,9 @@ whole ``(n_frames, n_symbols, ncbps)`` block, de-puncturing scatters the
 batch through one shared erasure mask, the Viterbi sweep runs all frames
 through one trellis, and descrambling XORs one shared scrambler sequence
 against the whole decoded block.  ``decode_coded_bits_batch_reference``
-preserves the original per-frame loops (identical outputs, kept as the
-verification fallback the fast-path equivalence tests compare against).
+preserves the original per-frame loops (identical outputs); it is the test
+oracle the fast-path equivalence tests compare against, never called by the
+library.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def decode_coded_bits_batch_reference(
     """Per-frame reference implementation of :func:`decode_coded_bits_batch`.
 
     De-interleaving, de-puncturing and descrambling loop frame by frame (only
-    the Viterbi sweep is batched, as in the original engine).  Kept as the
-    verification fallback; outputs match the vectorised chain exactly.
+    the Viterbi sweep is batched, through the seed trellis sweep).  A test
+    oracle; outputs match the vectorised chain exactly.
     """
     coded = _validate_batch(spec, coded_bits)
     ncbps = spec.coded_bits_per_symbol

@@ -1,12 +1,11 @@
 """Runtime determinism sanitizer (``REPRO_SANITIZE``).
 
 The static rules (RPR001/RPR007) argue that RNG streams and task payloads
-cannot depend on the execution engine or the worker count; this module is
-the dynamic oracle that *checks* it.  When sanitizing is enabled, every
-pool-boundary task execution records
+cannot depend on the worker count; this module is the dynamic oracle that
+*checks* it.  When sanitizing is enabled, every pool-boundary task
+execution records
 
-* a sha256 digest of the task payload (engine-normalised, so the same
-  point run under ``fast`` and ``reference`` engines digests identically),
+* a sha256 digest of the task payload,
 * a sha256 digest of the task's outcome, and
 * the ordered list of child-RNG seed-material digests drawn while the task
   ran (hooked into :func:`repro.utils.rng.child_rng`),
@@ -15,8 +14,8 @@ into one checksum-stamped spool file per task under the sanitize directory
 (written through ``store.write_json_artifact``, like every other artifact).
 :func:`merge_report` folds a spool into a sorted ``report.json``;
 :func:`diff_reports` — surfaced as ``cprecycle-experiments sanitize-diff``
-— asserts digest-identity between runs that differ only in engine or
-worker count.  Any mismatch is a determinism bug by definition.
+— asserts digest-identity between runs that differ only in worker count.
+Any mismatch is a determinism bug by definition.
 
 Enabling: set ``REPRO_SANITIZE=1`` (or ``true``/``yes``/``on``) to spool
 into ``./sanitize-report``, or set it to a directory path directly.  The
@@ -26,7 +25,6 @@ flag is read per task so tests can toggle it; the per-draw hook costs one
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from collections.abc import Callable, Sequence
@@ -76,21 +74,7 @@ def _digest(value: Any) -> str:
 
 
 def task_digest(task: Any) -> str:
-    """Engine-normalised content digest of one task payload.
-
-    Sweep tasks resolve their engine at execution time; a task explicitly
-    pinned to ``engine="fast"`` and its ``"reference"`` twin describe the
-    same point, and the reproduction guarantees their outcomes are
-    bit-identical — so the engine field is normalised out of the digest to
-    make cross-engine reports line up task by task.
-    """
-    if dataclasses.is_dataclass(task) and not isinstance(task, type):
-        names = {f.name for f in dataclasses.fields(task)}
-        if "engine" in names and getattr(task, "engine", None) is not None:
-            try:
-                task = dataclasses.replace(task, engine=None)
-            except (TypeError, ValueError):
-                pass  # non-replaceable dataclass: digest it as-is
+    """Content digest of one task payload."""
     return _digest(task)
 
 
@@ -194,7 +178,7 @@ def diff_reports(directories: Sequence[str | Path]) -> list[str]:
 
     Returns a sorted list of human-readable mismatch lines; empty means the
     runs were bit-identical at every pool boundary.  Used by the
-    ``sanitize-diff`` CLI to assert engine- and worker-count-independence.
+    ``sanitize-diff`` CLI to assert worker-count-independence.
     """
     if len(directories) < 2:
         raise ValueError("sanitize-diff needs at least two report directories")

@@ -2,8 +2,9 @@
 
 The bit-identity class reconstructs the pre-refactor execution path from
 the primitives it was built on (``aci_scenario``/``cci_scenario`` +
-``build_receivers`` + ``packet_success_rate``) and asserts the spec-driven
-figures reproduce it exactly, on both engines and for any worker count.
+``build_receivers`` + ``packet_success_rate``, or the per-packet link oracle
+of ``test_fast_path``) and asserts the spec-driven figures reproduce it
+exactly, for any worker count.
 """
 
 import json
@@ -33,32 +34,39 @@ from repro.experiments import (
     runner,
 )
 from repro.experiments.config import ExperimentProfile
-from repro.experiments.link import default_engine, packet_success_rate
+from repro.experiments.link import packet_success_rate, psr
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.results import FigureResult
 from repro.experiments.store import ResultStore
 from repro.experiments.sweeps import sir_axis
 from repro.phy.subcarriers import dot11g_allocation
 from repro.receiver.standard import StandardOfdmReceiver
+from test_fast_path import oracle_link_run
 
 TINY = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
 
 
-def _legacy_point(scenario, receiver_names, profile, n_segments=None, engine=None):
-    """One sweep point exactly as the pre-refactor figure modules ran it."""
+def _legacy_point(scenario, receiver_names, profile, n_segments=None, oracle=False):
+    """One sweep point exactly as the pre-refactor figure modules ran it.
+
+    ``oracle`` simulates the packets through the per-packet link oracle
+    instead of :func:`packet_success_rate`.
+    """
     receivers = expcfg.build_receivers(scenario.allocation, receiver_names, n_segments=n_segments)
-    stats = packet_success_rate(
-        scenario, receivers, profile.n_packets, seed=profile.seed, engine=engine
-    )
+    if oracle:
+        successes, _ = oracle_link_run(scenario, receivers, profile.n_packets, profile.seed)
+        return {
+            name: 100.0 * psr(sum(successes[name]), profile.n_packets) for name in receiver_names
+        }
+    stats = packet_success_rate(scenario, receivers, profile.n_packets, seed=profile.seed)
     return {name: stats[name].success_percent for name in receiver_names}
 
 
 class TestBitIdentity:
     """Spec-driven figures == the hard-coded pre-refactor path."""
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_fig8_matches_legacy_path(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    @pytest.mark.parametrize("legacy_link", ["fast", "reference"])
+    def test_fig8_matches_legacy_path(self, legacy_link):
         sirs = sir_axis(-24.0, -12.0, TINY.n_sir_points)
         result = fig08_aci_single.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))
         for index, sir in enumerate(sirs):
@@ -66,6 +74,7 @@ class TestBitIdentity:
                 expcfg.aci_scenario("qpsk-1/2", sir, payload_length=TINY.payload_length),
                 ("standard", "cprecycle"),
                 TINY,
+                oracle=legacy_link == "reference",
             )
             assert result.series["QPSK (1/2) Without CPRecycle"][index] == legacy["standard"]
             assert result.series["QPSK (1/2) With CPRecycle"][index] == legacy["cprecycle"]
@@ -310,9 +319,10 @@ class TestCli:
         result = ResultStore(out_dir).load("fig8-custom")
         assert result.x_values == [-20.0, -12.0]
 
-    def test_spec_pinned_engine_is_recorded_and_cli_flag_wins(self, tmp_path):
-        spec = ExperimentSpec(
-            name="pinned",
+    def test_spec_dumped_with_legacy_engine_key_runs(self, tmp_path, capsys):
+        # Older builds wrote "engine": null into every dumped spec.
+        payload = ExperimentSpec(
+            name="legacy",
             figure="T",
             title="t",
             scenario=ScenarioSpec(
@@ -321,19 +331,17 @@ class TestCli:
             receivers=(ReceiverSpec("standard"),),
             sweep=SweepSpec(axes=(SweepAxis("sir_db", values=(15.0,)),)),
             n_packets=2,
-            engine="reference",
-        )
-        spec_path = tmp_path / "pinned.json"
-        spec_path.write_text(spec.to_json())
+        ).to_dict()
+        spec_path = tmp_path / "legacy.json"
         out_dir = tmp_path / "results"
-        assert runner.main(["--spec", str(spec_path), "--out", str(out_dir)]) == 0
-        assert ResultStore(out_dir).load_record("pinned")["engine"] == "reference"
-        # An explicit CLI flag beats the spec's pinned engine.
-        assert (
-            runner.main(["--spec", str(spec_path), "--engine", "fast", "--out", str(out_dir)])
-            == 0
-        )
-        assert ResultStore(out_dir).load_record("pinned")["engine"] == "fast"
+        for engine in (None, "fast"):
+            spec_path.write_text(json.dumps({**payload, "engine": engine}))
+            assert runner.main(["--spec", str(spec_path), "--out", str(out_dir)]) == 0
+            assert "engine" not in ResultStore(out_dir).load_record("legacy")
+        spec_path.write_text(json.dumps({**payload, "engine": "reference"}))
+        with pytest.raises(SystemExit):
+            runner.main(["--spec", str(spec_path)])
+        assert "test oracle" in capsys.readouterr().err
 
     def test_dump_spec_needs_one_experiment(self):
         with pytest.raises(SystemExit):
@@ -412,7 +420,7 @@ class TestCli:
 
 
 class TestExecutionKnobValidation:
-    """--workers / REPRO_WORKERS / REPRO_ENGINE fail fast and name the knob."""
+    """--workers / REPRO_WORKERS fail fast and name the knob."""
 
     def test_cli_rejects_non_positive_workers(self):
         for value in ("0", "-3"):
@@ -420,18 +428,12 @@ class TestExecutionKnobValidation:
                 runner.main(["fig8", "--workers", value])
 
     def test_cli_rejects_env_typos_before_running(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_ENGINE", "fsat")
-        with pytest.raises(SystemExit):
-            runner.main(["table1"])
-        assert "REPRO_ENGINE" in capsys.readouterr().err
-        # ...but an explicit --engine flag shadows the env variable entirely.
-        assert runner.main(["table1", "--engine", "fast"]) == 0
-        capsys.readouterr()
-        monkeypatch.delenv("REPRO_ENGINE")
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(SystemExit):
             runner.main(["table1"])
         assert "REPRO_WORKERS" in capsys.readouterr().err
+        # ...but an explicit --workers flag shadows the env variable entirely.
+        assert runner.main(["table1", "--workers", "1"]) == 0
 
     def test_resolve_workers_names_the_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "0")
@@ -440,8 +442,3 @@ class TestExecutionKnobValidation:
         monkeypatch.setenv("REPRO_WORKERS", "two")
         with pytest.raises(ValueError, match="REPRO_WORKERS must be an integer"):
             resolve_workers()
-
-    def test_default_engine_names_valid_choices(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fsat")
-        with pytest.raises(ValueError, match="'fast' or 'reference'"):
-            default_engine()

@@ -347,8 +347,16 @@ class TestValidation:
             _psr_spec(x_transform="ghz")
 
     def test_bad_engine(self):
-        with pytest.raises(SpecError, match="engine"):
-            _psr_spec(engine="turbo")
+        payload = _psr_spec().to_dict()
+        for engine in ("reference", "turbo"):
+            payload["engine"] = engine
+            with pytest.raises(SpecError, match="engine .* test oracle"):
+                ExperimentSpec.from_dict(payload)
+
+    def test_legacy_engine_key_of_dumped_specs_is_dropped(self):
+        spec = _psr_spec()
+        for engine in (None, "fast"):
+            assert ExperimentSpec.from_dict({**spec.to_dict(), "engine": engine}) == spec
 
     def test_name_must_be_a_safe_path_component(self):
         for bad in ("aci/guard", "../evil", ".hidden", "a b"):
@@ -490,15 +498,12 @@ class TestValidation:
             )
 
     def test_analysis_spec_rejects_pinned_engine(self):
+        payload = ExperimentSpec(
+            name="t", figure="T", title="t", kind="analysis", analysis="table1-isi-free"
+        ).to_dict()
+        payload["engine"] = "reference"
         with pytest.raises(SpecError, match="engine"):
-            ExperimentSpec(
-                name="t",
-                figure="T",
-                title="t",
-                kind="analysis",
-                analysis="table1-isi-free",
-                engine="reference",
-            )
+            ExperimentSpec.from_dict(payload)
 
     def test_missing_required_json_field_is_a_spec_error(self):
         payload = _psr_spec().to_dict()

@@ -160,10 +160,20 @@ class TestCampaignSpecValidation:
         entry = CampaignExperiment(builtin="fig11")
         with pytest.raises(SpecError, match="profile"):
             _campaign([entry], profile="huge")
-        with pytest.raises(SpecError, match="engine"):
-            _campaign([entry], engine="fsat")
+        payload = _campaign([entry]).to_dict()
+        for engine in ("reference", "fsat"):
+            with pytest.raises(SpecError, match="engine .* test oracle"):
+                CampaignSpec.from_dict({**payload, "engine": engine})
         with pytest.raises(SpecError, match="n_workers"):
             _campaign([entry], n_workers=0)
+
+    def test_legacy_engine_key_of_written_campaigns_is_dropped(self):
+        spec = _campaign([CampaignExperiment(spec=_mini_psr_spec())])
+        payload = spec.to_dict()
+        # Inline experiment specs written by older builds carry the key too.
+        payload["experiments"][0]["spec"]["engine"] = None
+        for engine in (None, "fast"):
+            assert CampaignSpec.from_dict({**payload, "engine": engine}) == spec
 
     def test_json_round_trip_all_entry_kinds(self):
         spec = _campaign(
@@ -177,7 +187,6 @@ class TestCampaignSpecValidation:
                 ),
             ],
             seed=7,
-            engine="fast",
             notes=("a note",),
         )
         assert CampaignSpec.from_json(spec.to_json()) == spec

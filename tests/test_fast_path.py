@@ -1,11 +1,14 @@
 """Equivalence tests for the batched link-simulation fast path.
 
-The batched engine must be interchangeable with the preserved per-packet /
-per-symbol reference path: same per-packet RNG streams, same front-end
-outputs, bit-identical symbol decisions and identical packet outcomes.  These
-tests pin that contract at every layer — KDE kernel, interference model, ML
-decoder, front end, receivers, FEC chain and the link engine itself.
+The batched link path must agree with the per-packet / per-symbol reference
+implementations, which survive only as test oracles: same per-packet RNG
+streams, same front-end outputs, bit-identical symbol decisions and
+identical packet outcomes.  These tests pin that contract at every layer —
+KDE kernel, interference model, ML decoder, front end, receivers, FEC chain
+and the link simulation itself, whose per-packet oracle lives here.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.core.kde import GaussianProductKde, silverman_bandwidth
 from repro.core.ml_decoder import FixedSphereMlDecoder
 from repro.core.receiver import CPRecycleReceiver
 from repro.experiments.config import aci_scenario, build_receivers, cci_scenario
-from repro.experiments.link import default_engine, packet_success_rate, symbol_error_rate
+from repro.experiments.link import FAST_ENGINE_BATCH, packet_success_rate, symbol_error_rate
 from repro.experiments.parallel import parallel_map, resolve_workers
 from repro.phy.constellation import qam16, qam64, qpsk
 from repro.phy.scrambler import scrambler_sequence
@@ -165,24 +168,10 @@ class TestDecoderFastPath:
             + 1j * rng.normal(size=(n_segments, n_symbols, n_data))
         )
         decoder = FixedSphereMlDecoder(constellation, config)
-        fast = decoder.decode_frame(observations, model, batched=True)
+        fast = decoder.decode_frame(observations, model)
         reference = decoder.decode_frame_reference(observations, model)
         assert fast.dtype == reference.dtype
         assert np.array_equal(fast, reference)
-
-    def test_config_flag_selects_path(self):
-        constellation = qpsk()
-        config = CPRecycleConfig(use_batched_decoder=False)
-        rng = np.random.default_rng(0)
-        deviations = 0.1 * (rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2)))
-        model = InterferenceModel(deviations, config)
-        observations = np.zeros((4, 3, 5), dtype=complex) + constellation.points[0]
-        decoder = FixedSphereMlDecoder(constellation, config)
-        # batched=None defers to the config; both paths agree regardless.
-        assert np.array_equal(
-            decoder.decode_frame(observations, model),
-            decoder.decode_frame(observations, model, batched=True),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -240,15 +229,72 @@ class TestRealizeAndFrontEndBatch:
 # --------------------------------------------------------------------------- #
 # Receivers and link engine                                                   #
 # --------------------------------------------------------------------------- #
-class TestLinkEngineEquivalence:
-    def _receivers(self, scenario, batched, names=("standard", "cprecycle")):
-        receivers = build_receivers(scenario.allocation, names)
-        if "cprecycle" in receivers:
-            receivers["cprecycle"].config = CPRecycleConfig(
-                max_segments=scenario.allocation.cp_length, use_batched_decoder=batched
-            )
-        return receivers
+class ReferenceCPRecycle(CPRecycleReceiver):
+    """CPRecycle whose per-packet decision runs the per-symbol reference decoder."""
 
+    def decide(self, front, rx):
+        decoder = FixedSphereMlDecoder(front.spec.mcs.constellation, self.config)
+        return decoder.decode_frame_reference(front.data_observations(), self.build_model(front))
+
+
+def oracle_link_run(scenario, receivers, n_packets, seed, first_packet=0):
+    """The per-packet link loop: one packet realised, demodulated and decoded at a time.
+
+    CPRecycle decides through :class:`ReferenceCPRecycle` and the FEC stage
+    through the per-frame reference chain.  Returns each receiver's
+    per-packet CRC outcomes and its raw symbol error rate.
+    """
+    receivers = {
+        name: ReferenceCPRecycle(receiver.config, receiver.front_end)
+        if isinstance(receiver, CPRecycleReceiver)
+        else receiver
+        for name, receiver in receivers.items()
+    }
+    coded = {name: [] for name in receivers}
+    errors = dict.fromkeys(receivers, 0)
+    total = 0
+    for index in range(n_packets):
+        rx = scenario.realize(child_rng(seed, first_packet + index))
+        truth = rx.spec.mcs.constellation.nearest_indices(rx.tx_frame.data_points)
+        total += truth.size
+        for name, receiver in receivers.items():
+            demodulated = receiver.demodulate(rx)
+            coded[name].append(demodulated.coded_bits)
+            errors[name] += int(np.count_nonzero(demodulated.decisions != truth))
+    successes = {
+        name: tuple(
+            frame.crc_ok
+            for frame in decode_coded_bits_batch_reference(scenario.frame_spec, np.stack(bits))
+        )
+        for name, bits in coded.items()
+    }
+    return successes, {name: errors[name] / total for name in receivers}
+
+
+#: name -> (scenario, n_packets, first_packet).  The 60-byte cases run one
+#: packet more than FAST_ENGINE_BATCH, so the batched path splits them; the
+#: 400-byte case is the paper's full-profile frame size.  Each SIR leaves
+#: both CRC outcomes among CPRecycle's packets.
+ORACLE_CASES = {
+    "aci-qpsk-60B": (
+        aci_scenario("qpsk-1/2", -22.0, payload_length=60), FAST_ENGINE_BATCH + 1, 0
+    ),
+    "cci-16qam-60B-window": (
+        cci_scenario("16qam-1/2", 12.0, payload_length=60), FAST_ENGINE_BATCH + 1, 5
+    ),
+    "aci-16qam-400B": (aci_scenario("16qam-1/2", -16.0, payload_length=400), 4, 0),
+}
+ORACLE_SEED = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(case, first_packet):
+    scenario, n_packets, _ = ORACLE_CASES[case]
+    receivers = build_receivers(scenario.allocation)
+    return oracle_link_run(scenario, receivers, n_packets, ORACLE_SEED, first_packet=first_packet)
+
+
+class TestLinkEngineEquivalence:
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -259,7 +305,7 @@ class TestLinkEngineEquivalence:
     )
     def test_demodulate_batch_matches_per_packet(self, scenario):
         rxs = scenario.realize_batch(3, seed=21)
-        receivers = self._receivers(scenario, batched=True)
+        receivers = build_receivers(scenario.allocation)
         for receiver in receivers.values():
             batch = receiver.demodulate_batch(rxs)
             for rx, demodulated in zip(rxs, batch):
@@ -268,38 +314,26 @@ class TestLinkEngineEquivalence:
                 assert np.array_equal(demodulated.coded_bits, expected.coded_bits)
 
     def test_packet_success_rate_engines_agree(self):
-        scenario = aci_scenario("16qam-1/2", -14.0, payload_length=60)
-        fast = packet_success_rate(
-            scenario, self._receivers(scenario, True), 4, seed=3, engine="fast"
-        )
-        reference = packet_success_rate(
-            scenario, self._receivers(scenario, False), 4, seed=3, engine="reference"
-        )
-        for name in fast:
-            assert fast[name].n_success == reference[name].n_success
+        """The batched engine's per-packet outcomes equal the per-packet oracle's."""
+        for case, (scenario, n_packets, first_packet) in ORACLE_CASES.items():
+            successes, _ = _oracle(case, first_packet)
+            batched = packet_success_rate(
+                scenario,
+                build_receivers(scenario.allocation),
+                n_packets,
+                seed=ORACLE_SEED,
+                first_packet=first_packet,
+            )
+            assert {name: result.successes for name, result in batched.items()} == successes, case
 
     def test_symbol_error_rate_engines_agree(self):
-        scenario = aci_scenario("qpsk-1/2", -16.0, payload_length=40)
-        fast = symbol_error_rate(
-            scenario, self._receivers(scenario, True), 3, seed=3, engine="fast"
-        )
-        reference = symbol_error_rate(
-            scenario, self._receivers(scenario, False), 3, seed=3, engine="reference"
-        )
-        assert fast == reference
-
-    def test_engine_validation_and_env(self, monkeypatch):
-        scenario = aci_scenario("qpsk-1/2", -16.0, payload_length=40)
-        receivers = {"standard": StandardOfdmReceiver()}
-        with pytest.raises(ValueError):
-            packet_success_rate(scenario, receivers, 1, engine="warp")
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert default_engine() == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "hyper")
-        with pytest.raises(ValueError):
-            default_engine()
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert default_engine() == "fast"
+        """The batched engine's raw symbol error rates equal the per-packet oracle's."""
+        for case, (scenario, n_packets, _) in ORACLE_CASES.items():
+            _, error_rates = _oracle(case, 0)
+            batched = symbol_error_rate(
+                scenario, build_receivers(scenario.allocation), n_packets, seed=ORACLE_SEED
+            )
+            assert batched == error_rates, case
 
 
 # --------------------------------------------------------------------------- #
@@ -402,6 +436,6 @@ def test_clean_channel_full_success_via_fast_engine():
 
     scenario = Scenario(dot11g_allocation(), mcs_name="qpsk-1/2", payload_length=30, snr_db=30.0)
     receivers = {"standard": StandardOfdmReceiver(), "cprecycle": CPRecycleReceiver()}
-    stats = packet_success_rate(scenario, receivers, 4, seed=0, engine="fast")
+    stats = packet_success_rate(scenario, receivers, 4, seed=0)
     assert stats["standard"].success_rate == 1.0
     assert stats["cprecycle"].success_rate == 1.0

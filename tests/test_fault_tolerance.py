@@ -4,7 +4,7 @@ The robustness acceptance tests live here: under injected faults (task
 exception, worker kill, task hang, corrupt cache/manifest files) sweeps and
 campaigns complete with series/counts bit-identical to fault-free runs, and
 a campaign SIGKILLed mid-round then ``--resume``\\ d reproduces exact packet
-counts — on both link engines and with 1 or 2 workers.
+counts — with 1 or 2 workers.
 """
 
 import json
@@ -294,7 +294,7 @@ class TestSupervisedExecutor:
 # --------------------------------------------------------------------------- #
 # Sweep-level bit-identity under faults                                       #
 # --------------------------------------------------------------------------- #
-def _mini_psr_points(engine):
+def _mini_psr_points():
     spec = ExperimentSpec(
         name="mini-cci",
         figure="Custom",
@@ -305,7 +305,7 @@ def _mini_psr_points(engine):
         series_label="{receiver}",
     ).resolve(MICRO)
     points, _ = expand_psr_points(spec)
-    return [replace(point, engine=engine) for point in points]
+    return points
 
 
 def _tiny_fig13_simulated_spec():
@@ -323,12 +323,9 @@ def _tiny_fig13_simulated_spec():
 
 
 class TestSweepBitIdentityUnderFaults:
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_worker_kill_mid_chunk_bit_identical(
-        self, tmp_path, monkeypatch, engine, workers
-    ):
-        points = _mini_psr_points(engine)
+    def test_worker_kill_mid_chunk_bit_identical(self, tmp_path, monkeypatch, workers):
+        points = _mini_psr_points()
         clean = execute_points(run_sweep_point, points, n_workers=workers)
         monkeypatch.setenv(
             FAULTS_ENV_VAR,
@@ -366,7 +363,7 @@ class TestSweepBitIdentityUnderFaults:
 
     def test_corrupt_point_cache_quarantined_and_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        points = _mini_psr_points("fast")
+        points = _mini_psr_points()
         clean = execute_points(run_sweep_point, points)
         cache_files = list((tmp_path / "cache").glob("*.json"))
         assert cache_files

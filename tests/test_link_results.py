@@ -3,8 +3,7 @@
 The adaptive campaign scheduler grows a sweep point's packet budget in
 rounds; its correctness rests on the guarantee tested here — that splitting
 one long run into consecutive ``first_packet`` windows and merging the
-per-round :class:`LinkResult`s reproduces the long run bit for bit, on both
-link engines.
+per-round :class:`LinkResult`s reproduces the long run bit for bit.
 """
 
 import pytest
@@ -12,6 +11,7 @@ import pytest
 from repro.api.specs import InterfererSpec, ScenarioSpec
 from repro.experiments.config import build_receivers
 from repro.experiments.link import LinkResult, PacketStats, packet_success_rate, psr
+from test_fast_path import oracle_link_run
 
 
 def _scenario():
@@ -99,24 +99,31 @@ class TestLinkResultMerge:
             a.merge(LinkResult("r", 2, 0, first_packet=1))  # overlap
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_split_rounds_merge_to_one_long_run(engine):
-    """Sum of per-round results is bit-identical to one long run, per engine.
+@pytest.mark.parametrize("longrun_path", ["fast", "reference"])
+def test_split_rounds_merge_to_one_long_run(longrun_path):
+    """Sum of per-round results is bit-identical to one long run.
 
-    Uneven window sizes straddle the fast engine's internal batch boundary,
-    so the check also covers re-chunking inside a window.
+    The long run comes from :func:`packet_success_rate` itself or, for
+    ``reference``, from the per-packet link oracle.  Uneven window sizes
+    straddle the internal batch boundary, so the check also covers
+    re-chunking inside a window.
     """
     scenario = _scenario()
     receivers = build_receivers(scenario.allocation)
     n_total, seed = 7, 99
-    longrun = packet_success_rate(scenario, receivers, n_total, seed=seed, engine=engine)
+    if longrun_path == "fast":
+        longrun = packet_success_rate(scenario, receivers, n_total, seed=seed)
+    else:
+        successes, _ = oracle_link_run(scenario, receivers, n_total, seed)
+        longrun = {
+            name: LinkResult(name, n_total, sum(outcomes), outcomes)
+            for name, outcomes in successes.items()
+        }
 
     windows = [(0, 2), (2, 1), (3, 4)]  # consecutive (first_packet, n_packets)
     merged = None
     for first, count in windows:
-        stats = packet_success_rate(
-            scenario, receivers, count, seed=seed, engine=engine, first_packet=first
-        )
+        stats = packet_success_rate(scenario, receivers, count, seed=seed, first_packet=first)
         merged = stats if merged is None else {
             name: merged[name].merge(stats[name]) for name in merged
         }

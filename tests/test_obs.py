@@ -306,6 +306,32 @@ class TestReport:
         (task,) = wallclock_breakdown(report)["tasks"]
         assert task["wait"] == pytest.approx(1.0)
 
+    def test_breakdown_reports_queue_latency_not_summed_wait(self):
+        # One chunk submits four tasks at once and a single worker runs them
+        # back to back, so each queues behind the ones before it: summed, the
+        # waits (6.4 s) would exceed the worker's 4.0 s window.
+        submits = [
+            {"id": f"s{i}", "parent": None, "name": "dispatch.submit", "start": 0.0,
+             "dur": 0.0, "attrs": {"dispatch": "p:1", "ordinal": i}, "pid": 1}
+            for i in range(4)
+        ]
+        tasks = [
+            {"id": f"t{i}", "parent": None, "name": "task", "start": 0.1 + i, "dur": 1.0,
+             "attrs": {"dispatch": "p:1", "ordinal": i}, "pid": 2}
+            for i in range(4)
+        ]
+        breakdown = wallclock_breakdown({"events": submits + tasks})
+        assert [task["wait"] for task in breakdown["tasks"]] == pytest.approx(
+            [0.1, 1.1, 2.1, 3.1]
+        )
+        worker = breakdown["per_pid"]["2"]
+        assert worker["window"] == pytest.approx(4.0)
+        assert worker["wait_p50"] == pytest.approx(1.6)
+        assert worker["wait_max"] == pytest.approx(3.1)
+        for row in breakdown["per_pid"].values():
+            for figure in ("compute", "wait_p50", "wait_max", "serialize", "merge", "other"):
+                assert row[figure] <= row["window"] + 1e-9, (figure, row)
+
     def test_breakdown_accounting_tiles_process_window(self):
         report = {
             "events": [
@@ -452,6 +478,16 @@ class TestTracedExecution:
         assert (tmp_path / "trace-chrome.json").is_file()
         chrome = json.loads((tmp_path / "trace-chrome.json").read_text())
         assert chrome["traceEvents"], "chrome export is empty"
+
+    def test_trace_report_compares_queue_latency(self, tmp_path, monkeypatch, capsys):
+        directories = [tmp_path / "a", tmp_path / "b"]
+        for directory in directories:
+            monkeypatch.setenv(TRACE_ENV_VAR, str(directory))
+            execute_points(_square, [1, 2], n_workers=1)
+        assert trace_report_main([str(directory) for directory in directories]) == 0
+        out = capsys.readouterr().out
+        header = out.split("== comparison ==\n")[1].splitlines()[0]
+        assert "wait p50 s" in header and "wait max s" in header
 
     def test_trace_report_cli_failure_modes(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,7 +1,6 @@
 """Tests for result serialisation, artifacts and the point-level cache."""
 
 import json
-from dataclasses import dataclass
 
 import pytest
 
@@ -74,7 +73,7 @@ class TestStableKey:
         assert stable_key({"x": 1.0}) != stable_key({"x": 2.0})
 
     def test_config_hash_shape(self):
-        digest = config_hash("fig10", MICRO, "fast")
+        digest = config_hash("fig10", MICRO)
         assert len(digest) == 12 and int(digest, 16) >= 0
 
 
@@ -82,14 +81,13 @@ class TestResultStore:
     def test_save_and_reload(self, tmp_path):
         store = ResultStore(tmp_path / "results")
         result = FigureResult("Figure 10", "t", "Guard", [0.0, 5.0], {"a": [1.0, 2.0]})
-        path = store.save("fig10", result, profile=MICRO, engine="fast")
+        path = store.save("fig10", result, profile=MICRO)
         assert path.is_file()
         assert store.load("fig10") == result
         record = store.load_record("fig10")
         assert record["profile"] == "micro"
-        assert record["engine"] == "fast"
         assert record["config"]["n_packets"] == 2
-        assert record["config_hash"] == config_hash("fig10", MICRO, "fast")
+        assert record["config_hash"] == config_hash("fig10", MICRO)
         assert store.names() == ["fig10"]
 
     def test_unsupported_envelope_rejected(self, tmp_path):
@@ -112,19 +110,6 @@ _EXECUTIONS = []
 def _tracked_task(value):
     _EXECUTIONS.append(value)
     return {"doubled": value * 2}
-
-
-@dataclass(frozen=True)
-class _EngineTask:
-    """Minimal task with the SweepPoint-style ``engine`` field."""
-
-    value: int
-    engine: str | None = None
-
-
-def _tracked_engine_task(task):
-    _EXECUTIONS.append(task.value)
-    return {"value": task.value}
 
 
 class TestPointCache:
@@ -173,35 +158,6 @@ class TestPointCache:
         execute_points(_tracked_task, [5])
         execute_points(_tracked_task, [5])
         assert _EXECUTIONS == [5, 5]
-
-    def test_engine_inheriting_point_invalidated_by_engine_change(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        _EXECUTIONS.clear()
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        execute_points(_tracked_engine_task, [_EngineTask(7, engine=None)])
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        execute_points(_tracked_engine_task, [_EngineTask(7, engine=None)])
-        # engine=None inherits REPRO_ENGINE, so the point's identity changes.
-        assert _EXECUTIONS == [7, 7]
-
-    def test_explicit_engine_point_survives_engine_change(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        _EXECUTIONS.clear()
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        execute_points(_tracked_engine_task, [_EngineTask(8, engine="fast")])
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        execute_points(_tracked_engine_task, [_EngineTask(8, engine="fast")])
-        assert _EXECUTIONS == [8]
-
-    def test_engineless_analysis_point_survives_engine_change(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        _EXECUTIONS.clear()
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        execute_points(_tracked_task, [9])
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        execute_points(_tracked_task, [9])
-        # Analysis/Monte-Carlo tasks never touch the link engine: still cached.
-        assert _EXECUTIONS == [9]
 
 
 class TestRunnerPersistence:

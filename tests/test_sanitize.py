@@ -3,10 +3,9 @@
 The sanitizer is the dynamic oracle behind the static RNG rules: every
 pool-boundary task records digests of its payload, outcome and child-RNG
 seed material, and ``sanitize-diff`` asserts those digests are bit-identical
-across engines and worker counts.  This suite pins the flag parsing, the
-spool/merge/diff mechanics, the engine normalisation of task digests, the
-``child_rng`` hook, and the end-to-end property that serial and pooled
-sweeps produce identical reports.
+across worker counts.  This suite pins the flag parsing, the spool/merge/diff
+mechanics, task digests, the ``child_rng`` hook, and the end-to-end property
+that serial and pooled sweeps produce identical reports.
 """
 
 import dataclasses
@@ -30,10 +29,9 @@ from repro.utils.sanitize import (
 
 
 @dataclasses.dataclass(frozen=True)
-class _EngineTask:
+class _Task:
     seed: int
     snr_db: float
-    engine: str | None = None
 
 
 def _draw_twice(task):
@@ -166,19 +164,12 @@ class TestSeedMaterialHook:
 
 
 # --------------------------------------------------------------------------- #
-# Engine-normalised task digests                                              #
+# Task digests                                                                #
 # --------------------------------------------------------------------------- #
 class TestTaskDigest:
-    def test_engine_field_is_normalised_out(self):
-        fast = _EngineTask(seed=1, snr_db=4.0, engine="fast")
-        reference = _EngineTask(seed=1, snr_db=4.0, engine="reference")
-        unset = _EngineTask(seed=1, snr_db=4.0, engine=None)
-        assert task_digest(fast) == task_digest(reference) == task_digest(unset)
-
     def test_real_payload_differences_still_distinguish(self):
-        assert task_digest(_EngineTask(seed=1, snr_db=4.0)) != task_digest(
-            _EngineTask(seed=2, snr_db=4.0)
-        )
+        assert task_digest(_Task(seed=1, snr_db=4.0)) == task_digest(_Task(seed=1, snr_db=4.0))
+        assert task_digest(_Task(seed=1, snr_db=4.0)) != task_digest(_Task(seed=2, snr_db=4.0))
 
     def test_non_dataclass_payloads_digest_plainly(self):
         assert task_digest({"seed": 1}) == task_digest({"seed": 1})
