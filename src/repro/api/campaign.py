@@ -362,8 +362,8 @@ class CampaignSpec:
                 f"unsupported campaign-spec schema version {version!r} "
                 f"(this build reads <= {CAMPAIGN_SCHEMA_VERSION})"
             )
-        # repro-lint: disable=RPR010 -- deliberate legacy read: campaigns
-        # written before the engine knob was removed carry this key.
+        # Deliberate legacy read: campaigns written before the engine knob
+        # was removed carry this key.
         _check_legacy_engine(payload.pop("engine", None), "campaign spec")
         data = dict(_from_payload(cls, payload, "campaign spec"))
         if data.get("experiments") is not None:

@@ -1162,8 +1162,8 @@ class ExperimentSpec:
                 f"unsupported experiment-spec schema version {version!r} "
                 f"(this build reads <= {SPEC_SCHEMA_VERSION})"
             )
-        # repro-lint: disable=RPR010 -- deliberate legacy read: specs dumped
-        # before the engine knob was removed carry this key.
+        # Deliberate legacy read: specs dumped before the engine knob was
+        # removed carry this key.
         _check_legacy_engine(payload.pop("engine", None), "experiment spec")
         data = dict(_from_payload(cls, payload, "experiment spec"))
         if data.get("receivers") is not None:

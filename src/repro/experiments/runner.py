@@ -40,14 +40,6 @@ Usage::
                                           # adaptively-sampled campaign with
                                           # checkpoint/resume and a summary
                                           # report (see repro.campaigns)
-    cprecycle-experiments lint --project src/ tests/
-                                          # determinism/process-safety static
-                                          # analysis (per-file rules
-                                          # RPR001-RPR006 and RPR011 plus the
-                                          # whole-program rules RPR007-RPR010
-                                          # with --project, see repro.lint);
-                                          # also available as repro-lint /
-                                          # python -m repro.lint
     cprecycle-experiments sanitize-diff DIR1 DIR2 [DIR...]
                                           # digest-compare REPRO_SANITIZE
                                           # spools from runs differing only in
@@ -180,11 +172,6 @@ def _print_registries() -> None:
     print("topologies (DeploymentSpec 'topology'):")
     for name in available_topologies():
         print(f"  {name}")
-    from repro.lint.rules import rules_table
-
-    print("lint rules (run as: cprecycle-experiments lint src/):")
-    for code, rule_name, summary in rules_table():
-        print(f"  {code}  {rule_name:<20} {summary}")
     print("observability (repro.obs):")
     print(
         f"  trace            span-traced runs via --trace [DIR] or {TRACE_ENV_VAR}=1|DIR; "
@@ -245,12 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.campaigns.cli import main as campaign_main
 
         return campaign_main(argv[1:])
-    if argv and argv[0] == "lint":
-        # Determinism/process-safety static analysis (see repro.lint); the
-        # same engine backs the repro-lint script and python -m repro.lint.
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:], prog="cprecycle-experiments lint")
     if argv and argv[0] == "sanitize-diff":
         return _sanitize_diff_main(argv[1:])
     if argv and argv[0] == "trace-report":

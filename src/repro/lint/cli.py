@@ -1,12 +1,11 @@
 """Command-line front end for ``repro lint``.
 
-Three equivalent entry points share this module: the ``repro-lint`` console
-script, ``python -m repro.lint``, and the ``cprecycle-experiments lint``
-subcommand.  Output is a sorted stream of ``path:line:col: CODE message``
-lines on stdout and a one-line summary on stderr; the exit code is ``0``
-for a clean tree, ``1`` when diagnostics were emitted and ``2`` for usage
-errors — all a pure function of the linted file contents, never of
-traversal or scheduling order.
+Two equivalent entry points share this module: the ``repro-lint`` console
+script and ``python -m repro.lint``.  Output is a sorted stream of
+``path:line:col: CODE message`` lines on stdout and a one-line summary on
+stderr; the exit code is ``0`` for a clean tree, ``1`` when diagnostics
+were emitted and ``2`` for usage errors — all a pure function of the
+linted file contents, never of traversal or scheduling order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.engine import lint_paths, lint_project_paths
+from repro.lint.engine import lint_paths
 
 __all__ = ["main", "build_parser"]
 
@@ -25,8 +24,8 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Static analysis for the reproduction's determinism and "
-            "process-safety invariants: per-file rules RPR001-RPR006, plus "
-            "the whole-program rules RPR007-RPR010 with --project."
+            "process-safety invariants (rules RPR001, RPR002, RPR003, RPR005, "
+            "RPR008 and RPR011; see --list)."
         ),
     )
     parser.add_argument(
@@ -34,14 +33,6 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
         nargs="*",
         type=Path,
         help="files or directory trees to lint (e.g. src/ tests/ benchmarks/)",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "whole-program mode: additionally run the cross-module rules "
-            "(RPR007-RPR010) over all given paths as one tree"
-        ),
     )
     parser.add_argument(
         "--list",
@@ -79,8 +70,7 @@ def main(argv: list[str] | None = None, prog: str = "repro-lint") -> int:
         for path in missing:
             print(f"{prog}: path does not exist: {path}", file=sys.stderr)
         return 2
-    runner = lint_project_paths if args.project else lint_paths
-    diagnostics = runner(args.paths)
+    diagnostics = lint_paths(args.paths)
     for diagnostic in diagnostics:
         print(diagnostic.render())
     if diagnostics:

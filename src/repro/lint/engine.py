@@ -35,9 +35,7 @@ __all__ = [
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "lint_project_paths",
     "lint_source",
-    "lint_sources",
     "module_name_for",
 ]
 
@@ -288,98 +286,4 @@ def lint_paths(paths: Sequence[Path]) -> list[Diagnostic]:
         except ValueError:
             display = str(candidate)
         diagnostics.extend(lint_file(candidate, display=display))
-    return sorted(diagnostics)
-
-
-# --------------------------------------------------------------------------- #
-# Whole-program mode                                                          #
-# --------------------------------------------------------------------------- #
-def _project_diagnostics(
-    contexts: Sequence[FileContext], codes: frozenset[str] | None
-) -> list[Diagnostic]:
-    """Run the cross-module rules over already-parsed file contexts.
-
-    The contexts are the exact objects the per-file rules just consumed, so
-    each file is parsed once per lint run regardless of how many rules —
-    per-file or whole-program — inspect it.  Suppression comments apply to
-    project diagnostics the same way they do to per-file ones.
-    """
-    from repro.lint.project import ProjectContext
-    from repro.lint.rules import ALL_RULES, ProjectRule
-
-    if not contexts:
-        return []
-    project = ProjectContext(contexts)
-    by_path = {ctx.path: ctx for ctx in contexts}
-    diagnostics: list[Diagnostic] = []
-    for rule in ALL_RULES:
-        if not isinstance(rule, ProjectRule):
-            continue
-        if codes is not None and rule.code not in codes:
-            continue
-        for diag in rule.check_project(project):
-            owner = by_path.get(diag.path)
-            if owner is None or not _suppressed(owner, diag):
-                diagnostics.append(diag)
-    return diagnostics
-
-
-def lint_sources(
-    files: dict[str, str], codes: Iterable[str] | None = None
-) -> list[Diagnostic]:
-    """Whole-program lint of in-memory sources (the project-fixture entry).
-
-    ``files`` maps display paths to source text; each path's module name is
-    derived exactly as for on-disk files, so fixtures spelled as
-    ``{"src/repro/a.py": ..., "tests/test_a.py": ...}`` get the same
-    library/script treatment as a real tree.  Runs the per-file rules on
-    every file *and* the cross-module rules over the whole set.
-    """
-    wanted = frozenset(codes) if codes is not None else None
-    diagnostics: list[Diagnostic] = []
-    contexts: list[FileContext] = []
-    for path, source in sorted(files.items()):
-        ctx = _context_for_source(source, path=path, module=module_name_for(Path(path)))
-        if isinstance(ctx, list):
-            diagnostics.extend(ctx)
-            continue
-        contexts.append(ctx)
-        diagnostics.extend(_run_rules(ctx, wanted))
-    diagnostics.extend(_project_diagnostics(contexts, wanted))
-    return sorted(diagnostics)
-
-
-def lint_project_paths(paths: Sequence[Path]) -> list[Diagnostic]:
-    """Whole-program lint of files and directory trees.
-
-    Superset of :func:`lint_paths`: every per-file diagnostic is produced
-    identically (same parse, same suppressions), and the cross-module rules
-    (RPR007–RPR010) additionally run over the combined tree.
-    """
-    diagnostics: list[Diagnostic] = []
-    contexts: list[FileContext] = []
-    cwd = Path.cwd().resolve()
-    for candidate in iter_python_files(paths):
-        resolved = candidate.resolve()
-        try:
-            display = str(resolved.relative_to(cwd))
-        except ValueError:
-            display = str(candidate)
-        try:
-            source = candidate.read_text(encoding="utf-8")
-        except OSError as exc:
-            diagnostics.append(
-                Diagnostic(
-                    path=display, line=1, col=1, code=META_CODE,
-                    message=f"cannot read file: {exc}",
-                )
-            )
-            continue
-        ctx = _context_for_source(source, path=display, module=module_name_for(candidate))
-        if isinstance(ctx, list):
-            diagnostics.extend(ctx)
-            continue
-        contexts.append(ctx)
-        diagnostics.extend(_run_rules(ctx, None))
-    diagnostics.extend(_project_diagnostics(contexts, None))
     return sorted(diagnostics)

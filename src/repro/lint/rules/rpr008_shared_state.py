@@ -1,4 +1,4 @@
-"""RPR008: module-level mutable state written inside worker-shared modules.
+"""RPR008: module-level mutable state written at runtime in library code.
 
 Pool workers get a *copy* of every imported module (fork) or a freshly
 re-imported one (spawn).  A module-level global that is mutated at runtime
@@ -8,13 +8,12 @@ RNG state through such a global becomes dependent on worker count.  The
 process-local ``_STATS`` drift in ``repro.experiments.parallel`` is the
 canonical in-tree example.
 
-The rule computes the *worker-shared* module set from the call graph (every
-library module containing a function reachable from the pool-dispatch
-frontier) and, inside those modules, reports each module-level global that
-is rebound via a ``global`` statement or mutated in place (attribute /
-subscript stores, ``AugAssign``, mutating method calls) anywhere in the
-module.  One diagnostic per global, anchored at its *definition*, so a
-single justified suppression allowlists a deliberately process-local value.
+Any library module can end up imported inside a worker, so the rule checks
+every one of them.  It reports each module-level global that is rebound via
+a ``global`` statement or mutated in place (attribute / subscript stores,
+``AugAssign``, mutating method calls) inside a function of its module.  One
+diagnostic per global, anchored at its *definition*, so a single justified
+suppression allowlists a deliberately process-local value.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import ast
 from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import ModuleSymbols, ProjectContext
-from repro.lint.rules import ProjectRule
+from repro.lint.engine import FileContext
+from repro.lint.rules import Rule
 
 __all__ = ["SharedMutableStateRule"]
 
@@ -56,6 +55,19 @@ def _root_name(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+def _module_globals(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Names bound at module top level -> the statement that binds them."""
+    bound: dict[str, ast.stmt] = {}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                if isinstance(target, ast.Name):
+                    bound[target.id] = statement
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            bound[statement.target.id] = statement
+    return bound
+
+
 def _local_bindings(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     """Names bound locally in ``fn`` (they shadow module globals)."""
     args = fn.args
@@ -84,43 +96,38 @@ def _local_bindings(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     return bound - declared_global
 
 
-class SharedMutableStateRule(ProjectRule):
+class SharedMutableStateRule(Rule):
     code = "RPR008"
     name = "shared-state"
     summary = (
-        "module-level mutable globals must not be written in modules whose "
-        "functions run inside pool workers"
+        "module-level mutable globals must not be written at runtime in "
+        "library code, which pool workers import"
     )
     invariant = (
         "Worker processes see a fork-time copy (or spawn-time re-import) of "
         "every module, so writes to module-level globals are process-local: "
         "parent and workers silently diverge, and any result or RNG state "
         "routed through such a global varies with worker count.  Mutable "
-        "globals in worker-shared modules must be read-only after import, or "
-        "carry a justified suppression documenting their process-local "
-        "semantics."
+        "library globals must be read-only after import, or carry a "
+        "justified suppression documenting their process-local semantics."
     )
 
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        shared = project.callgraph().worker_shared_modules()
-        for symbols in project.modules():
-            if symbols.module not in shared:
-                continue
-            yield from self._check_module(symbols)
-
-    def _check_module(self, symbols: ModuleSymbols) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        if not ctx.is_library:
+            return
+        module_globals = _module_globals(ctx.tree)
         mutable = {
             name: statement
-            for name, statement in symbols.module_globals.items()
+            for name, statement in module_globals.items()
             if self._is_mutable_definition(statement)
         }
         writes: dict[str, tuple[int, str]] = {}  # global -> (line, description)
-        for node in ast.walk(symbols.ctx.tree):
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, _FUNCTION_NODES):
                 continue
             locals_ = _local_bindings(node)
             for name, line, kind in self._writes_in(node, locals_):
-                if name not in symbols.module_globals:
+                if name not in module_globals:
                     continue
                 if kind != "global-rebind" and name not in mutable:
                     continue
@@ -129,11 +136,11 @@ class SharedMutableStateRule(ProjectRule):
                     writes[name] = (line, f"{kind} in {node.name}() line {line}")
         for name in sorted(writes):
             line, description = writes[name]
-            yield symbols.ctx.diagnostic(
-                symbols.module_globals[name],
+            yield ctx.diagnostic(
+                module_globals[name],
                 self.code,
-                f"module-level global '{name}' in worker-shared module "
-                f"'{symbols.module}' is written at runtime ({description}); "
+                f"module-level global '{name}' in library module "
+                f"'{ctx.module}' is written at runtime ({description}); "
                 "workers mutate their own process-local copy, so state "
                 "silently diverges with worker count — pass state through "
                 "task payloads/results, or suppress with a justification "

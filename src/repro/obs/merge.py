@@ -62,7 +62,11 @@ def merge_trace(directory: str | Path) -> dict[str, Any]:
     events: list[dict[str, Any]] = []
     n_spools = 0
     quarantined: list[str] = []
-    spool_paths = sorted(path for path in root.glob("trace-*.json") if path.is_file())
+    # Only the names _write_spool produces (trace-<pid>-<seq>.json): the
+    # trace-report outputs living next to the spools are not spools.
+    spool_paths = sorted(
+        path for path in root.glob("trace-[0-9]*-[0-9]*.json") if path.is_file()
+    )
     for path in spool_paths:
         record = _read_spool(path)
         if record is None:

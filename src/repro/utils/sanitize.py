@@ -1,9 +1,10 @@
 """Runtime determinism sanitizer (``REPRO_SANITIZE``).
 
-The static rules (RPR001/RPR007) argue that RNG streams and task payloads
-cannot depend on the worker count; this module is the dynamic oracle that
-*checks* it.  When sanitizing is enabled, every pool-boundary task
-execution records
+The static rule RPR001 argues that child RNG streams cannot alias; this
+module is the dynamic oracle that *checks* that neither RNG streams nor task
+payloads depend on the worker count (a generator shared by several task
+payloads is caught here, not by lint).  When sanitizing is enabled, every
+pool-boundary task execution records
 
 * a sha256 digest of the task payload,
 * a sha256 digest of the task's outcome, and

@@ -261,9 +261,8 @@ class TestSupervisedExecutor:
         # pool — it is named and executed in the parent instead.
         tasks = [1, 2.5, lambda: None, "four"]
         with pytest.warns(RuntimeWarning, match="could not cross the process boundary"):
-            # repro-lint: disable=RPR009 -- deliberately unpicklable payload:
-            # this test exercises the executor's serial pickling fallback for
-            # exactly the task shape the rule forbids in library code.
+            # Deliberately unpicklable payload: this test exercises the
+            # executor's serial pickling fallback for exactly that task shape.
             results = parallel_map(_describe, tasks, n_workers=2, policy=FAST)
         assert results == ["int", "float", "function", "str"]
         assert supervisor_stats().pickling_fallbacks == 1

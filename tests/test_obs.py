@@ -479,6 +479,20 @@ class TestTracedExecution:
         chrome = json.loads((tmp_path / "trace-chrome.json").read_text())
         assert chrome["traceEvents"], "chrome export is empty"
 
+    def test_trace_report_rerun_leaves_its_own_output_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        execute_points(_square, [1, 2], n_workers=1)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a quarantine warning fails the test
+            assert trace_report_main([str(tmp_path)]) == 0
+            assert trace_report_main([str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.glob("*.corrupt")) == []
+        assert (tmp_path / "trace-chrome.json").is_file()
+
     def test_trace_report_compares_queue_latency(self, tmp_path, monkeypatch, capsys):
         directories = [tmp_path / "a", tmp_path / "b"]
         for directory in directories:

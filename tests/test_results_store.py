@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentProfile
@@ -71,6 +72,17 @@ class TestStableKey:
         assert stable_key(a) == stable_key(b)
         assert stable_key(a) != stable_key(partial(sorted, reverse=False))
         assert stable_key({"x": 1.0}) != stable_key({"x": 2.0})
+
+    @pytest.mark.parametrize(
+        "numpy_value, plain_value",
+        [(np.int64(5), 5), (np.float64(0.5), 0.5), (np.bool_(True), True)],
+        ids=["int64", "float64", "bool_"],
+    )
+    def test_numpy_scalar_keys_like_its_plain_scalar(self, numpy_value, plain_value):
+        # Sweep tasks built from numpy matrices must hit the cache entries of
+        # the same logical point built from plain Python values.
+        for wrap in (lambda v: v, lambda v: {"sir_db": v}, lambda v: (1, v)):
+            assert stable_key(wrap(numpy_value)) == stable_key(wrap(plain_value))
 
     def test_config_hash_shape(self):
         digest = config_hash("fig10", MICRO)
