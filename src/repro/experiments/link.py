@@ -9,9 +9,9 @@ Every packet of a sweep point is realised up front in batches of
 demodulates a whole batch through its ``demodulate_batch`` entry point
 (CPRecycle pools KDE training and the ML decision across packets and
 symbols), and the forward-error-correction stage runs as one vectorised
-Viterbi sweep per receiver.  ``tests/test_fast_path.py`` checks this path
-against a per-packet, per-symbol oracle: both consume identical per-packet
-child RNG streams and reach bit-identical decisions.
+Viterbi sweep over every receiver's frames.  ``tests/test_fast_path.py``
+checks this path against a per-packet, per-symbol oracle: both consume
+identical per-packet child RNG streams and reach bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -190,11 +190,16 @@ def packet_success_rate(
             with obs.span("engine.demodulate", receiver=name, n_packets=count):
                 coded[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
 
+    # Every receiver's frames share the frame spec: decode them in one FEC
+    # call and split the CRC outcomes back per receiver.
+    with obs.span("engine.fec", receivers=len(coded), n_packets=n_packets):
+        frames = decode_coded_bits_batch(
+            spec, np.concatenate([np.stack(bits) for bits in coded.values()])
+        )
     stats: dict[str, LinkResult] = {}
-    for name in receivers:
-        with obs.span("engine.fec", receiver=name, n_packets=n_packets):
-            frames = decode_coded_bits_batch(spec, np.stack(coded[name]))
-        successes = tuple(bool(frame.crc_ok) for frame in frames)
+    for index, name in enumerate(coded):
+        outcomes = frames[index * n_packets : (index + 1) * n_packets]
+        successes = tuple(bool(frame.crc_ok) for frame in outcomes)
         stats[name] = LinkResult(
             receiver=name,
             n_packets=n_packets,

@@ -1,44 +1,25 @@
 """CRC-32 frame check sequence (FCS) as used by IEEE 802.11 / Ethernet.
 
-Implemented from scratch with a table-driven algorithm (polynomial
-``0x04C11DB7``, reflected, initial value and final XOR ``0xFFFFFFFF``).  The
-PSDU carried in every simulated frame ends with this FCS; packet success in
-the experiments means the FCS verifies after decoding.
+The standard CRC-32 (polynomial ``0x04C11DB7``, reflected, initial value and
+final XOR ``0xFFFFFFFF``), computed by :func:`zlib.crc32`.  The PSDU carried
+in every simulated frame ends with this FCS; packet success in the
+experiments means the FCS verifies after decoding.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
 __all__ = ["crc32", "append_crc32", "check_crc32", "CRC32_LENGTH_BYTES"]
 
 CRC32_LENGTH_BYTES = 4
-_POLY_REFLECTED = 0xEDB88320
-
-
-def _build_table() -> np.ndarray:
-    table = np.empty(256, dtype=np.uint32)
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY_REFLECTED
-            else:
-                crc >>= 1
-        table[byte] = crc
-    return table
-
-
-_TABLE = _build_table()
 
 
 def crc32(data: bytes | bytearray | np.ndarray) -> int:
     """Compute the CRC-32 of ``data`` (same value as ``binascii.crc32``)."""
-    payload = np.frombuffer(bytes(data), dtype=np.uint8)
-    crc = 0xFFFFFFFF
-    for byte in payload:
-        crc = (crc >> 8) ^ int(_TABLE[(crc ^ int(byte)) & 0xFF])
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(bytes(data))
 
 
 def append_crc32(data: bytes) -> bytes:

@@ -4,6 +4,8 @@ The decoder is fully vectorised over a *batch* of equal-length codewords so
 that packet-error-rate experiments can decode dozens of packets per numpy
 trellis sweep.  Both hard decisions (with optional erasure masks produced by
 depuncturing) and soft decisions (log-likelihood ratios) are supported.
+Hard-decision path metrics are exact ``int32`` sums of Hamming costs; soft
+metrics are ``float64``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.phy.convolutional import CONSTRAINT_LENGTH, GENERATORS_OCTAL, generat
 __all__ = ["ViterbiDecoder", "viterbi_decode", "viterbi_decode_batch"]
 
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+_HALF = _N_STATES // 2
 
 
 def _build_trellis() -> dict[str, np.ndarray]:
@@ -54,14 +57,24 @@ def _build_trellis() -> dict[str, np.ndarray]:
     # Expected coded bits along each predecessor transition.
     exp_a = out_a[prev_state, input_bit[:, None]]
     exp_b = out_b[prev_state, input_bit[:, None]]
+
+    # Butterfly structure the optimised sweep relies on: new state b*32 + j
+    # is reached only from states 2j (predecessor 0) and 2j + 1, and because
+    # both generators tap the newest and the oldest bit, the odd predecessor
+    # of (b, j) emits what the even predecessor of (1 - b, j) emits.
+    states = np.arange(_N_STATES)
+    code = 2 * exp_a + exp_b
+    assert np.array_equal(prev_state, 2 * (states[:, None] % _HALF) + np.arange(2))
+    assert np.array_equal(input_bit, states // _HALF)
+    assert np.array_equal(code[:, 1], np.roll(code[:, 0], _HALF))
     return {
-        "next_state": next_state,
-        "out_a": out_a,
-        "out_b": out_b,
         "prev_state": prev_state,
         "input_bit": input_bit,
         "exp_a": exp_a,
         "exp_b": exp_b,
+        # Index ``2 * a + b`` of the coded pair (a, b) the even predecessor
+        # of each new state emits.
+        "even_code": code[:, 0],
     }
 
 
@@ -84,9 +97,9 @@ class ViterbiDecoder:
         that the library itself never selects.
     """
 
-    #: Memory bound (in float64 elements) for the precomputed branch-cost
-    #: tensor of the optimised sweep (~128 MiB); larger batches are decoded
-    #: in independent, bit-identical slices.
+    #: Memory bound (in elements) for the precomputed branch-cost table of
+    #: the optimised sweep, ``n_steps * 64`` per frame (~64 MiB of int32);
+    #: larger batches are decoded in independent, bit-identical slices.
     MAX_BRANCH_ELEMENTS = 2**24
 
     def __init__(self, terminated: bool = True, reference: bool = False):
@@ -102,7 +115,7 @@ class ViterbiDecoder:
         """Decode one hard-decision codeword (possibly with erasures)."""
         decoded = self.decode_batch(
             np.asarray(coded_bits, dtype=np.uint8)[None, :],
-            known_mask=None if known_mask is None else np.asarray(known_mask, dtype=bool)[None, :],
+            known_mask=None if known_mask is None else np.asarray(known_mask)[None, :],
         )
         return decoded[0]
 
@@ -118,22 +131,20 @@ class ViterbiDecoder:
         coded_bits:
             Array of shape ``(batch, 2 * n_info_bits)`` containing 0/1 values.
         known_mask:
-            Optional boolean array of the same shape; ``False`` marks erased
-            (punctured) positions whose branch metric is ignored.
+            Optional array of the same shape, boolean or integer 0/1;
+            ``False`` (0) marks erased (punctured) positions whose branch
+            metric is ignored.  Any other mask raises ``ValueError``.
         """
         coded = np.asarray(coded_bits, dtype=np.uint8)
         if coded.ndim != 2 or coded.shape[1] % 2 != 0:
             raise ValueError("coded_bits must have shape (batch, 2*n) with even columns")
-        if known_mask is None:
-            known = np.ones_like(coded, dtype=np.float64)
-        else:
-            known = np.asarray(known_mask, dtype=np.float64)
-            if known.shape != coded.shape:
-                raise ValueError("known_mask must match coded_bits shape")
-        # Branch costs per position: 0 when erased, 0/1 Hamming otherwise.
-        cost_a = _bit_costs(coded[:, 0::2].astype(np.float64), known[:, 0::2])
-        cost_b = _bit_costs(coded[:, 1::2].astype(np.float64), known[:, 1::2])
         with obs.span("engine.viterbi", batch=int(coded.shape[0]), soft=False):
+            known = _known_mask(known_mask, coded.shape)
+            # Branch costs per position: 0 when erased, 0/1 Hamming otherwise,
+            # summed exactly in int32.
+            received = coded.astype(np.int32)
+            cost_a = _bit_costs(received[:, 0::2], known[:, 0::2])
+            cost_b = _bit_costs(received[:, 1::2], known[:, 1::2])
             return self._run(cost_a, cost_b)
 
     def decode_soft_batch(self, llrs: np.ndarray) -> np.ndarray:
@@ -145,35 +156,38 @@ class ViterbiDecoder:
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] % 2 != 0:
             raise ValueError("llrs must have shape (batch, 2*n) with even columns")
-        # Hypothesising bit=1 costs +llr relative to bit=0 (can be negative).
-        cost_a = _soft_costs(llrs[:, 0::2])
-        cost_b = _soft_costs(llrs[:, 1::2])
         with obs.span("engine.viterbi", batch=int(llrs.shape[0]), soft=True):
+            # Hypothesising bit=1 costs +llr relative to bit=0 (can be negative).
+            cost_a = _soft_costs(llrs[:, 0::2])
+            cost_b = _soft_costs(llrs[:, 1::2])
             return self._run(cost_a, cost_b)
 
     # ------------------------------------------------------------------ #
     def _run(self, cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
-        """Shared trellis sweep.
+        """Shared trellis sweep, one butterfly add-compare-select per step.
 
         ``cost_a``/``cost_b`` have shape ``(batch, n_steps, 2)`` where the last
-        axis indexes the hypothesised coded bit value (0 or 1).
+        axis indexes the hypothesised coded bit value (0 or 1).  Path metrics
+        take the costs' dtype: exact ``int32`` for hard decisions, ``float64``
+        for soft ones.
 
-        The add-compare-select recursion is inherently sequential in the step
-        index, so the inner loop stays a Python loop; everything that does not
-        depend on the running metrics — the branch costs of every transition —
-        is gathered for all steps in two vectorised passes up front, and the
-        two-predecessor select uses a direct comparison (`b < a` picks index 1
-        exactly when ``argmin`` would) instead of generic ``argmin`` /
-        ``take_along_axis`` machinery.  Bit-identical to the generic
-        formulation, several times faster on long codewords.
+        New state ``b*32 + j`` is reached only from states ``2j`` and
+        ``2j + 1``, so with the metrics viewed as ``(batch, 32, 2)`` each step
+        is four in-place ufunc calls over ``(batch, 2, 32)`` blocks: add the
+        even and the odd predecessors' metrics to their branch costs, record
+        which candidate is strictly smaller, keep the minimum.  The branch
+        costs of every step are built once, step-major.  Decisions are
+        bit-identical to :meth:`_run_reference`: each candidate is
+        ``metric + (cost_a + cost_b)``, and the odd predecessor survives only
+        when strictly smaller, as ``argmin`` picks the first of equal values.
         """
         if self.reference:
             return self._run_reference(cost_a, cost_b)
         batch, n_steps = cost_a.shape[0], cost_a.shape[1]
-        # The all-step branch tensor below costs n_steps * 2 * states floats
-        # per frame; bound it by sweeping large batches in independent slices
-        # (frames never interact, so the split is exact).
-        max_frames = max(1, self.MAX_BRANCH_ELEMENTS // max(n_steps * 2 * _N_STATES, 1))
+        # The branch table below costs n_steps * 64 elements per frame; bound
+        # it by sweeping large batches in independent slices (frames never
+        # interact, so the split is exact).
+        max_frames = max(1, self.MAX_BRANCH_ELEMENTS // max(n_steps * _N_STATES, 1))
         if batch > max_frames:
             return np.concatenate(
                 [
@@ -181,48 +195,37 @@ class ViterbiDecoder:
                     for start in range(0, batch, max_frames)
                 ]
             )
-        exp_a = _TRELLIS["exp_a"]  # (states, 2 predecessors)
-        exp_b = _TRELLIS["exp_b"]
-        prev_state = _TRELLIS["prev_state"]
-        input_bit = _TRELLIS["input_bit"]
 
-        # Branch cost of every (new state, predecessor) transition of every
-        # step, gathered once and laid out as (batch, n_steps, 2 * states)
-        # with the predecessor-0 half first, matching the concatenated
-        # predecessor gather below.
-        pred_order = np.concatenate([prev_state[:, 0], prev_state[:, 1]])
-        exp_a_order = np.concatenate([exp_a[:, 0], exp_a[:, 1]])
-        exp_b_order = np.concatenate([exp_b[:, 0], exp_b[:, 1]])
-        branches = cost_a[:, :, exp_a_order]
-        branches += cost_b[:, :, exp_b_order]
+        # Branch cost from the even predecessor of every (step, frame, new
+        # state), as (n_steps, batch, 2 input bits, 32).  The odd
+        # predecessor's costs are the same table with the input bit reversed.
+        step_a = cost_a.transpose(1, 0, 2)
+        step_b = cost_b.transpose(1, 0, 2)
+        pair = (step_a[:, :, :, None] + step_b[:, :, None, :]).reshape(n_steps, batch, 4)
+        branch = pair[:, :, _TRELLIS["even_code"]].reshape(n_steps, batch, 2, _HALF)
 
-        metrics = np.full((batch, _N_STATES), 1e9)
-        metrics[:, 0] = 0.0
-        survivors = np.empty((n_steps, batch, _N_STATES), dtype=bool)
-
-        gathered = np.empty((batch, 2 * _N_STATES))
-        for step in range(n_steps):
-            np.take(metrics, pred_order, axis=1, out=gathered)
-            gathered += branches[:, step]
-            candidate0 = gathered[:, :_N_STATES]
-            candidate1 = gathered[:, _N_STATES:]
-            np.less(candidate1, candidate0, out=survivors[step])
-            # The surviving metric is simply the elementwise minimum; the
-            # comparison above already recorded which branch it came from.
-            np.minimum(candidate0, candidate1, out=metrics)
+        # Hard metrics are int32: 1e9 plus at most 2 per step stays exact and
+        # far from overflow for any frame length.
+        metrics = np.full((batch, _N_STATES), 1e9, dtype=branch.dtype)
+        metrics[:, 0] = 0
+        # Predecessor metrics, broadcast over the new state's input bit.
+        even = metrics.reshape(batch, _HALF, 2)[:, None, :, 0]
+        odd = metrics.reshape(batch, _HALF, 2)[:, None, :, 1]
+        new_metrics = metrics.reshape(batch, 2, _HALF)
+        from_even = np.empty_like(new_metrics)
+        from_odd = np.empty_like(new_metrics)
+        survivors = np.empty((n_steps, batch, 2, _HALF), dtype=bool)
+        for even_costs, odd_costs, odd_wins in zip(branch, branch[:, :, ::-1], survivors):
+            np.add(even, even_costs, out=from_even)
+            np.add(odd, odd_costs, out=from_odd)
+            np.less(from_odd, from_even, out=odd_wins)
+            np.minimum(from_even, from_odd, out=new_metrics)
 
         if self.terminated:
-            states = np.zeros(batch, dtype=np.int64)
+            final = np.zeros(batch, dtype=np.intp)
         else:
-            states = np.argmin(metrics, axis=1)
-
-        decoded = np.empty((batch, n_steps), dtype=np.uint8)
-        rows = np.arange(batch)
-        for step in range(n_steps - 1, -1, -1):
-            decoded[:, step] = input_bit[states]
-            choice = survivors[step][rows, states]
-            states = prev_state[states, choice.astype(np.int64)]
-        return decoded
+            final = np.argmin(metrics, axis=1)
+        return _traceback(survivors, final)
 
     def _run_reference(self, cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
         """Original (seed) trellis sweep, kept verbatim for verification."""
@@ -261,10 +264,47 @@ class ViterbiDecoder:
         return decoded
 
 
+def _traceback(survivors: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Decoded bits of the surviving paths ending in the ``final`` states.
+
+    ``survivors[step, frame]`` holds, per new state in ``(2, 32)`` layout,
+    whether the odd predecessor survived.  Walking back, the predecessor of
+    state ``s`` is ``2 * (s & 31) + choice``; the walk runs on the flat
+    ``(frame, state)`` index, with its ``2 * (s & 31)`` part tabulated.
+    """
+    n_steps, batch = survivors.shape[0], survivors.shape[1]
+    flat = survivors.reshape(n_steps, batch * _N_STATES)
+    index = np.arange(batch * _N_STATES)
+    shifted = index - index % _N_STATES + 2 * (index % _HALF)
+    position = index[::_N_STATES] + final
+    path = np.empty((n_steps, batch), dtype=np.intp)
+    for step in range(n_steps - 1, -1, -1):
+        path[step] = position
+        np.add(shifted.take(position), flat[step].take(position), out=position)
+    # Each step's input bit is the top bit of the state it reached.
+    return ((path.T % _N_STATES) // _HALF).astype(np.uint8)
+
+
+def _known_mask(known_mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The erasure mask as booleans, rejecting anything but bool or 0/1 integers."""
+    if known_mask is None:
+        return np.ones(shape, dtype=bool)
+    known = np.asarray(known_mask)
+    if known.shape != shape:
+        raise ValueError("known_mask must match coded_bits shape")
+    if known.dtype == np.bool_:
+        return known
+    if known.dtype.kind not in "iu":
+        raise ValueError(f"known_mask must be boolean or integer 0/1, got dtype {known.dtype}")
+    if np.any((known != 0) & (known != 1)):
+        raise ValueError("integer known_mask must hold only 0 and 1")
+    return known.astype(bool)
+
+
 def _bit_costs(received: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Hamming cost of hypothesising coded bit 0 or 1 at each position."""
     cost0 = known * received            # received 1 while hypothesising 0
-    cost1 = known * (1.0 - received)    # received 0 while hypothesising 1
+    cost1 = known * (1 - received)      # received 0 while hypothesising 1
     return np.stack([cost0, cost1], axis=-1)
 
 

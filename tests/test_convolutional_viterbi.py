@@ -117,6 +117,18 @@ class TestViterbi:
         with pytest.raises(ValueError):
             viterbi_decode_batch(np.zeros((2, 7), dtype=np.uint8))
 
+    def test_known_mask_must_be_boolean_or_01_integers(self):
+        coded = cc.conv_encode(_terminated_bits(40, 4))
+        _, mask = cc.depuncture(cc.puncture(coded, "3/4"), "3/4", coded.size)
+        expected = viterbi_decode(coded, mask.astype(bool))
+        assert np.array_equal(viterbi_decode(coded, mask.astype(np.int64)), expected)
+        # A float mask would silently weight the Hamming costs.
+        for bad in (mask.astype(float), 0.5 * mask, 2 * mask.astype(np.int64)):
+            with pytest.raises(ValueError, match="known_mask"):
+                viterbi_decode(coded, bad)
+            with pytest.raises(ValueError, match="known_mask"):
+                viterbi_decode_batch(coded[None, :], bad[None, :])
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**16 - 1))
     def test_random_messages_roundtrip(self, seed):

@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.scenario import Scenario
 from repro.core.config import CPRecycleConfig
@@ -365,13 +366,50 @@ class TestChainEquivalence:
             )
             assert np.array_equal(fast, reference)
 
+    @pytest.mark.parametrize("terminated", [True, False], ids=["terminated", "unterminated"])
+    @pytest.mark.parametrize("n_steps", [7, 261])
+    @pytest.mark.parametrize("batch", [1, 3, 65])
+    @pytest.mark.parametrize("inputs", ["all-erased", "integer-llrs"])
+    def test_viterbi_tie_heavy_inputs_match_reference(self, inputs, batch, n_steps, terminated):
+        # Exact ties between the two predecessors are where a select that
+        # breaks them differently from argmin would diverge.
+        rng = np.random.default_rng(batch * 1000 + n_steps)
+        fast = ViterbiDecoder(terminated=terminated)
+        reference = ViterbiDecoder(terminated=terminated, reference=True)
+        if inputs == "all-erased":
+            coded = rng.integers(0, 2, size=(batch, 2 * n_steps), dtype=np.uint8)
+            erased = np.zeros(coded.shape, dtype=bool)
+            expected = reference.decode_batch(coded, erased)
+            assert np.array_equal(fast.decode_batch(coded, erased), expected)
+        else:
+            llrs = rng.integers(-2, 3, size=(batch, 2 * n_steps)).astype(np.float64)
+            assert np.array_equal(fast.decode_soft_batch(llrs), reference.decode_soft_batch(llrs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(min_value=1, max_value=6),
+        n_steps=st.integers(min_value=0, max_value=40),
+        erased_fraction=st.floats(min_value=0.0, max_value=1.0),
+        terminated=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_viterbi_matches_reference_on_random_shapes(
+        self, batch, n_steps, erased_fraction, terminated, seed
+    ):
+        rng = np.random.default_rng(seed)
+        coded = rng.integers(0, 2, size=(batch, 2 * n_steps), dtype=np.uint8)
+        known = rng.random(coded.shape) >= erased_fraction
+        fast = ViterbiDecoder(terminated=terminated).decode_batch(coded, known)
+        reference = ViterbiDecoder(terminated=terminated, reference=True).decode_batch(coded, known)
+        assert np.array_equal(fast, reference)
+
     def test_viterbi_batch_slicing_is_exact(self, monkeypatch):
         # Large batches are swept in memory-bounded slices; frames are
         # independent, so a tiny slice bound must not change a single bit.
         rng = np.random.default_rng(2)
         coded = rng.integers(0, 2, size=(7, 260), dtype=np.uint8)
         whole = ViterbiDecoder().decode_batch(coded)
-        monkeypatch.setattr(ViterbiDecoder, "MAX_BRANCH_ELEMENTS", 260 * 64)  # ~2 frames
+        monkeypatch.setattr(ViterbiDecoder, "MAX_BRANCH_ELEMENTS", 260 * 64)  # 2 frames
         sliced = ViterbiDecoder().decode_batch(coded)
         assert np.array_equal(whole, sliced)
 
@@ -381,6 +419,26 @@ class TestChainEquivalence:
         fast = ViterbiDecoder().decode_soft_batch(llrs)
         reference = ViterbiDecoder(reference=True).decode_soft_batch(llrs)
         assert np.array_equal(fast, reference)
+
+    def test_merged_fec_call_matches_one_call_per_receiver(self):
+        # packet_success_rate decodes every receiver's frames in one call;
+        # the split must hand each receiver exactly its own CRC outcomes.
+        scenario = aci_scenario("qpsk-1/2", -24.0, payload_length=60)
+        receivers = build_receivers(scenario.allocation, ("standard", "naive", "cprecycle"))
+        n_packets = FAST_ENGINE_BATCH + 1
+        merged = packet_success_rate(scenario, receivers, n_packets, seed=4)
+        coded = {name: [] for name in receivers}
+        for start in range(0, n_packets, FAST_ENGINE_BATCH):
+            rxs = scenario.realize_batch(
+                min(FAST_ENGINE_BATCH, n_packets - start), 4, first_index=start
+            )
+            for name, receiver in receivers.items():
+                coded[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
+        for name, bits in coded.items():
+            frames = decode_coded_bits_batch(scenario.frame_spec, np.stack(bits))
+            assert merged[name].successes == tuple(frame.crc_ok for frame in frames), name
+        # Distinct outcomes per receiver, so a misplaced split cannot pass.
+        assert len({merged[name].successes for name in receivers}) == len(receivers)
 
     def test_scrambler_sequence_matches_naive_lfsr(self):
         for seed in (0b1011101, 1, 93):

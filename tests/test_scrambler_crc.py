@@ -50,6 +50,10 @@ class TestScrambler:
 
 
 class TestCrc32:
+    def test_standard_check_value(self):
+        # The CRC-32 catalogue's check value pins the algorithm itself.
+        assert crc.crc32(b"123456789") == 0xCBF43926
+
     def test_matches_binascii(self):
         data = b"The quick brown fox jumps over the lazy dog"
         assert crc.crc32(data) == binascii.crc32(data)
