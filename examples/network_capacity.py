@@ -10,13 +10,13 @@ transmission slots the deployment supports.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.experiments.fig13_network import CPRECYCLE_TOLERANCE_GAIN_DB
 from repro.network import (
     DEFAULT_THRESHOLD_DBM,
     OfficeBuilding,
+    channel_capacity_estimate,
     count_interfering_neighbors,
     interference_graph,
 )
@@ -46,11 +46,10 @@ def main() -> None:
         ("standard", DEFAULT_THRESHOLD_DBM),
         ("CPRecycle", DEFAULT_THRESHOLD_DBM + CPRECYCLE_TOLERANCE_GAIN_DB),
     ):
-        graph = interference_graph(rss, threshold)
-        coloring = nx.coloring.greedy_color(graph, strategy="largest_first")
-        n_colors = len(set(coloring.values())) if coloring else 0
-        print(f"  {label:>10}: {graph.number_of_edges():4d} conflict edges, "
-              f"{n_colors} colours needed")
+        conflicts = interference_graph(rss, threshold)
+        n_edges = int(np.triu(conflicts).sum())
+        print(f"  {label:>10}: {n_edges:4d} conflict edges, "
+              f"{channel_capacity_estimate(conflicts)} colours needed")
 
 
 if __name__ == "__main__":

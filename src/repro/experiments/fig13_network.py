@@ -48,6 +48,7 @@ from repro.network.links import (
     DEFAULT_CUTOFF_PERCENT,
     DEFAULT_SIGNAL_DBM,
     SimulatedNeighborAnalysis,
+    _require_cutoff,
     channel_capacity_estimate,
     effective_neighbor_counts,
     psr_conflict_graph,
@@ -255,6 +256,7 @@ def run_simulated_analyses(
     read off the simulated PSR matrices (see :mod:`repro.network.links`).
     """
     _require_realizations(n_realizations)
+    _require_cutoff(cutoff_percent)  # before the simulation, not after it
     profile = profile or default_profile()
     built = _resolve_deployment(deployment)
     # Deploy and shadow every realization up front (cheap), then push all

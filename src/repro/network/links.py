@@ -33,15 +33,15 @@ cache-keyed :class:`~repro.experiments.sweeps.SweepPoint`.
 On top of the per-link PSR matrices, :func:`effective_neighbor_counts`,
 :func:`psr_conflict_graph` and :func:`channel_capacity_estimate` provide
 the network metrics of the paper's capacity argument: neighbour counts per
-AP, a PSR-weighted conflict graph and a greedy-colouring estimate of how
-many orthogonal channels the deployment needs.
+AP, a PSR-weighted conflict graph (an ``(n, n)`` matrix) and a
+greedy-colouring estimate of how many orthogonal channels the deployment
+needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.api.specs import InterfererSpec, ReceiverSpec, ScenarioSpec
@@ -258,6 +258,12 @@ def simulate_links(rss_dbm: np.ndarray, **kwargs) -> LinkSimulation:
 # --------------------------------------------------------------------------- #
 # Network metrics on simulated PSR                                            #
 # --------------------------------------------------------------------------- #
+def _require_cutoff(cutoff_percent: float) -> None:
+    # The negated range test also rejects NaN, which compares false to all.
+    if not 0.0 < cutoff_percent <= 100.0:
+        raise ValueError(f"cutoff_percent must be in (0, 100], got {cutoff_percent}")
+
+
 def effective_neighbor_counts(
     psr_percent: np.ndarray, cutoff_percent: float = DEFAULT_CUTOFF_PERCENT
 ) -> np.ndarray:
@@ -266,7 +272,9 @@ def effective_neighbor_counts(
     AP ``j`` is an effective neighbour of AP ``i`` when the simulated PSR of
     ``i``'s link under ``j``'s interference falls below ``cutoff_percent`` —
     the simulated analogue of the threshold-mode RSS comparison.
+    ``cutoff_percent`` must lie in (0, 100].
     """
+    _require_cutoff(cutoff_percent)
     psr = _require_square(psr_percent)
     mask = psr < cutoff_percent
     np.fill_diagonal(mask, False)
@@ -276,43 +284,53 @@ def effective_neighbor_counts(
 def psr_conflict_graph(
     psr_percent: np.ndarray,
     cutoff_percent: float = DEFAULT_CUTOFF_PERCENT,
-) -> nx.Graph:
-    """PSR-weighted conflict graph of a simulated deployment.
+) -> np.ndarray:
+    """PSR-weighted conflict graph of a simulated deployment, as a matrix.
 
-    An edge joins APs ``i`` and ``j`` when either direction's link PSR falls
-    below the cutoff; its ``weight`` is the worst direction's packet-loss
-    fraction (1 - PSR/100), so heavier edges mark harsher conflicts.
+    Returns the symmetric ``(n, n)`` edge-weight matrix.  APs ``i`` and
+    ``j`` conflict when either direction's link PSR falls below the cutoff;
+    the weight is then the worst direction's packet-loss fraction
+    (1 - PSR/100), so heavier edges mark harsher conflicts.  Entries without
+    a conflict, and the diagonal, are 0.  Since ``cutoff_percent`` lies in
+    (0, 100], every conflict weighs more than 0, and ``weights != 0`` is
+    the adjacency matrix.
     """
     if isinstance(psr_percent, dict):
         raise TypeError(
             "psr_conflict_graph takes one receiver's PSR matrix; index "
             "LinkSimulation.psr_percent by receiver name first"
         )
+    _require_cutoff(cutoff_percent)
     psr = _require_square(psr_percent)
-    n = psr.shape[0]
     worst = np.minimum(psr, psr.T)
-    mask = worst < cutoff_percent
-    np.fill_diagonal(mask, False)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_weighted_edges_from(
-        (int(i), int(j), float(1.0 - worst[i, j] / 100.0))
-        for i, j in np.argwhere(np.triu(mask, k=1))
-    )
-    return graph
+    conflict = worst < cutoff_percent
+    np.fill_diagonal(conflict, False)
+    return np.where(conflict, 1.0 - worst / 100.0, 0.0)
 
 
-def channel_capacity_estimate(graph: nx.Graph) -> int:
+def channel_capacity_estimate(graph: np.ndarray) -> int:
     """Orthogonal channels needed so no conflicting APs share one.
 
-    Greedy colouring (largest-first) of the conflict graph; the colour count
-    is the paper's network-capacity proxy — fewer conflicts (CPRecycle's
-    raised tolerance) colour with fewer channels.
+    ``graph`` is a square matrix whose nonzero off-diagonal entries are the
+    conflicts (the output of :func:`psr_conflict_graph` or
+    :func:`repro.network.neighbors.interference_graph`).  Greedy colouring,
+    largest degree first with degree ties taken in node order; each node
+    gets the smallest channel no coloured neighbour holds.  The channel
+    count is the paper's network-capacity proxy — fewer conflicts
+    (CPRecycle's raised tolerance) colour with fewer channels.
     """
-    if graph.number_of_nodes() == 0:
-        return 0
-    coloring = nx.coloring.greedy_color(graph, strategy="largest_first")
-    return int(max(coloring.values())) + 1
+    adjacency = np.asarray(graph) != 0
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise ValueError("graph must be a square matrix")
+    np.fill_diagonal(adjacency, False)
+    channels = np.full(adjacency.shape[0], -1)
+    for node in np.argsort(-adjacency.sum(axis=1), kind="stable"):
+        taken = set(channels[adjacency[node]].tolist())
+        channel = 0
+        while channel in taken:
+            channel += 1
+        channels[node] = channel
+    return int(channels.max(initial=-1)) + 1
 
 
 @dataclass(frozen=True)

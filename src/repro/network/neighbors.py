@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -47,24 +46,21 @@ def neighbor_cdf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return support, cdf
 
 
-def interference_graph(rss_dbm: np.ndarray, threshold_dbm: float) -> nx.Graph:
-    """Undirected conflict graph: an edge joins APs that hear each other.
+def interference_graph(rss_dbm: np.ndarray, threshold_dbm: float) -> np.ndarray:
+    """Undirected conflict graph as a symmetric boolean adjacency matrix.
 
-    The graph view supports network-capacity style analyses (e.g. greedy
-    colouring as a proxy for the number of non-conflicting channel slots).
-    The edge set is computed from one symmetric boolean mask rather than a
-    Python double loop, so building the graph stays cheap for deployments
-    far beyond the paper's 40 APs.
+    ``[i, j]`` is true when AP ``i`` hears AP ``j`` above ``threshold_dbm``
+    or the other way round; the diagonal is false.  The matrix feeds
+    network-capacity style analyses (e.g. greedy colouring via
+    :func:`repro.network.links.channel_capacity_estimate` as a proxy for the
+    number of non-conflicting channel slots).
     """
     rss = np.asarray(rss_dbm, dtype=float)
     if rss.ndim != 2 or rss.shape[0] != rss.shape[1]:
         raise ValueError("rss_dbm must be a square matrix")
-    n = rss.shape[0]
     mask = (rss >= threshold_dbm) | (rss.T >= threshold_dbm)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from((int(i), int(j)) for i, j in np.argwhere(np.triu(mask, k=1)))
-    return graph
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 @dataclass(frozen=True)

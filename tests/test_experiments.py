@@ -1,5 +1,6 @@
 """Tests for the experiment harness: link engine, results, figure modules."""
 
+import numpy as np
 import pytest
 
 from repro.channel.scenario import Scenario
@@ -136,6 +137,15 @@ class TestFigureModules:
         assert len(a.series) == 3
         b = fig06_kde.run_deviation_cdf(TINY, sir_values_db=(-20.0,))
         assert any("Model" in name for name in b.series)
+
+    def test_fig6_normal_helpers_known_values(self):
+        # Phi(1.96), Phi(-1) and phi(0) to double precision.
+        cdf = fig06_kde._normal_cdf(np.array([[1.96], [-1.0]]))
+        assert cdf.shape == (2, 1) and cdf.dtype == np.float64
+        assert cdf[0, 0] == pytest.approx(0.9750021048517795, abs=1e-15)
+        assert cdf[1, 0] == pytest.approx(0.15865525393145707, abs=1e-15)
+        assert fig06_kde._normal_cdf(1.96) == pytest.approx(0.9750021048517795, abs=1e-15)
+        assert fig06_kde._normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_fig8_and_fig11_shapes(self):
         result = fig08_aci_single.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))

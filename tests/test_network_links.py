@@ -1,6 +1,7 @@
 """Tests for the network link-simulation subsystem (Fig. 13 simulated mode)."""
 
-import networkx as nx
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,21 +140,57 @@ class TestNetworkMetrics:
         assert np.all(lax <= strict)
 
     def test_conflict_graph_weights(self):
-        graph = psr_conflict_graph(self.PSR, cutoff_percent=90.0)
-        assert set(map(frozenset, graph.edges)) == {frozenset((0, 1))}
-        # Weight is the worst direction's loss fraction: min(10, 50) -> 0.9.
-        assert graph.edges[0, 1]["weight"] == pytest.approx(0.9)
+        weights = psr_conflict_graph(self.PSR, cutoff_percent=90.0)
+        # Weight is the worst direction's loss fraction: min(10, 50) -> 0.9;
+        # no other pair conflicts, and the diagonal is 0.
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[1, 0] = 0.9
+        assert np.array_equal(weights, expected)
+        assert weights[0, 1] == 0.9
 
     def test_conflict_graph_rejects_dict(self):
         with pytest.raises(TypeError):
             psr_conflict_graph({"standard": self.PSR})
 
     def test_channel_capacity_estimate(self):
-        graph = psr_conflict_graph(self.PSR, cutoff_percent=90.0)
-        assert channel_capacity_estimate(graph) == 2
-        assert channel_capacity_estimate(nx.empty_graph(5)) == 1
-        assert channel_capacity_estimate(nx.Graph()) == 0
-        assert channel_capacity_estimate(nx.complete_graph(4)) == 4
+        weights = psr_conflict_graph(self.PSR, cutoff_percent=90.0)
+        assert channel_capacity_estimate(weights) == 2
+        assert channel_capacity_estimate(np.zeros((5, 5), dtype=bool)) == 1
+        assert channel_capacity_estimate(np.zeros((0, 0))) == 0
+        assert channel_capacity_estimate(~np.eye(4, dtype=bool)) == 4
+
+    def test_channel_capacity_estimate_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            channel_capacity_estimate(np.zeros((2, 3)))
+
+    def test_colouring_breaks_degree_ties_by_node_index(self):
+        # Every node has degree 1 or 2. Taking tied nodes in index order
+        # (0, 2, 4, 5, 1, 3) needs 2 channels; in descending index order
+        # (5, 4, 2, 0, 3, 1) node 0 meets channels 0 and 1 and needs a third.
+        # Largest-first greedy colouring in networkx gives 2.
+        path = np.zeros((6, 6), dtype=bool)
+        for i, j in ((0, 2), (0, 4), (1, 4), (2, 5), (3, 5)):
+            path[i, j] = path[j, i] = True
+        assert channel_capacity_estimate(path) == 2
+        # Relabelling node k as 5 - k turns index order into descending order.
+        assert channel_capacity_estimate(path[::-1, ::-1]) == 3
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), 150.0, 100.000001, 0.0, -10.0])
+    def test_cutoff_outside_0_to_100_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff_percent"):
+            effective_neighbor_counts(self.PSR, cutoff_percent=cutoff)
+        with pytest.raises(ValueError, match="cutoff_percent"):
+            psr_conflict_graph(self.PSR, cutoff_percent=cutoff)
+
+    def test_cutoff_of_100_spares_clean_links(self):
+        # 100 is the largest valid cutoff: a link at 100% PSR still never
+        # conflicts, and every conflict, even at 95% PSR, weighs above 0.
+        assert list(effective_neighbor_counts(self.PSR, cutoff_percent=100.0)) == [2, 1, 0]
+        weights = psr_conflict_graph(self.PSR, cutoff_percent=100.0)
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[1, 0] = 0.9
+        expected[0, 2] = expected[2, 0] = 1.0 - 95.0 / 100.0
+        assert np.array_equal(weights, expected)
 
 
 class TestTopologyRegistry:
@@ -282,6 +319,17 @@ class TestSimulatedMode:
             fig13_network.run_simulated_analyses(TINY, n_realizations=0)
         with pytest.raises(ValueError, match="n_realizations"):
             fig13_network.run_analyses(TINY, n_realizations=0)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), 150.0, 0.0])
+    def test_bad_cutoff_spec_param_rejected_before_simulating(self, cutoff, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("links were simulated before cutoff_percent was checked")
+
+        monkeypatch.setattr(fig13_network, "simulate_link_matrices", no_simulation)
+        spec = fig13_network.build_spec(mode="simulated")
+        params = dict(spec.params, cutoff_percent=cutoff)
+        with pytest.raises(ValueError, match="cutoff_percent"):
+            run_experiment_spec(dataclasses.replace(spec, params=params), TINY)
 
     def test_build_spec_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
