@@ -58,7 +58,6 @@ from typing import Any, TypeVar
 
 from repro import obs
 from repro.experiments.faults import FaultPlan
-from repro.utils.sanitize import run_sanitized, task_digest
 
 __all__ = [
     "FailurePolicy",
@@ -357,9 +356,8 @@ def _run_task(
 
     Module-level so it pickles into workers; the fault plan travels with
     every dispatch, so injection state never depends on worker start-up
-    environment.  Runs under the determinism sanitizer when
-    ``REPRO_SANITIZE`` is set — both the pooled and the serial path route
-    through here, so spools cover every worker count identically.
+    environment.  Both the pooled and the serial path route through here,
+    so traces cover every worker count identically.
 
     ``trace`` (the parent's dispatch id, passed only when the parent is
     tracing) makes the execution a traced ``task`` section: in a pool
@@ -367,23 +365,25 @@ def _run_task(
     the sweep's record.  The dedup key ``<dispatch>/<ordinal>`` is shared
     by every re-execution of the same task (retries, timeout twins), so the
     merge keeps exactly one; the ``key`` attr is the task's content
-    digest, aligning traces of different worker counts task by task.
+    digest, aligning traces of different worker counts task by task, and
+    :func:`repro.obs.digest_task` adds the outcome and RNG-stream digests
+    that ``trace-diff`` compares.
     """
     if trace is None:
         if plan is not None:
             plan.apply(ordinal, in_pool=in_pool)
-        return run_sanitized(fn, task)
+        return fn(task)
     with obs.tracing(
         "task",
         dedup=f"{trace}/{ordinal}",
         dispatch=trace,
         ordinal=ordinal,
         in_pool=in_pool,
-        key=task_digest(task)[:16],
+        key=_task_key(task),
     ):
         if plan is not None:
             plan.apply(ordinal, in_pool=in_pool)
-        return run_sanitized(fn, task)
+        return obs.digest_task(fn, task)
 
 
 _UNSET = object()

@@ -40,24 +40,25 @@ Usage::
                                           # adaptively-sampled campaign with
                                           # checkpoint/resume and a summary
                                           # report (see repro.campaigns)
-    cprecycle-experiments sanitize-diff DIR1 DIR2 [DIR...]
-                                          # digest-compare REPRO_SANITIZE
-                                          # spools from runs differing only in
-                                          # worker count; exits 1 on
-                                          # any mismatch (see
-                                          # repro.utils.sanitize)
     cprecycle-experiments fig4 --trace traces/fig4 --workers 2
                                           # span-traced run: every sweep,
                                           # dispatch and pool task spools its
                                           # span tree under the directory
                                           # (same as REPRO_TRACE=DIR; bare
-                                          # --trace uses ./trace)
+                                          # --trace uses ./trace); task spans
+                                          # carry payload, outcome and RNG
+                                          # stream digests
     cprecycle-experiments trace-report traces/fig4 [DIR...]
                                           # merge trace spools into trace.json
                                           # + a chrome://tracing export and
                                           # print span/wallclock/recovery
                                           # reports (several DIRs compare
                                           # worker counts)
+    cprecycle-experiments trace-diff traces/w1 traces/w2 [DIR...]
+                                          # digest-compare the task spans of
+                                          # runs differing only in worker
+                                          # count; exits 1 on any mismatch
+                                          # (see repro.obs.merge)
 """
 
 from __future__ import annotations
@@ -175,47 +176,45 @@ def _print_registries() -> None:
     print("observability (repro.obs):")
     print(
         f"  trace            span-traced runs via --trace [DIR] or {TRACE_ENV_VAR}=1|DIR; "
-        "report: cprecycle-experiments trace-report DIR [DIR...]"
+        "report: cprecycle-experiments trace-report DIR [DIR...]; "
+        "determinism: cprecycle-experiments trace-diff DIR DIR [DIR...]"
     )
 
 
-def _sanitize_diff_main(argv: list[str]) -> int:
-    """``cprecycle-experiments sanitize-diff DIR DIR [DIR...]``.
+def _trace_diff_main(argv: list[str]) -> int:
+    """``cprecycle-experiments trace-diff DIR DIR [DIR...]``.
 
-    Merges each ``REPRO_SANITIZE`` spool directory into its ``report.json``
-    and digest-compares them against the first: task sets, outcome digests
-    and per-task RNG stream digests must all be bit-identical.  Exit codes
-    mirror ``repro lint``: 0 identical, 1 mismatches, 2 usage error.
+    Digest-compares the ``task`` spans of ``REPRO_TRACE`` spool directories
+    against the first: task sets, outcome digests and per-task RNG stream
+    digests must all be bit-identical, and no directory may hold a corrupt
+    spool or two disagreeing executions of one task.  Exit codes mirror
+    ``repro lint``: 0 identical, 1 mismatches, 2 usage error.
     """
     import sys
 
-    from repro.utils.sanitize import diff_reports
+    from repro.obs.merge import diff_traces
 
-    prog = "cprecycle-experiments sanitize-diff"
+    prog = "cprecycle-experiments trace-diff"
     if any(flag in argv for flag in ("-h", "--help")):
         print(f"usage: {prog} DIR1 DIR2 [DIR...]")
-        print("  compare REPRO_SANITIZE spool directories for digest identity")
+        print("  compare the task digests of REPRO_TRACE spool directories")
         return 0
     directories = [Path(raw) for raw in argv]
     if len(directories) < 2:
-        print(f"{prog}: need at least two spool directories to compare", file=sys.stderr)
+        print(f"{prog}: need at least two trace directories to compare", file=sys.stderr)
         return 2
     missing = [directory for directory in directories if not directory.is_dir()]
     if missing:
         for directory in missing:
             print(f"{prog}: not a directory: {directory}", file=sys.stderr)
         return 2
-    mismatches = diff_reports(directories)
+    mismatches = diff_traces(directories)
     for line in mismatches:
         print(line)
     if mismatches:
         print(f"{prog}: {len(mismatches)} digest mismatch(es) found", file=sys.stderr)
         return 1
-    print(
-        f"{prog}: {len(directories)} reports bit-identical "
-        f"(see report.json in each directory)",
-        file=sys.stderr,
-    )
+    print(f"{prog}: {len(directories)} traces bit-identical", file=sys.stderr)
     return 0
 
 
@@ -232,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.campaigns.cli import main as campaign_main
 
         return campaign_main(argv[1:])
-    if argv and argv[0] == "sanitize-diff":
-        return _sanitize_diff_main(argv[1:])
+    if argv and argv[0] == "trace-diff":
+        return _trace_diff_main(argv[1:])
     if argv and argv[0] == "trace-report":
         # Trace merge/report tooling (see repro.obs.report); lazy so plain
         # figure runs do not import the report layer.

@@ -7,8 +7,9 @@ Chrome-trace export (:mod:`repro.obs.report`) and strict progress
 reporting (:mod:`repro.obs.progress`).
 
 This package re-exports only the hot-path hooks instrumented code needs
-(``span``/``event``/``add``/``tracing``); merge and report tooling is
-imported explicitly by the CLI so engine modules importing ``repro.obs``
+(``span``/``event``/``add``/``tracing``, and the determinism digests'
+``digest_task``/``record_seed_material``); merge, diff and report tooling
+is imported explicitly by the CLI so engine modules importing ``repro.obs``
 stay light.
 """
 
@@ -18,9 +19,11 @@ from repro.obs.tracer import (
     TRACE_ENV_VAR,
     Tracer,
     add,
+    digest_task,
     enabled,
     event,
     next_dispatch_id,
+    record_seed_material,
     span,
     trace_dir,
     tracing,
@@ -30,9 +33,11 @@ __all__ = [
     "TRACE_ENV_VAR",
     "Tracer",
     "add",
+    "digest_task",
     "enabled",
     "event",
     "next_dispatch_id",
+    "record_seed_material",
     "span",
     "trace_dir",
     "tracing",

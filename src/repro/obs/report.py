@@ -242,7 +242,7 @@ def trace_report_main(argv: list[str]) -> int:
     Merges each ``REPRO_TRACE`` spool directory into ``trace.json`` +
     ``trace-chrome.json`` and prints the span table, wallclock breakdown
     and recovery counters; with several directories a totals comparison
-    follows.  Exit codes mirror ``sanitize-diff``: 0 ok, 1 when a directory
+    follows.  Exit codes mirror ``trace-diff``: 0 ok, 1 when a directory
     holds no trace spools (or only corrupt ones), 2 usage error.
     """
     from repro.experiments.store import write_json_artifact

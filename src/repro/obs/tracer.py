@@ -5,15 +5,22 @@ this module is where timing is *allowed* to live.  When tracing is enabled,
 every instrumented section records a span — a named ``perf_counter``
 interval with nesting, counters and byte sizes — and every pool-boundary
 task spools its span tree into one checksum-stamped file per task under the
-trace directory (written through ``store.write_json_artifact``, exactly
-like the sanitizer's spools).  :func:`repro.obs.merge.merge_trace` folds a
-spool directory into a sorted ``trace.json``; the ``trace-report`` CLI
-renders it.
+trace directory (written through ``store.write_json_artifact``, like every
+other artifact).  :func:`repro.obs.merge.merge_trace` folds a spool
+directory into a sorted ``trace.json``; the ``trace-report`` CLI renders it.
+
+The same spans carry the determinism evidence.  The outermost ``task`` span
+of every pool-boundary task records sha256 digests of its payload
+(``key``), of its outcome (``outcome``) and of the seed material of every
+``child_rng`` stream it drew, in draw order (``rng_streams``; see
+:func:`digest_task` and :func:`record_seed_material`).
+:func:`repro.obs.merge.diff_traces` — the ``trace-diff`` CLI — asserts
+those digests are identical across runs that differ only in worker count.
 
 Off by default, and *dead* when off: :func:`span` returns a shared no-op
 context manager after one module-global ``None`` check, and
-:func:`event`/:func:`add` are the same single check — the same idiom as
-:func:`repro.utils.sanitize.record_seed_material`.  Timestamps are absolute
+:func:`event`/:func:`add`/:func:`record_seed_material` are the same single
+check.  Timestamps are absolute
 ``time.perf_counter`` readings; on the platforms the reproduction targets
 that clock is system-wide monotonic, so spans recorded in pool workers and
 in the parent land on one merged timeline (this is how submit→start queue
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from types import TracebackType
@@ -40,9 +47,11 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "add",
+    "digest_task",
     "enabled",
     "event",
     "next_dispatch_id",
+    "record_seed_material",
     "span",
     "trace_dir",
     "tracing",
@@ -78,7 +87,7 @@ class Tracer:
     without timestamp heuristics.
     """
 
-    __slots__ = ("events", "pid", "_stack")
+    __slots__ = ("events", "pid", "streams", "_stack")
 
     def __init__(self) -> None:
         self.events: list[dict[str, Any]] = []
@@ -86,6 +95,9 @@ class Tracer:
         #: inherits the parent's live tracer as dead state, and the pid
         #: mismatch is how :func:`tracing` detects (and discards) it.
         self.pid = os.getpid()
+        #: Seed-material digests of the streams drawn by the outermost task
+        #: running under :func:`digest_task`; ``None`` while none runs.
+        self.streams: list[str] | None = None
         self._stack: list[dict[str, Any]] = []
 
     def begin(self, name: str, attrs: dict[str, Any]) -> dict[str, Any]:
@@ -231,6 +243,45 @@ def add(**counters: float) -> None:
     """Accumulate numeric counters on the innermost open span (no-op off)."""
     if _ACTIVE is not None:
         _ACTIVE.accumulate(counters)
+
+
+def _digest(value: Any) -> str:
+    # Lazy import: the store module sits above the obs layer.
+    from repro.experiments.store import stable_key
+
+    return stable_key(value)
+
+
+def record_seed_material(seed: int, stream: tuple[int, ...]) -> None:
+    """Digest one ``child_rng`` stream into the running task's record.
+
+    Called by :func:`repro.utils.rng.child_rng` for every derived stream.
+    With tracing off it is one ``None`` check; outside a task, two.
+    """
+    if _ACTIVE is not None and _ACTIVE.streams is not None:
+        _ACTIVE.streams.append(_digest([seed, *stream]))
+
+
+def digest_task(fn: Callable[[Any], Any], task: Any) -> Any:
+    """Run ``fn(task)`` in the open ``task`` span, recording its digests.
+
+    The outermost task records ``outcome`` (the digest of what ``fn``
+    returned) and ``rng_streams`` (see :func:`record_seed_material`) on its
+    span.  A task nested in-process inside another adds its draws to the
+    outer task's list instead, so serial and pooled runs record the same
+    evidence.  A task that raises records nothing.
+    """
+    tracer = _ACTIVE
+    if tracer is None or tracer.streams is not None:
+        return fn(task)
+    tracer.streams = []
+    try:
+        outcome = fn(task)
+        streams = tracer.streams
+    finally:
+        tracer.streams = None
+    tracer._stack[-1]["attrs"].update(outcome=_digest(outcome), rng_streams=streams)
+    return outcome
 
 
 def next_dispatch_id() -> str:

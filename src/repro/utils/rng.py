@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.sanitize import record_seed_material
+from repro.obs import record_seed_material
 
 __all__ = ["ensure_rng", "child_rng", "spawn_rngs"]
 
@@ -29,9 +29,9 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
     so that changing the number of packets in one sweep point does not shift
     the noise realisations of another.
 
-    Under ``REPRO_SANITIZE`` the seed material of every derived stream is
-    digested into the running task's sanitizer record (a no-op None-check
-    otherwise — see :mod:`repro.utils.sanitize`).
+    Under ``REPRO_TRACE`` the seed material of every derived stream is
+    digested into the running task's span (a no-op None-check otherwise —
+    see :mod:`repro.obs.tracer`).
     """
     record_seed_material(seed, stream)
     return np.random.default_rng(np.random.SeedSequence([seed, *stream]))

@@ -28,8 +28,9 @@ import pytest
 from repro.experiments.store import CACHE_ENV_VAR
 from repro.experiments.sweeps import execute_points
 from repro.lint import lint_source
+from repro.obs import TRACE_ENV_VAR
+from repro.obs.merge import diff_traces
 from repro.utils.rng import child_rng
-from repro.utils.sanitize import SANITIZE_ENV_VAR, diff_reports
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,7 +129,7 @@ ROWS = (
             "tests/test_spec_coherence.py::TestSerialisableClasses::test_round_trips",
         ),
     ),
-    Row(name="generator-shared-by-task-payloads", runtime="sanitizer"),
+    Row(name="generator-shared-by-task-payloads", runtime="trace-diff"),
     Row(
         name="module-global-fed-into-stream",
         module="repro.channel.scenario",
@@ -242,7 +243,7 @@ def test_catching_tests_exist(row):
 
 
 def test_runtime_rows_are_exercised():
-    assert {row.runtime for row in ROWS if row.runtime} == {"sanitizer", "pickling-probe"}
+    assert {row.runtime for row in ROWS if row.runtime} == {"trace-diff", "pickling-probe"}
 
 
 def _draw_from_payload_generator(task):
@@ -250,7 +251,7 @@ def _draw_from_payload_generator(task):
     return float(rng.normal()) + index
 
 
-def test_sanitizer_catches_generator_shared_by_task_payloads(tmp_path, monkeypatch):
+def test_trace_diff_catches_generator_shared_by_task_payloads(tmp_path, monkeypatch):
     # Row generator-shared-by-task-payloads: one child_rng generator travels
     # in every task payload, so the sweep's draws depend on the worker count.
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -259,9 +260,9 @@ def test_sanitizer_catches_generator_shared_by_task_payloads(tmp_path, monkeypat
         rng = child_rng(2016, 4, 2)
         payloads[workers] = [(rng, index) for index in range(2)]
     for workers, tasks in payloads.items():
-        monkeypatch.setenv(SANITIZE_ENV_VAR, str(tmp_path / f"w{workers}"))
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / f"w{workers}"))
         execute_points(_draw_from_payload_generator, tasks, n_workers=workers)
-    assert diff_reports([tmp_path / "w1", tmp_path / "w2"]) != []
+    assert diff_traces([tmp_path / "w1", tmp_path / "w2"]) != []
 
 
 def test_pickling_probe_catches_module_lambda_into_pool(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
-"""Observability layer (``repro.obs``): tracer, spool/merge, reports.
+"""Observability layer (``repro.obs``): tracer, spool/merge, diff, reports.
 
 Covers the acceptance criteria of the tracing subsystem: disabled tracing
 is a true no-op (shared noop span, no files), traced sections spool one
 checksum-stamped file per root and merge onto a single timeline, retried
-executions never double-count (dedup keys), torn spool files are
-quarantined without crashing the merge, and the wallclock breakdown's
-per-process accounting (compute + serialize + merge + other) exactly tiles
-each process's active window.
+executions never double-count (dedup keys), torn or unstamped spool files
+are quarantined without crashing the merge, task spans carry the payload,
+outcome and RNG-stream digests that ``trace-diff`` compares across worker
+counts, and the wallclock breakdown's per-process accounting (compute +
+serialize + merge + other) exactly tiles each process's active window.
 """
 
 import json
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.experiments import parallel
+from repro.experiments import fig10_guardband, parallel
+from repro.experiments.config import ExperimentProfile
 from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import (
     FailurePolicy,
@@ -24,10 +26,11 @@ from repro.experiments.parallel import (
     reset_supervisor_stats,
     supervisor_stats,
 )
-from repro.experiments.store import write_json_artifact
+from repro.experiments.runner import main as runner_main
+from repro.experiments.store import CACHE_ENV_VAR, stable_key, write_json_artifact
 from repro.experiments.sweeps import execute_points
 from repro.obs import TRACE_ENV_VAR, trace_dir, tracing
-from repro.obs.merge import MERGED_SCHEMA, load_trace, merge_trace
+from repro.obs.merge import MERGED_SCHEMA, diff_traces, load_trace, merge_trace, task_digests
 from repro.obs.progress import PROGRESS_ENV_VAR, ProgressReporter, progress_enabled
 from repro.obs.report import (
     aggregate_spans,
@@ -36,7 +39,8 @@ from repro.obs.report import (
     trace_report_main,
     wallclock_breakdown,
 )
-from repro.obs.tracer import SPOOL_SCHEMA
+from repro.obs.tracer import SPOOL_SCHEMA, active_tracer
+from repro.utils.rng import child_rng
 
 #: Zero-delay retries: backoff timing is policy, not behaviour under test.
 FAST = FailurePolicy(backoff_base=0.0)
@@ -59,20 +63,56 @@ def _square(value):
     return {"squared": value * value}
 
 
+def _draw_twice(task):
+    return float(child_rng(task, 13, 0).normal() + child_rng(task, 13, 1).normal())
+
+
+def _draw_twice_plus_one(task):
+    return _draw_twice(task) + 1.0
+
+
+def _draw_twice_nested(task):
+    # A task that dispatches nested work in-process.
+    return sum(parallel_map(_draw_twice, [task, task], n_workers=1, policy=FAST))
+
+
+def _one_draw(task):
+    seed, stream = task
+    return int(child_rng(seed, stream).integers(10))
+
+
+def _draw_twice_and_one_more(task):
+    # Same outcome as _draw_twice: only the RNG-stream digests differ.
+    child_rng(task, 13, 2)
+    return _draw_twice(task)
+
+
+def _raise_injected(task):
+    child_rng(task, 1)
+    raise RuntimeError("injected")
+
+
+def _traced_run(monkeypatch, directory, tasks, fn=_draw_twice, **kwargs):
+    monkeypatch.setenv(TRACE_ENV_VAR, str(directory))
+    results = parallel_map(fn, tasks, policy=FAST, **kwargs)
+    monkeypatch.delenv(TRACE_ENV_VAR)
+    return results
+
+
 # --------------------------------------------------------------------------- #
 # Activation and the disabled fast path                                       #
 # --------------------------------------------------------------------------- #
 class TestActivation:
-    def test_unset_and_falsy_mean_off(self, monkeypatch):
+    @pytest.mark.parametrize("raw", [None, "0", "false", "no", "off", "", "  "])
+    def test_unset_and_falsy_mean_off(self, monkeypatch, raw):
+        if raw is not None:
+            monkeypatch.setenv(TRACE_ENV_VAR, raw)
         assert trace_dir() is None
-        for raw in ("0", "false", "no", "off", "", "  "):
-            monkeypatch.setenv(TRACE_ENV_VAR, raw)
-            assert trace_dir() is None
 
-    def test_truthy_means_default_dir(self, monkeypatch):
-        for raw in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(TRACE_ENV_VAR, raw)
-            assert trace_dir() == Path("trace")
+    @pytest.mark.parametrize("raw", ["1", "true", "TRUE", "YES", "on"])
+    def test_truthy_means_default_dir(self, monkeypatch, raw):
+        monkeypatch.setenv(TRACE_ENV_VAR, raw)
+        assert trace_dir() == Path("trace")
 
     def test_other_values_are_a_directory(self, monkeypatch):
         monkeypatch.setenv(TRACE_ENV_VAR, "/tmp/my-trace")
@@ -84,9 +124,20 @@ class TestActivation:
         assert obs.span("anything", n=1) is obs.span("other")
         obs.event("never.recorded", x=1)
         obs.add(count=1)
+        obs.record_seed_material(1, (2, 3))
+        assert obs.digest_task(_draw_twice, 7) == _draw_twice(7)
         with tracing("root", key="value"):
             pass
         assert _spools(tmp_path) == [] and _spools("trace") == []
+
+    def test_seed_material_hook_is_inert_outside_a_task(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        with tracing("root"):
+            child_rng(1, 2, 3)
+            assert active_tracer().streams is None
+        (path,) = _spools(tmp_path)
+        (root,) = json.loads(path.read_text())["events"]
+        assert root["attrs"] == {}
 
     def test_disabled_run_leaves_no_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -182,6 +233,23 @@ def _task_events(start, *, dedup, error=False, children=()):
     return events
 
 
+def _unstamp(path):
+    record = json.loads(path.read_text())
+    del record["checksum"]
+    path.write_text(json.dumps(record))
+
+
+def _tamper(path):
+    record = json.loads(path.read_text())
+    record["events"][0]["dur"] += 1.0  # edited without restamping
+    path.write_text(json.dumps(record))
+
+
+def _tear(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
 class TestMerge:
     def test_merges_spools_onto_one_sorted_timeline(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
@@ -232,6 +300,10 @@ class TestMerge:
         assert (tmp_path / "trace-999-000000.json.corrupt").is_file()
         assert not torn.exists()
         assert report["n_spools"] == 1 and report["n_events"] == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing left to quarantine
+            rerun = merge_trace(tmp_path)
+        assert rerun["quarantined"] == ["trace-999-000000.json"]  # still listed
 
     def test_checksum_mismatch_is_quarantined(self, tmp_path):
         path = _spool_file(tmp_path, 100, 0, _task_events(10.0, dedup="d/0"))
@@ -250,6 +322,216 @@ class TestMerge:
         with pytest.warns(RuntimeWarning):
             report = merge_trace(tmp_path)
         assert report["quarantined"] == ["trace-1-000000.json"]
+
+    def test_unstamped_spool_is_quarantined(self, tmp_path):
+        # Store artifacts from older builds may lack a checksum; spools never
+        # did, so one without a stamp has been edited.
+        path = _spool_file(tmp_path, 100, 0, _task_events(10.0, dedup="d/0"))
+        record = json.loads(path.read_text())
+        del record["checksum"]
+        record["events"][0]["attrs"]["outcome"] = "edited"
+        path.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="missing checksum"):
+            report = merge_trace(tmp_path)
+        assert report["quarantined"] == [path.name]
+        assert report["n_events"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Determinism digests on task spans, and trace-diff                           #
+# --------------------------------------------------------------------------- #
+class TestTaskDigests:
+    def test_one_record_per_task(self, tmp_path, monkeypatch):
+        results = _traced_run(monkeypatch, tmp_path, [7, 8])
+        tasks, problems = task_digests(tmp_path)
+        assert problems == []
+        assert sorted(tasks) == sorted(stable_key(task) for task in (7, 8))
+        record = tasks[stable_key(7)]
+        assert record["outcome"] == stable_key(results[0])
+        # Two child_rng derivations ran inside the task, in draw order.
+        assert record["rng_streams"] == [stable_key([7, 13, 0]), stable_key([7, 13, 1])]
+
+    def test_digests_identical_across_runs(self, tmp_path, monkeypatch):
+        _traced_run(monkeypatch, tmp_path / "a", [1, 2, 3])
+        _traced_run(monkeypatch, tmp_path / "b", [3, 1, 2])  # order-insensitive
+        assert task_digests(tmp_path / "a") == task_digests(tmp_path / "b")
+        assert diff_traces([tmp_path / "a", tmp_path / "b"]) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nested_tasks_attach_draws_to_outer_task(self, tmp_path, monkeypatch, workers):
+        # At two workers the outer tasks run in pool workers, and their
+        # nested work runs in-process there.
+        _traced_run(monkeypatch, tmp_path, [5, 6], fn=_draw_twice_nested, n_workers=workers)
+        tasks, problems = task_digests(tmp_path)
+        assert problems == [] and sorted(tasks) == sorted(map(stable_key, (5, 6)))
+        for task in (5, 6):  # both inner tasks' draws, in order
+            streams = [stable_key([task, 13, draw]) for draw in (0, 1)]
+            assert tasks[stable_key(task)]["rng_streams"] == streams * 2
+        spans = [e for e in merge_trace(tmp_path)["events"] if e["name"] == "task"]
+        assert len(spans) == 6  # the inner spans stay, without digests of their own
+
+    def test_failed_task_records_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        with tracing("root"):
+            with pytest.raises(RuntimeError, match="injected"):
+                with tracing("task"):
+                    obs.digest_task(_raise_injected, 1)
+            assert active_tracer().streams is None  # the buffer was reset
+        (task,) = [e for e in merge_trace(tmp_path)["events"] if e["name"] == "task"]
+        assert task["attrs"] == {"error": True}
+
+    def test_retried_task_records_its_completed_execution(self, tmp_path, monkeypatch):
+        plan = FaultPlan(tasks=((1, "raise"),), state_dir=str(tmp_path / "fault-state"))
+        _traced_run(monkeypatch, tmp_path / "faulted", [0, 1, 2], n_workers=1, fault_plan=plan)
+        _traced_run(monkeypatch, tmp_path / "clean", [0, 1, 2], n_workers=1)
+        (spool,) = _spools(tmp_path / "faulted")  # serial: the sweep's one spool
+        events = json.loads(spool.read_text())["events"]
+        (failed,) = [e for e in events if e["attrs"].get("error")]
+        assert failed["name"] == "task" and "outcome" not in failed["attrs"]
+        assert task_digests(tmp_path / "faulted") == task_digests(tmp_path / "clean")
+
+    def test_distinct_streams_digest_differently(self, tmp_path, monkeypatch):
+        _traced_run(monkeypatch, tmp_path, [(9, 0), (9, 1)], fn=_one_draw)
+        tasks, _ = task_digests(tmp_path)
+        draws = [digest for record in tasks.values() for digest in record["rng_streams"]]
+        assert len(draws) == len(set(draws)) == 2
+
+    @pytest.mark.parametrize(
+        "twin", [{"outcome": "b" * 64}, {"rng_streams": ["c" * 64]}], ids=["outcome", "streams"]
+    )
+    def test_disagreeing_duplicate_executions_are_reported(self, tmp_path, twin):
+        # A timeout twin: both executions completed, so merge_trace keeps
+        # only one of them, but the diff reads every completed execution.
+        for pid, differs in ((100, {}), (200, twin)):
+            events = _task_events(10.0 + pid, dedup="d/0")
+            events[0]["attrs"].update({"key": "k" * 64, "outcome": "a" * 64, "rng_streams": []})
+            events[0]["attrs"].update(differs)
+            _spool_file(tmp_path / "twins", pid, 0, events)
+        _, problems = task_digests(tmp_path / "twins")
+        assert problems == [
+            f"task {'k' * 16}: two executions disagreed "
+            "(outcome or RNG streams differ between processes)"
+        ]
+        assert merge_trace(tmp_path / "twins")["deduped"] == 1
+        mismatches = diff_traces([tmp_path / "twins", tmp_path / "twins"])
+        assert any("two executions disagreed" in line for line in mismatches)
+
+    def test_missing_and_extra_tasks_are_reported(self, tmp_path, monkeypatch):
+        _traced_run(monkeypatch, tmp_path / "a", [1, 2])
+        _traced_run(monkeypatch, tmp_path / "b", [1, 3])
+        mismatches = diff_traces([tmp_path / "a", tmp_path / "b"])
+        b, a = tmp_path / "b", tmp_path / "a"
+        assert mismatches == sorted(
+            [
+                f"{b}: task {stable_key(2)[:16]} missing (present in {a})",
+                f"{b}: task {stable_key(3)[:16]} extra (absent from {a})",
+            ]
+        )
+
+    def test_diverging_outcome_is_reported(self, tmp_path, monkeypatch):
+        _traced_run(monkeypatch, tmp_path / "a", [1, 4])
+        _traced_run(monkeypatch, tmp_path / "b", [1])
+        _traced_run(monkeypatch, tmp_path / "b", [4], fn=_draw_twice_plus_one)
+        b, a = tmp_path / "b", tmp_path / "a"
+        assert diff_traces([a, b]) == [
+            f"{b}: task {stable_key(4)[:16]} outcome digest diverged from {a}"
+        ]
+
+    def test_diverging_rng_streams_are_reported(self, tmp_path, monkeypatch):
+        # Equal outcomes, but one run drew an extra stream.
+        plain = _traced_run(monkeypatch, tmp_path / "a", [4])
+        extra = _traced_run(monkeypatch, tmp_path / "b", [4], fn=_draw_twice_and_one_more)
+        assert plain == extra
+        b, a = tmp_path / "b", tmp_path / "a"
+        assert diff_traces([a, b]) == [
+            f"{b}: task {stable_key(4)[:16]} RNG stream digests diverged from {a} "
+            "(2 vs 3 draws)"
+        ]
+
+    def test_needs_at_least_two_directories(self, tmp_path):
+        with pytest.raises(ValueError, match="at least two"):
+            diff_traces([tmp_path])
+
+    def test_serial_and_pooled_runs_diff_clean(self, tmp_path, monkeypatch):
+        serial = _traced_run(monkeypatch, tmp_path / "serial", list(range(6)), n_workers=1)
+        pooled = _traced_run(monkeypatch, tmp_path / "pooled", list(range(6)), n_workers=2)
+        assert serial == pooled
+        assert diff_traces([tmp_path / "serial", tmp_path / "pooled"]) == []
+
+    def test_fig10_traced_at_one_and_two_workers_diffs_clean(self, tmp_path, monkeypatch):
+        # The link simulation draws its streams inside each task, in workers.
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        profile = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / f"w{workers}"))
+            results[workers] = fig10_guardband.run(
+                profile, n_workers=workers, sir_values_db=(-10.0,), guard_band_subcarriers=(0, 16)
+            )
+        assert results[1] == results[2]
+        tasks, _ = task_digests(tmp_path / "w1")
+        assert len(tasks) == 2 and all(record["rng_streams"] for record in tasks.values())
+        assert diff_traces([tmp_path / "w1", tmp_path / "w2"]) == []
+
+    @pytest.mark.parametrize(
+        ("workers", "faults"),
+        [(2, ((1, "raise"), (3, "kill"))), (1, ((1, "raise"), (3, "raise")))],
+        ids=["pooled-raise-and-kill", "serial-two-raises"],
+    )
+    def test_faulted_run_diffs_clean_against_fault_free_run(
+        self, tmp_path, monkeypatch, workers, faults
+    ):
+        plan = FaultPlan(tasks=faults, state_dir=str(tmp_path / "fault-state"))
+        tasks = list(range(5))
+        clean = _traced_run(monkeypatch, tmp_path / "clean", tasks, n_workers=1)
+        faulted = _traced_run(
+            monkeypatch, tmp_path / "faulted", tasks, n_workers=workers, fault_plan=plan
+        )
+        assert faulted == clean
+        # Both faults fired, and only a killed worker's pool was respawned.
+        assert sorted(path.name for path in (tmp_path / "fault-state").iterdir()) == [
+            "task-1.0",
+            "task-3.0",
+        ]
+        respawns = recovery_totals(merge_trace(tmp_path / "faulted")).get("pool_respawns", 0)
+        assert (respawns >= 1) == any(kind == "kill" for _, kind in faults)
+        assert diff_traces([tmp_path / "clean", tmp_path / "faulted"]) == []
+
+    @pytest.mark.parametrize(
+        ("corrupt", "reason"),
+        [(_unstamp, "missing checksum"), (_tamper, "checksum mismatch"), (_tear, "invalid JSON")],
+        ids=["unstamped", "tampered", "torn"],
+    )
+    def test_corrupt_spool_never_diffs_clean(self, tmp_path, monkeypatch, corrupt, reason):
+        tasks = list(range(4))
+        _traced_run(monkeypatch, tmp_path / "a", tasks, n_workers=2)
+        _traced_run(monkeypatch, tmp_path / "b", tasks, n_workers=2)
+        # Corrupt a spool holding no task span (the parent's own section), so
+        # losing it takes no task with it.
+        path = next(
+            path
+            for path in _spools(tmp_path / "b")
+            if all(e["name"] != "task" for e in json.loads(path.read_text())["events"])
+        )
+        corrupt(path)
+        expected = [f"{tmp_path / 'b'}: {path.name}: corrupt spool (quarantined)"]
+        with pytest.warns(RuntimeWarning, match=reason):
+            assert diff_traces([tmp_path / "a", tmp_path / "b"]) == expected
+        # The rerun finds the spool already renamed to *.corrupt.
+        assert diff_traces([tmp_path / "a", tmp_path / "b"]) == expected
+
+    def test_trace_diff_cli(self, tmp_path, monkeypatch, capsys):
+        _traced_run(monkeypatch, tmp_path / "a", [1, 2])
+        _traced_run(monkeypatch, tmp_path / "b", [2, 1])
+        _traced_run(monkeypatch, tmp_path / "c", [1])
+        a, b, c = (str(tmp_path / name) for name in "abc")
+        assert runner_main(["trace-diff", a, b]) == 0
+        assert runner_main(["trace-diff", a, b, c]) == 1
+        assert f"task {stable_key(2)[:16]} missing" in capsys.readouterr().out
+        assert runner_main(["trace-diff", a]) == 2
+        assert runner_main(["trace-diff", a, str(tmp_path / "missing")]) == 2
+        assert runner_main(["trace-diff", "--help"]) == 0
+        assert "usage" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------- #

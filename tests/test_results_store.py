@@ -1,5 +1,6 @@
 """Tests for result serialisation, artifacts and the point-level cache."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -72,6 +73,9 @@ class TestStableKey:
         assert stable_key(a) == stable_key(b)
         assert stable_key(a) != stable_key(partial(sorted, reverse=False))
         assert stable_key({"x": 1.0}) != stable_key({"x": 2.0})
+        # A dataclass keys on its field values, as a sweep task payload does.
+        assert stable_key(MICRO) == stable_key(dataclasses.replace(MICRO))
+        assert stable_key(MICRO) != stable_key(dataclasses.replace(MICRO, n_packets=3))
 
     @pytest.mark.parametrize(
         "numpy_value, plain_value",
