@@ -37,7 +37,6 @@ managed unit:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -52,6 +51,7 @@ from repro.api.experiment import (
 )
 from repro.api.specs import ExperimentSpec
 from repro.campaigns.adaptive import next_total, wilson_halfwidth
+from repro.experiments.cli_env import environment
 from repro.experiments.config import (
     FULL_PROFILE,
     QUICK_PROFILE,
@@ -59,7 +59,7 @@ from repro.experiments.config import (
     default_profile,
 )
 from repro.experiments.link import psr
-from repro.experiments.parallel import FailurePolicy, supervisor_stats
+from repro.experiments.parallel import supervisor_stats
 from repro.experiments.results import FigureResult
 from repro.experiments.store import (
     CACHE_ENV_VAR,
@@ -176,7 +176,6 @@ def run_campaign(
     resume: bool = False,
     n_workers: int | None = None,
     profile: ExperimentProfile | None = None,
-    policy: FailurePolicy | None = None,
 ) -> CampaignRun:
     """Run (or resume) one campaign; returns results, summary and paths.
 
@@ -189,9 +188,7 @@ def run_campaign(
     uninterrupted one.  ``n_workers`` follows the usual precedence:
     explicit argument, then the campaign spec, then the environment.
 
-    ``policy`` tunes the supervised executor's failure handling for the
-    sampling rounds (default: the ``REPRO_MAX_RETRIES``/... environment);
-    the recovery events the run needed (retries, pool respawns, ...) are
+    The recovery events the run needed (retries, pool respawns, ...) are
     recorded under ``totals.recovery`` in the summary.
     """
     workspace = Path(workspace)
@@ -265,10 +262,8 @@ def run_campaign(
     # Cross-experiment sharing happens at the cell level above and only
     # between PSR experiments: adaptive windows and fixed-budget tasks key
     # differently, so e.g. fig13-simulated link sweeps do not reuse campaign
-    # cells through this cache.  Restore the caller's environment on exit.
-    saved_cache = os.environ.get(CACHE_ENV_VAR)
-    os.environ[CACHE_ENV_VAR] = str(workspace / ".cache")
-    try:
+    # cells through this cache.
+    with environment({CACHE_ENV_VAR: str(workspace / ".cache")}):
         # One trace root for the whole campaign: sampling rounds,
         # checkpoints and analysis experiments all nest under it (the
         # sweep layer's own roots become nested spans automatically).
@@ -294,9 +289,7 @@ def run_campaign(
                         replace(cell.point, first_packet=done, n_packets=count)
                         for cell, done, count in batch
                     ]
-                    outcomes = execute_points(
-                        run_sweep_point_counts, tasks, n_workers=n_workers, policy=policy
-                    )
+                    outcomes = execute_points(run_sweep_point_counts, tasks, n_workers=n_workers)
                     for (cell, done, count), outcome in zip(batch, outcomes):
                         cell.absorb(outcome, count)
                         obs.event(
@@ -372,11 +365,6 @@ def run_campaign(
                         "spec_hash": spec_hash(member),
                     }
                 )
-    finally:
-        if saved_cache is None:
-            os.environ.pop(CACHE_ENV_VAR, None)
-        else:
-            os.environ[CACHE_ENV_VAR] = saved_cache
 
     converged = sum(1 for cell in cells.values() if cell.converged)
     summary = {

@@ -20,9 +20,7 @@ from repro.experiments.link import (
 )
 from repro.experiments.faults import FaultPlan, InjectedFault
 from repro.experiments.parallel import (
-    FailurePolicy,
     SupervisorStats,
-    SweepExecutionError,
     SweepTaskError,
     parallel_map,
     reset_supervisor_stats,
@@ -35,7 +33,6 @@ from repro.experiments.store import PointCache, ResultStore
 __all__ = [
     "ExperimentProfile",
     "FULL_PROFILE",
-    "FailurePolicy",
     "FaultPlan",
     "FigureResult",
     "InjectedFault",
@@ -59,7 +56,6 @@ __all__ = [
     "resolve_workers",
     "supervisor_stats",
     "SupervisorStats",
-    "SweepExecutionError",
     "SweepTaskError",
     "symbol_error_rate",
 ]

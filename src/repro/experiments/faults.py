@@ -9,13 +9,9 @@ through the ``REPRO_FAULTS`` environment variable, which holds a JSON
 object::
 
     REPRO_FAULTS='{"tasks": {"3": "kill", "5": "raise"}, "state_dir": "/tmp/f"}'
-    REPRO_FAULTS='{"seed": 7, "rate": 0.25, "kind": "raise"}'
 
 * ``tasks`` targets explicit task ordinals (the index of the task in the
   dispatched list) with one fault ``kind`` each;
-* ``seed``/``rate``/``kind`` target a deterministic pseudo-random subset
-  instead: task ``i`` is hit when ``sha256(f"{seed}:{i}")`` maps below
-  ``rate`` — the same seed always selects the same tasks, in every process;
 * ``times`` bounds how often each targeted ordinal injects (default once),
   so a retried task succeeds and recovery is observable instead of a
   livelock; the bound is enforced across *processes* through marker files
@@ -43,7 +39,6 @@ crash-recovery smoke assert.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -59,7 +54,7 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 #: Valid fault kinds, in the order documented above.
 FAULT_KINDS = ("raise", "hang", "kill")
 
-_PLAN_FIELDS = ("tasks", "kind", "seed", "rate", "times", "hang_seconds", "state_dir")
+_PLAN_FIELDS = ("tasks", "times", "hang_seconds", "state_dir")
 
 #: Exit status of a ``kill``-faulted worker (arbitrary, but recognisable).
 KILLED_WORKER_EXIT = 26
@@ -90,12 +85,9 @@ def _default_state_dir() -> str:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Seeded, bounded plan of which task ordinals fail, and how."""
+    """Bounded plan of which task ordinals fail, and how."""
 
     tasks: tuple[tuple[int, str], ...] = ()
-    kind: str = "raise"
-    seed: int | None = None
-    rate: float = 0.0
     times: int = 1
     hang_seconds: float = 0.25
     state_dir: str = ""
@@ -106,12 +98,6 @@ class FaultPlan:
                 raise ValueError(f"fault task ordinal must be a non-negative int, got {index!r}")
             if kind not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {kind!r}; valid: {FAULT_KINDS}")
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; valid: {FAULT_KINDS}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"fault rate must be within [0, 1], got {self.rate!r}")
-        if self.rate > 0.0 and self.seed is None:
-            raise ValueError("a fault 'rate' needs a 'seed' to stay deterministic")
         if self.times < 1:
             raise ValueError(f"fault times must be at least 1, got {self.times!r}")
         if self.hang_seconds <= 0.0:
@@ -155,10 +141,6 @@ class FaultPlan:
         for target, kind in self.tasks:
             if target == index:
                 return kind
-        if self.seed is not None and self.rate > 0.0:
-            digest = hashlib.sha256(f"{self.seed}:{index}".encode()).digest()
-            if int.from_bytes(digest[:8], "big") / 2.0**64 < self.rate:
-                return self.kind
         return None
 
     def _claim(self, index: int) -> bool:

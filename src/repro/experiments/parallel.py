@@ -9,12 +9,9 @@ of fire-and-forget:
 
 * :func:`resolve_workers` reads the worker count (argument, then the
   ``REPRO_WORKERS`` environment variable, then 1);
-* :class:`FailurePolicy` bundles the recovery knobs — bounded retry with
-  exponential backoff, an optional per-task timeout, a pool-respawn budget
-  and whether to degrade to serial in-process execution when the pool keeps
-  dying — resolved from ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT`` /
-  ``REPRO_BACKOFF`` / ``REPRO_DEGRADE`` (or the ``--max-retries`` /
-  ``--task-timeout`` CLI flags);
+* :func:`resolve_task_timeout` reads the one failure setting, the per-task
+  timeout (argument, then ``REPRO_TASK_TIMEOUT``, then no limit): its right
+  value depends on the host and the profile, so it stays configurable;
 * :func:`parallel_map` / :func:`parallel_map_chunked` fan a function over a
   list of picklable tasks through a supervised
   :class:`concurrent.futures.ProcessPoolExecutor`, preserving input order.
@@ -22,18 +19,21 @@ of fire-and-forget:
 Supervision semantics (all recovery events are counted in
 :func:`supervisor_stats` and logged as one ``[supervise]`` stderr line each):
 
-* a task that raises is retried up to ``max_retries`` times with exponential
-  backoff; exhaustion raises :class:`SweepTaskError` naming the task;
-* a task that exceeds ``task_timeout`` (pool mode only — serial execution
+* a task that raises is retried at once, up to :data:`MAX_RETRIES` times;
+  exhaustion raises :class:`SweepTaskError` naming the task;
+* a task that exceeds the task timeout (pool mode only — serial execution
   cannot be preempted) is abandoned and re-dispatched like a failure;
-* a dead worker (``BrokenProcessPool``) triggers one pool respawn (budget:
-  ``max_pool_respawns``) re-dispatching only the incomplete tasks of the
+* a dead worker (``BrokenProcessPool``) triggers a pool respawn (at most
+  :data:`MAX_POOL_RESPAWNS`) re-dispatching only the incomplete tasks of the
   current chunk; when the pool keeps dying the supervisor degrades to serial
-  in-process execution instead of giving up (unless ``REPRO_DEGRADE=0``);
+  in-process execution instead of giving up;
 * a task that cannot be pickled for dispatch (the pool probe only sees the
   first task) is executed serially in the parent with a warning naming the
   point's stable content key, instead of crashing the sweep with an opaque
   ``PicklingError``.
+
+A retry recomputes the same outcome, so no delay before it could change
+anything: the retry and respawn budgets are constants, not settings.
 
 Serial execution (``n_workers=1``, the default) bypasses the pool entirely
 but keeps retry supervision, and unpicklable task *functions* fall back to
@@ -45,12 +45,13 @@ paths lives in :mod:`repro.experiments.faults` (``REPRO_FAULTS``).
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import pickle
 import sys
-import time
 import warnings
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,32 +61,29 @@ from repro import obs
 from repro.experiments.faults import FaultPlan
 
 __all__ = [
-    "FailurePolicy",
+    "MAX_POOL_RESPAWNS",
+    "MAX_RETRIES",
     "SupervisorStats",
     "SweepTaskError",
-    "SweepExecutionError",
+    "resolve_task_timeout",
     "resolve_workers",
     "parallel_map",
     "parallel_map_chunked",
     "supervisor_stats",
     "reset_supervisor_stats",
-    "RETRIES_ENV_VAR",
     "TIMEOUT_ENV_VAR",
-    "BACKOFF_ENV_VAR",
-    "DEGRADE_ENV_VAR",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: Environment variables feeding :meth:`FailurePolicy.from_env`.
-RETRIES_ENV_VAR = "REPRO_MAX_RETRIES"
-TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
-BACKOFF_ENV_VAR = "REPRO_BACKOFF"
-DEGRADE_ENV_VAR = "REPRO_DEGRADE"
+#: Re-executions of a raising or timed-out task before :class:`SweepTaskError`.
+MAX_RETRIES = 2
+#: Pool rebuilds after a worker death before the sweep degrades to serial.
+MAX_POOL_RESPAWNS = 1
 
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
+#: Environment variable feeding :func:`resolve_task_timeout`.
+TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
 
 
 def resolve_workers(n_workers: int | None = None) -> int:
@@ -110,97 +108,31 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return n_workers
 
 
-@dataclass(frozen=True)
-class FailurePolicy:
-    """How the supervised executor reacts to failing, hanging or dying work.
+def resolve_task_timeout(task_timeout: float | None = None) -> float | None:
+    """Resolve the per-task timeout: explicit argument, ``REPRO_TASK_TIMEOUT``,
+    else ``None`` (no limit).
 
-    ``max_retries`` bounds re-executions per task (on exception or timeout);
-    ``task_timeout`` (seconds, pool mode) abandons a task that takes too
-    long; retry ``n`` sleeps ``backoff_base * backoff_factor**n`` seconds
-    first; ``max_pool_respawns`` bounds how often a broken process pool is
-    rebuilt before ``degrade_serial`` decides between finishing the sweep
-    serially in-process and raising :class:`SweepExecutionError`.
+    Only finite positive seconds are accepted; anything else (zero,
+    negative, ``nan``, ``inf``, not a number) is rejected with an error
+    naming the source, like :func:`resolve_workers`.
     """
-
-    max_retries: int = 2
-    task_timeout: float | None = None
-    backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    max_pool_respawns: int = 1
-    degrade_serial: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max retries must be >= 0, got {self.max_retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task timeout must be positive, got {self.task_timeout}")
-        if self.backoff_base < 0 or self.backoff_factor <= 0:
-            raise ValueError("backoff base must be >= 0 and the factor positive")
-        if self.max_pool_respawns < 0:
-            raise ValueError(f"max pool respawns must be >= 0, got {self.max_pool_respawns}")
-
-    def backoff_delay(self, retry: int) -> float:
-        """Seconds to sleep before retry number ``retry`` (0-based)."""
-        return self.backoff_base * self.backoff_factor**retry
-
-    @classmethod
-    def from_env(
-        cls,
-        max_retries: int | None = None,
-        task_timeout: float | None = None,
-    ) -> "FailurePolicy":
-        """Resolve the policy: explicit arguments, then ``REPRO_*``, else defaults.
-
-        Malformed values fail fast with an error naming their source, like
-        :func:`resolve_workers`.
-        """
-        if max_retries is None:
-            raw = os.environ.get(RETRIES_ENV_VAR, "").strip()
-            if raw:
-                try:
-                    max_retries = int(raw)
-                except ValueError as error:
-                    raise ValueError(
-                        f"{RETRIES_ENV_VAR} must be an integer, got {raw!r}"
-                    ) from error
-                if max_retries < 0:
-                    raise ValueError(f"{RETRIES_ENV_VAR} must be >= 0, got {max_retries}")
-        elif max_retries < 0:
-            raise ValueError(f"max retries must be >= 0, got {max_retries}")
-        if task_timeout is None:
-            raw = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
-            if raw:
-                try:
-                    task_timeout = float(raw)
-                except ValueError as error:
-                    raise ValueError(
-                        f"{TIMEOUT_ENV_VAR} must be a number of seconds, got {raw!r}"
-                    ) from error
-                if task_timeout <= 0:
-                    raise ValueError(f"{TIMEOUT_ENV_VAR} must be positive, got {task_timeout}")
-        elif task_timeout <= 0:
-            raise ValueError(f"task timeout must be positive, got {task_timeout}")
-        backoff_base: float | None = None
-        raw = os.environ.get(BACKOFF_ENV_VAR, "").strip()
-        if raw:
-            try:
-                backoff_base = float(raw)
-            except ValueError as error:
-                raise ValueError(
-                    f"{BACKOFF_ENV_VAR} must be a number of seconds, got {raw!r}"
-                ) from error
-            if backoff_base < 0:
-                raise ValueError(f"{BACKOFF_ENV_VAR} must be >= 0, got {backoff_base}")
-        raw = os.environ.get(DEGRADE_ENV_VAR, "").strip().lower()
-        if raw and raw not in _TRUTHY + _FALSY:
-            raise ValueError(f"{DEGRADE_ENV_VAR} must be a boolean flag, got {raw!r}")
-        defaults = cls()
-        return cls(
-            max_retries=defaults.max_retries if max_retries is None else max_retries,
-            task_timeout=task_timeout,
-            backoff_base=defaults.backoff_base if backoff_base is None else backoff_base,
-            degrade_serial=raw not in _FALSY if raw else defaults.degrade_serial,
+    source = "task timeout"
+    if task_timeout is None:
+        raw = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
+        if not raw:
+            return None
+        source = TIMEOUT_ENV_VAR
+        try:
+            task_timeout = float(raw)
+        except ValueError as error:
+            raise ValueError(
+                f"{TIMEOUT_ENV_VAR} must be a number of seconds, got {raw!r}"
+            ) from error
+    if not (math.isfinite(task_timeout) and task_timeout > 0):
+        raise ValueError(
+            f"{source} must be a finite positive number of seconds, got {task_timeout}"
         )
+    return task_timeout
 
 
 @dataclass
@@ -286,7 +218,7 @@ def reset_supervisor_stats() -> None:
 
 
 class SweepTaskError(RuntimeError):
-    """One sweep task kept failing after every retry the policy allowed."""
+    """One sweep task kept failing after all :data:`MAX_RETRIES` retries."""
 
     def __init__(
         self, ordinal: int, attempts: int, reason: str, task_key: str | None = None
@@ -298,10 +230,6 @@ class SweepTaskError(RuntimeError):
         super().__init__(
             f"sweep task {ordinal} failed after {attempts} attempt(s): {reason}{suffix}"
         )
-
-
-class SweepExecutionError(RuntimeError):
-    """The execution backend itself gave up (e.g. the pool kept dying)."""
 
 
 def _log(message: str) -> None:
@@ -402,13 +330,13 @@ class _Supervisor:
         self,
         fn: Callable[[Any], Any],
         n_workers: int,
-        policy: FailurePolicy,
+        task_timeout: float | None,
         plan: FaultPlan | None,
         total: int,
         pooled: bool,
     ) -> None:
         self.fn = fn
-        self.policy = policy
+        self.task_timeout = task_timeout
         self.plan = plan
         self.pooled = pooled
         self.max_workers = max(1, min(n_workers, total))
@@ -448,9 +376,9 @@ class _Supervisor:
             self.pool = None
 
     def _recover_pool(self, n_incomplete: int) -> None:
-        """Respawn after a pool death, or degrade/raise once out of budget."""
+        """Respawn after a pool death, or degrade to serial once out of respawns."""
         self._discard_pool()
-        if self.respawns < self.policy.max_pool_respawns:
+        if self.respawns < MAX_POOL_RESPAWNS:
             self.respawns += 1
             _STATS.pool_respawns += 1
             obs.event(
@@ -460,16 +388,11 @@ class _Supervisor:
             )
             _log(
                 f"worker process died; respawning the pool "
-                f"(respawn {self.respawns}/{self.policy.max_pool_respawns}) and "
+                f"(respawn {self.respawns}/{MAX_POOL_RESPAWNS}) and "
                 f"re-dispatching {n_incomplete} incomplete task(s)"
             )
             self._ensure_pool()
             return
-        if not self.policy.degrade_serial:
-            raise SweepExecutionError(
-                f"process pool died {self.respawns + 1} time(s) and serial "
-                f"degradation is disabled ({DEGRADE_ENV_VAR}=0)"
-            )
         self.degraded = True
         _STATS.degraded += 1
         obs.event("supervise.degraded", n_incomplete=n_incomplete)
@@ -539,29 +462,31 @@ class _Supervisor:
         for i in range(len(chunk)):
             if results[i] is _UNSET and i not in futures:
                 futures[i] = self._submit(chunk, base, i)
-        index = 0
-        while index < len(chunk):
-            if results[index] is not _UNSET:
-                index += 1
-                continue
+        # Wait on tasks in submission order.  A re-dispatched task joins the
+        # back of the pool's queue, so it moves to the back of this one too:
+        # its timeout then starts once the tasks queued before it are done,
+        # instead of counting its wait behind them.
+        pending = deque(i for i in range(len(chunk)) if results[i] is _UNSET)
+        while pending:
+            index = pending[0]
             future = futures[index]
             try:
-                results[index] = future.result(timeout=self.policy.task_timeout)
+                results[index] = future.result(timeout=self.task_timeout)
                 if self.dispatch is not None:
                     obs.event("dispatch.result", dispatch=self.dispatch, ordinal=base + index)
-                index += 1
+                pending.popleft()
             except TimeoutError:
                 future.cancel()
                 self.hang_suspected = True
                 _STATS.timeouts += 1
-                self._before_retry(
+                attempts[index] = self._count_failure(
                     base + index,
-                    attempts,
-                    index,
-                    f"timed out after {self.policy.task_timeout:g}s",
-                    task=chunk[index],
+                    attempts[index],
+                    f"timed out after {self.task_timeout:g}s",
+                    chunk[index],
                 )
                 futures[index] = self._submit(chunk, base, index)
+                pending.rotate(-1)
             except BrokenExecutor:
                 raise
             except Exception as error:  # noqa: BLE001 — task failures are data here
@@ -580,42 +505,36 @@ class _Supervisor:
                         stacklevel=4,
                     )
                     results[index] = self._call_serial(chunk[index], base + index)
-                    index += 1
+                    pending.popleft()
                     continue
-                self._before_retry(
+                attempts[index] = self._count_failure(
                     base + index,
-                    attempts,
-                    index,
+                    attempts[index],
                     f"failed: {type(error).__name__}: {error}",
+                    chunk[index],
                     cause=error,
-                    task=chunk[index],
                 )
                 futures[index] = self._submit(chunk, base, index)
+                pending.rotate(-1)
         return results
 
-    def _before_retry(
+    def _count_failure(
         self,
         ordinal: int,
-        attempts: list[int],
-        i: int,
+        attempts: int,
         reason: str,
+        task: Any,
         cause: BaseException | None = None,
-        task: Any = None,
-    ) -> None:
-        """Account one failure; sleep the backoff or raise when exhausted."""
-        attempts[i] += 1
-        if attempts[i] > self.policy.max_retries:
-            raise SweepTaskError(ordinal, attempts[i], reason, _task_key(task)) from cause
+    ) -> int:
+        """Account one failed attempt and return the new attempt count, or
+        raise :class:`SweepTaskError` once every retry is spent."""
+        attempts += 1
+        if attempts > MAX_RETRIES:
+            raise SweepTaskError(ordinal, attempts, reason, _task_key(task)) from cause
         _STATS.retries += 1
-        obs.event("supervise.retry", ordinal=ordinal, attempt=attempts[i], reason=reason)
-        delay = self.policy.backoff_delay(attempts[i] - 1)
-        _log(
-            f"task {ordinal} {reason}; "
-            f"retry {attempts[i]}/{self.policy.max_retries}"
-            + (f" in {delay:g}s" if delay > 0 else "")
-        )
-        if delay > 0:
-            time.sleep(delay)
+        obs.event("supervise.retry", ordinal=ordinal, attempt=attempts, reason=reason)
+        _log(f"task {ordinal} {reason}; retry {attempts}/{MAX_RETRIES}")
+        return attempts
 
     def _call_serial(self, task: Any, ordinal: int, attempts: int = 0) -> Any:
         """In-process execution with the same retry budget as the pool path."""
@@ -625,36 +544,19 @@ class _Supervisor:
                     self.fn, task, self.plan, ordinal, in_pool=False, trace=self.dispatch
                 )
             except Exception as error:  # noqa: BLE001 — retried, then wrapped
-                attempts += 1
-                if attempts > self.policy.max_retries:
-                    raise SweepTaskError(
-                        ordinal,
-                        attempts,
-                        f"failed: {type(error).__name__}: {error}",
-                        _task_key(task),
-                    ) from error
-                _STATS.retries += 1
-                obs.event(
-                    "supervise.retry",
-                    ordinal=ordinal,
-                    attempt=attempts,
-                    reason=f"failed: {type(error).__name__}",
+                attempts = self._count_failure(
+                    ordinal,
+                    attempts,
+                    f"failed: {type(error).__name__}: {error}",
+                    task,
+                    cause=error,
                 )
-                delay = self.policy.backoff_delay(attempts - 1)
-                _log(
-                    f"task {ordinal} failed: {type(error).__name__}: {error}; "
-                    f"retry {attempts}/{self.policy.max_retries}"
-                    + (f" in {delay:g}s" if delay > 0 else "")
-                )
-                if delay > 0:
-                    time.sleep(delay)
 
 
 def parallel_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
     n_workers: int | None = None,
-    policy: FailurePolicy | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> list[_R]:
     """Apply ``fn`` to every item, optionally across a supervised process pool.
@@ -671,7 +573,6 @@ def parallel_map(
         tasks,
         n_workers=n_workers,
         chunk_size=max(len(tasks), 1),
-        policy=policy,
         fault_plan=fault_plan,
     )
 
@@ -682,7 +583,6 @@ def parallel_map_chunked(
     n_workers: int | None = None,
     chunk_size: int | None = None,
     on_chunk: Callable[[int, list[_R]], None] | None = None,
-    policy: FailurePolicy | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> list[_R]:
     """:func:`parallel_map` with a completion callback after every chunk.
@@ -691,14 +591,13 @@ def parallel_map_chunked(
     slice of the input finishes (the sweep layer flushes its point cache
     there).  One supervised process pool is reused across all chunks, so
     checkpointing does not pay a worker-respawn (plus numpy re-import) per
-    chunk.  ``policy`` (default: :meth:`FailurePolicy.from_env`) governs
-    retry/timeout/degradation; ``fault_plan`` (default: ``REPRO_FAULTS``)
+    chunk.  The task timeout comes from ``REPRO_TASK_TIMEOUT`` (see
+    :func:`resolve_task_timeout`); ``fault_plan`` (default: ``REPRO_FAULTS``)
     enables deterministic fault injection for tests.
     """
     tasks: Sequence[_T] = list(items)
     workers = resolve_workers(n_workers)
-    if policy is None:
-        policy = FailurePolicy.from_env()
+    task_timeout = resolve_task_timeout()
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     chunk_size = chunk_size or max(workers, 1) * 4
     use_pool = workers > 1 and len(tasks) > 1
@@ -716,7 +615,7 @@ def parallel_map_chunked(
         "parallel.map", n_tasks=len(tasks), workers=workers, pooled=use_pool
     ):
         stats_before = _STATS.snapshot() if obs.enabled() else None
-        supervisor = _Supervisor(fn, workers, policy, plan, total=len(tasks), pooled=use_pool)
+        supervisor = _Supervisor(fn, workers, task_timeout, plan, total=len(tasks), pooled=use_pool)
         results: list[_R] = []
         try:
             for start in range(0, len(tasks), chunk_size):

@@ -64,7 +64,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 from collections.abc import Callable
 from pathlib import Path
 
@@ -82,16 +81,11 @@ from repro.experiments import (
     fig14_segment_sweep,
     table01_cp,
 )
+from repro.experiments.cli_env import add_execution_flags, environment, execution_env
 from repro.experiments.config import FULL_PROFILE, QUICK_PROFILE, ExperimentProfile
-from repro.experiments.parallel import (
-    RETRIES_ENV_VAR,
-    TIMEOUT_ENV_VAR,
-    FailurePolicy,
-    resolve_workers,
-)
+from repro.experiments.parallel import resolve_workers
 from repro.experiments.results import format_csv, format_table
 from repro.experiments.store import CACHE_ENV_VAR, ResultStore
-from repro.experiments.sweeps import PROGRESS_ENV_VAR, progress_enabled
 from repro.obs import TRACE_ENV_VAR
 
 __all__ = ["EXPERIMENTS", "BUILTIN_SPECS", "builtin_spec", "run_experiment", "main"]
@@ -262,24 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: REPRO_WORKERS or serial); results are identical for any N",
     )
     parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-execute a failed or timed-out sweep task up to N times with "
-        f"exponential backoff (default: {RETRIES_ENV_VAR} or "
-        f"{FailurePolicy().max_retries}); retried work is bit-identical by "
-        "construction",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon and re-dispatch a sweep task running longer than this "
-        f"many seconds (pool mode only; default: {TIMEOUT_ENV_VAR} or no limit)",
-    )
-    parser.add_argument(
         "--mode",
         choices=("threshold", "simulated"),
         default=None,
@@ -322,23 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         "on re-runs, so an interrupted run resumes instead of restarting "
         "(default out dir: results/)",
     )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one stderr line per completed sweep chunk (points done/total "
-        "and elapsed time; same as REPRO_PROGRESS=1)",
-    )
-    parser.add_argument(
-        "--trace",
-        nargs="?",
-        const="1",
-        default=None,
-        metavar="DIR",
-        help="record a span trace of the run: every sweep, dispatch and pool "
-        "task spools its span tree under DIR (default ./trace; same as "
-        f"{TRACE_ENV_VAR}=DIR); render with 'cprecycle-experiments "
-        "trace-report DIR'. Tracing never changes results",
-    )
+    add_execution_flags(parser)
     parser.add_argument(
         "--list",
         action="store_true",
@@ -365,14 +325,10 @@ def main(argv: list[str] | None = None) -> int:
             ]
 
     # Fail fast on malformed execution knobs (--workers 0, REPRO_WORKERS=0)
-    # instead of erroring deep inside the first sweep; an explicit CLI flag
-    # shadows the corresponding environment variable, so the env value is
-    # only checked when it is the one that will be consumed.
+    # instead of erroring deep inside the first sweep.
     try:
         resolve_workers(args.workers)
-        FailurePolicy.from_env(args.max_retries, args.task_timeout)
-        if not args.progress:
-            progress_enabled()
+        overrides = execution_env(args)
     except ValueError as error:
         parser.error(str(error))
 
@@ -403,25 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     out_dir: Path | None = args.out
     if args.resume and out_dir is None:
         out_dir = Path("results")
-    # Thread the execution knobs through the figure modules via the
-    # environment so that every nested sweep picks them up; restore the
-    # previous values on exit so an in-process caller's later work is not
-    # silently switched to this invocation's worker count or cache.
-    overrides: dict[str, str] = {}
     if args.workers is not None:
         overrides["REPRO_WORKERS"] = str(args.workers)
     if args.resume:
         overrides[CACHE_ENV_VAR] = str(out_dir / ".cache")
-    if args.progress:
-        overrides[PROGRESS_ENV_VAR] = "1"
-    if args.trace is not None:
-        overrides[TRACE_ENV_VAR] = args.trace
-    if args.max_retries is not None:
-        overrides[RETRIES_ENV_VAR] = str(args.max_retries)
-    if args.task_timeout is not None:
-        overrides[TIMEOUT_ENV_VAR] = str(args.task_timeout)
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
     store = ResultStore(out_dir) if out_dir is not None else None
 
     def emit(name: str, spec: ExperimentSpec) -> None:
@@ -433,18 +374,12 @@ def main(argv: list[str] | None = None) -> int:
                 name, result, profile=profile, spec_hash=spec_hash(spec.resolve(profile))
             )
 
-    try:
+    with environment(overrides):
         if spec_file is not None:
             emit(spec_file.name, spec_file)
         else:
             for name in names:
                 emit(name, builtin_spec(name))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     return 0
 
 

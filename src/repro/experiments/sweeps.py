@@ -38,26 +38,20 @@ import numpy as np
 
 from repro import obs
 from repro.experiments.link import packet_success_rate
-from repro.experiments.parallel import FailurePolicy, parallel_map_chunked
+from repro.experiments.parallel import parallel_map_chunked
 from repro.experiments.store import CACHE_ENV_VAR, PointCache, stable_key
-from repro.obs.progress import PROGRESS_ENV_VAR, ProgressReporter, progress_enabled
+from repro.obs.progress import ProgressReporter, progress_enabled
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.api.specs import ReceiverSpec, ScenarioSpec
 
 __all__ = [
     "execute_points",
-    "progress_enabled",
     "sir_axis",
     "SweepPoint",
     "run_sweep_point",
     "run_sweep_point_counts",
-    "PROGRESS_ENV_VAR",
 ]
-
-#: Progress reporting moved into the observability layer so ``--progress``
-#: and ``--trace`` compose; ``PROGRESS_ENV_VAR``/``progress_enabled`` stay
-#: importable from here for existing callers (see :mod:`repro.obs.progress`).
 
 
 def sir_axis(low_db: float, high_db: float, n_points: int) -> list[float]:
@@ -83,7 +77,6 @@ def execute_points(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
     n_workers: int | None = None,
-    policy: FailurePolicy | None = None,
 ) -> list[Any]:
     """Run every sweep task through the shared execution layer.
 
@@ -96,13 +89,11 @@ def execute_points(
     (points done/total, elapsed seconds); cached points count as done
     immediately.
 
-    ``policy`` tunes the supervised executor's failure handling
-    (retry/timeout/degradation — see
-    :class:`repro.experiments.parallel.FailurePolicy`); by default it is
-    resolved from the ``REPRO_MAX_RETRIES``/``REPRO_TASK_TIMEOUT``/...
-    environment variables.  Because every task derives its randomness from
-    seeds it carries, any retried or re-dispatched point returns an outcome
-    bit-identical to an undisturbed run's.
+    The supervised executor retries failed points and, under
+    ``REPRO_TASK_TIMEOUT``, re-dispatches hung ones (see
+    :mod:`repro.experiments.parallel`).  Because every task derives its
+    randomness from seeds it carries, any retried or re-dispatched point
+    returns an outcome bit-identical to an undisturbed run's.
 
     Under ``REPRO_TRACE`` the whole call is one traced section — cache
     lookup, pool dispatch and result merge each get a span, and the
@@ -113,14 +104,13 @@ def execute_points(
     tasks = list(tasks)
     label = getattr(fn, "__qualname__", getattr(fn, "__name__", "task"))
     with obs.tracing("sweep.execute_points", label=label, n_tasks=len(tasks)):
-        return _execute(fn, tasks, n_workers, policy)
+        return _execute(fn, tasks, n_workers)
 
 
 def _execute(
     fn: Callable[[Any], Any],
     tasks: list[Any],
     n_workers: int | None,
-    policy: FailurePolicy | None,
 ) -> list[Any]:
     cache = _point_cache_for(fn)
     reporter = (
@@ -142,7 +132,6 @@ def _execute(
             n_workers=n_workers,
             chunk_size=chunk_size,
             on_chunk=report,
-            policy=policy,
         )
 
     with obs.span("sweep.cache_lookup", n_tasks=len(tasks)):
@@ -163,9 +152,7 @@ def _execute(
         if reporter is not None:
             reporter.emit(len(chunk_results))
 
-    parallel_map_chunked(
-        fn, [tasks[i] for i in pending], n_workers=n_workers, on_chunk=flush, policy=policy
-    )
+    parallel_map_chunked(fn, [tasks[i] for i in pending], n_workers=n_workers, on_chunk=flush)
     with obs.span("sweep.merge", n_tasks=len(tasks)):
         return [outcomes[index] for index in range(len(tasks))]
 

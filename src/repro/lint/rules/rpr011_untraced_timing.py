@@ -11,7 +11,7 @@ tracing is off and their output lands in the merged ``trace.json``.
 
 ``repro.obs`` itself is exempt (it is where the clock reads live by
 design), as are tests and benchmarks (not library code).  ``time.sleep`` is
-not a clock *read* and stays allowed (retry backoff uses it).
+not a clock *read* and stays allowed (injected ``hang`` faults use it).
 """
 
 from __future__ import annotations

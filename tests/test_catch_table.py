@@ -102,7 +102,7 @@ ROWS = (
         name="raw-summary-json-write",
         module="repro.campaigns.scheduler",
         edits=(
-            ("\nimport os\n", "\nimport json\nimport os\n"),
+            ("\nfrom dataclasses import", "\nimport json\nfrom dataclasses import"),
             (
                 "write_json_artifact(summary_path, summary)",
                 "summary_path.write_text(json.dumps(summary))",

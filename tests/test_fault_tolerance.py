@@ -8,11 +8,12 @@ counts — with 1 or 2 workers.
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+import time
 from pathlib import Path
 
 import pytest
@@ -35,16 +36,14 @@ from repro.campaigns import run_campaign
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.faults import FAULTS_ENV_VAR, FaultPlan, InjectedFault
 from repro.experiments.parallel import (
-    BACKOFF_ENV_VAR,
-    DEGRADE_ENV_VAR,
-    RETRIES_ENV_VAR,
+    MAX_POOL_RESPAWNS,
+    MAX_RETRIES,
     TIMEOUT_ENV_VAR,
-    FailurePolicy,
-    SweepExecutionError,
     SweepTaskError,
     parallel_map,
     parallel_map_chunked,
     reset_supervisor_stats,
+    resolve_task_timeout,
     supervisor_stats,
 )
 from repro.experiments.runner import run_experiment
@@ -53,12 +52,10 @@ from repro.experiments.sweeps import execute_points, run_sweep_point
 
 MICRO = ExperimentProfile(name="micro", n_packets=2, payload_length=30, n_sir_points=2)
 
-#: Zero-delay retries for every test: backoff timing is policy, not behaviour.
-FAST = FailurePolicy(backoff_base=0.0)
-
 
 @pytest.fixture(autouse=True)
-def _fresh_stats():
+def _fresh_stats(monkeypatch):
+    monkeypatch.delenv(TIMEOUT_ENV_VAR, raising=False)
     reset_supervisor_stats()
     yield
     reset_supervisor_stats()
@@ -76,6 +73,11 @@ def _double(value):
 
 def _describe(task):
     return type(task).__name__
+
+
+def _slow_double(value):
+    time.sleep(0.4)
+    return _double(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -97,7 +99,7 @@ class TestFaultPlan:
             '["list"]',
             '{"bogus_field": 1}',
             '{"tasks": {"0": "explode"}}',
-            '{"rate": 0.5}',  # a rate needs a seed
+            '{"rate": 0.5}',  # seeded-rate targeting is gone: an unknown field
             '{"tasks": {"x": "raise"}}',
             '{"times": 0}',
             '{"hang_seconds": 0}',
@@ -110,14 +112,6 @@ class TestFaultPlan:
     def test_from_env_unset_means_no_faults(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         assert FaultPlan.from_env() is None
-
-    def test_seeded_rate_is_deterministic(self, tmp_path):
-        a = _plan(tmp_path, {}, seed=7, rate=0.25)
-        b = _plan(tmp_path, {}, seed=7, rate=0.25)
-        picks = [a.kind_for(i) for i in range(200)]
-        assert picks == [b.kind_for(i) for i in range(200)]
-        hits = sum(1 for kind in picks if kind is not None)
-        assert 20 <= hits <= 80  # ~25% of 200, deterministic but not degenerate
 
     def test_injection_bounded_by_times(self, tmp_path):
         plan = _plan(tmp_path, {"0": "raise"}, times=2)
@@ -140,51 +134,27 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------------- #
-# FailurePolicy                                                               #
+# Task timeout, the one failure setting                                       #
 # --------------------------------------------------------------------------- #
-class TestFailurePolicy:
-    def test_defaults_and_validation(self):
-        policy = FailurePolicy()
-        assert policy.max_retries >= 1 and policy.task_timeout is None
-        with pytest.raises(ValueError):
-            FailurePolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            FailurePolicy(task_timeout=0)
+class TestTaskTimeout:
+    def test_unset_means_no_limit(self):
+        assert resolve_task_timeout() is None
 
-    def test_backoff_is_exponential(self):
-        policy = FailurePolicy(backoff_base=0.5, backoff_factor=2.0)
-        assert [policy.backoff_delay(n) for n in range(3)] == [0.5, 1.0, 2.0]
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV_VAR, "5")
+    def test_argument_beats_environment(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV_VAR, "2.5")
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
-        monkeypatch.setenv(DEGRADE_ENV_VAR, "no")
-        policy = FailurePolicy.from_env()
-        assert policy.max_retries == 5
-        assert policy.task_timeout == 2.5
-        assert policy.backoff_base == 0.0
-        assert policy.degrade_serial is False
-        # Explicit arguments beat the environment.
-        assert FailurePolicy.from_env(max_retries=1).max_retries == 1
+        assert resolve_task_timeout() == 2.5
+        assert resolve_task_timeout(90.0) == 90.0
 
-    @pytest.mark.parametrize(
-        "var,value",
-        [
-            (RETRIES_ENV_VAR, "many"),
-            (RETRIES_ENV_VAR, "-1"),
-            (TIMEOUT_ENV_VAR, "0"),
-            (TIMEOUT_ENV_VAR, "soon"),
-            (BACKOFF_ENV_VAR, "-0.1"),
-            (DEGRADE_ENV_VAR, "maybe"),
-        ],
-    )
-    def test_from_env_rejects_malformed_values_naming_the_source(
-        self, monkeypatch, var, value
-    ):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=var):
-            FailurePolicy.from_env()
+    @pytest.mark.parametrize("raw", ["0", "-1", "soon", "nan", "inf"])
+    def test_rejects_malformed_environment_naming_the_source(self, monkeypatch, raw):
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
+            resolve_task_timeout()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_malformed_argument(self, value):
+        with pytest.raises(ValueError, match="task timeout"):
+            resolve_task_timeout(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -193,21 +163,21 @@ class TestFailurePolicy:
 class TestSupervisedExecutor:
     def test_serial_retry_recovers_task_exception(self, tmp_path):
         plan = _plan(tmp_path, {"1": "raise"})
-        results = parallel_map(_double, [1, 2, 3], fault_plan=plan, policy=FAST)
+        results = parallel_map(_double, [1, 2, 3], fault_plan=plan)
         assert results == [{"doubled": 2}, {"doubled": 4}, {"doubled": 6}]
         assert supervisor_stats().retries == 1
 
     def test_retry_budget_exhaustion_names_the_task(self, tmp_path):
         plan = _plan(tmp_path, {"2": "raise"}, times=5)
         with pytest.raises(SweepTaskError, match="task 2") as excinfo:
-            parallel_map(_double, [1, 2, 3], fault_plan=plan, policy=FAST)
+            parallel_map(_double, [1, 2, 3], fault_plan=plan)
         assert excinfo.value.ordinal == 2
-        assert excinfo.value.attempts == FAST.max_retries + 1
+        assert excinfo.value.attempts == MAX_RETRIES + 1
 
     def test_pool_survives_task_exception(self, tmp_path):
         plan = _plan(tmp_path, {"1": "raise"})
         results = parallel_map(
-            _double, list(range(6)), n_workers=2, fault_plan=plan, policy=FAST
+            _double, list(range(6)), n_workers=2, fault_plan=plan
         )
         assert results == [{"doubled": v * 2} for v in range(6)]
         assert supervisor_stats().retries == 1
@@ -216,7 +186,7 @@ class TestSupervisedExecutor:
     def test_worker_kill_respawns_pool_and_completes(self, tmp_path):
         plan = _plan(tmp_path, {"2": "kill"})
         results = parallel_map(
-            _double, list(range(6)), n_workers=2, fault_plan=plan, policy=FAST
+            _double, list(range(6)), n_workers=2, fault_plan=plan
         )
         assert results == [{"doubled": v * 2} for v in range(6)]
         assert supervisor_stats().pool_respawns == 1
@@ -235,26 +205,29 @@ class TestSupervisedExecutor:
             n_workers=2,
             chunk_size=3,
             fault_plan=plan,
-            policy=FAST,
         )
         assert results == [{"doubled": v * 2} for v in range(6)]
         assert supervisor_stats().pool_respawns == 1
         assert supervisor_stats().degraded == 1
 
-    def test_degradation_disabled_raises(self, tmp_path):
-        plan = _plan(tmp_path, {"0": "kill"})
-        policy = replace(FAST, max_pool_respawns=0, degrade_serial=False)
-        with pytest.raises(SweepExecutionError, match="serial degradation is disabled"):
-            parallel_map(_double, list(range(4)), n_workers=2, fault_plan=plan, policy=policy)
-
-    def test_hung_task_times_out_and_is_redispatched(self, tmp_path):
+    def test_hung_task_times_out_and_is_redispatched(self, tmp_path, monkeypatch):
         plan = _plan(tmp_path, {"1": "hang"}, hang_seconds=30.0)
-        policy = replace(FAST, task_timeout=1.0)
-        results = parallel_map(
-            _double, list(range(4)), n_workers=2, fault_plan=plan, policy=policy
-        )
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "1.0")
+        results = parallel_map(_double, list(range(4)), n_workers=2, fault_plan=plan)
         assert results == [{"doubled": v * 2} for v in range(4)]
         assert supervisor_stats().timeouts >= 1
+
+    def test_redispatched_task_timeout_excludes_its_queue_wait(self, tmp_path, monkeypatch):
+        # Task 0 hangs once; its re-dispatch queues behind the other seven
+        # 0.4 s tasks, which the one healthy worker runs for 2.8 s.  Timing
+        # the re-dispatch from its resubmission would time it out twice
+        # more (at 1.8 s and 2.7 s) and give up, though no re-run hangs.
+        plan = _plan(tmp_path, {"0": "hang"}, hang_seconds=30.0)
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "0.9")
+        results = parallel_map(_slow_double, list(range(8)), n_workers=2, fault_plan=plan)
+        assert results == [{"doubled": v * 2} for v in range(8)]
+        assert supervisor_stats().timeouts == 1
+        assert supervisor_stats().retries == 1
 
     def test_unpicklable_task_mid_list_falls_back_serial_for_that_task(self):
         # Only tasks[0] is probed; the lambda at index 2 must not crash the
@@ -263,7 +236,7 @@ class TestSupervisedExecutor:
         with pytest.warns(RuntimeWarning, match="could not cross the process boundary"):
             # Deliberately unpicklable payload: this test exercises the
             # executor's serial pickling fallback for exactly that task shape.
-            results = parallel_map(_describe, tasks, n_workers=2, policy=FAST)
+            results = parallel_map(_describe, tasks, n_workers=2)
         assert results == ["int", "float", "function", "str"]
         assert supervisor_stats().pickling_fallbacks == 1
 
@@ -272,7 +245,6 @@ class TestSupervisedExecutor:
             FAULTS_ENV_VAR,
             json.dumps({"tasks": {"0": "raise"}, "state_dir": str(tmp_path / "f")}),
         )
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
         assert parallel_map(_double, [7]) == [{"doubled": 14}]
         assert supervisor_stats().retries == 1
 
@@ -285,7 +257,6 @@ class TestSupervisedExecutor:
             chunk_size=2,
             on_chunk=lambda start, chunk: flushed.append((start, len(chunk))),
             fault_plan=plan,
-            policy=FAST,
         )
         assert flushed == [(0, 2), (2, 2), (4, 1)]
 
@@ -335,7 +306,6 @@ class TestSweepBitIdentityUnderFaults:
                 }
             ),
         )
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
         faulted = execute_points(run_sweep_point, points, n_workers=workers)
         assert faulted == clean
 
@@ -345,7 +315,6 @@ class TestSweepBitIdentityUnderFaults:
             FAULTS_ENV_VAR,
             json.dumps({"tasks": {"0": "raise"}, "state_dir": str(tmp_path / "faults")}),
         )
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
         assert run_experiment("fig4", MICRO) == clean
         assert supervisor_stats().retries >= 1
 
@@ -356,7 +325,6 @@ class TestSweepBitIdentityUnderFaults:
             FAULTS_ENV_VAR,
             json.dumps({"tasks": {"1": "kill"}, "state_dir": str(tmp_path / "faults")}),
         )
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
         assert run_experiment_spec(spec, MICRO, n_workers=2) == clean
         assert supervisor_stats().pool_respawns == 1
 
@@ -407,7 +375,6 @@ class TestCampaignCrashRecovery:
                 }
             ),
         )
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0")
         faulted = run_campaign(spec, tmp_path / "faulted", n_workers=2)
 
         clean_manifest = CampaignManifest(tmp_path / "clean" / "manifest.json")
@@ -415,8 +382,8 @@ class TestCampaignCrashRecovery:
         assert fault_manifest.points == clean_manifest.points
         assert faulted.summary["experiments"] == clean.summary["experiments"]
         recovery = faulted.summary["totals"]["recovery"]
-        assert recovery["pool_respawns"] <= FailurePolicy().max_pool_respawns
-        assert recovery["retries"] <= FailurePolicy().max_retries * 2
+        assert recovery["pool_respawns"] <= MAX_POOL_RESPAWNS
+        assert recovery["retries"] <= MAX_RETRIES * 2
         assert clean.summary["totals"]["recovery"] == {
             "retries": 0,
             "timeouts": 0,
@@ -501,48 +468,42 @@ class TestCampaignCrashRecovery:
 # CLI plumbing                                                                #
 # --------------------------------------------------------------------------- #
 class TestFailureCli:
-    def test_runner_threads_policy_flags_through_env(self, monkeypatch, capsys):
+    def test_runner_threads_task_timeout_through_env(self, monkeypatch):
         from repro.experiments import runner
 
         monkeypatch.setattr(runner, "QUICK_PROFILE", MICRO)
         seen = {}
 
         def probe(spec, profile):
-            seen["policy"] = FailurePolicy.from_env()
+            seen["task_timeout"] = resolve_task_timeout()
             return run_experiment_spec(spec, profile)
 
         monkeypatch.setattr(runner, "run_experiment_spec", probe)
-        assert runner.main(["fig4", "--max-retries", "7", "--task-timeout", "90"]) == 0
-        assert seen["policy"].max_retries == 7
-        assert seen["policy"].task_timeout == 90.0
-        # The overrides are restored afterwards.
-        assert RETRIES_ENV_VAR not in os.environ
+        assert runner.main(["fig4", "--task-timeout", "90"]) == 0
+        assert seen["task_timeout"] == 90.0
+        # The override is restored afterwards.
         assert TIMEOUT_ENV_VAR not in os.environ
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fig4", "--max-retries", "-2"],
-            ["fig4", "--task-timeout", "0"],
-        ],
-    )
-    def test_runner_rejects_malformed_policy_flags(self, argv, capsys):
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_runner_rejects_malformed_task_timeout(self, monkeypatch, value, capsys):
         from repro.experiments import runner
 
+        monkeypatch.setattr(runner, "QUICK_PROFILE", MICRO)
         with pytest.raises(SystemExit) as excinfo:
-            runner.main(argv)
+            runner.main(["fig4", "--task-timeout", value])
         assert excinfo.value.code == 2
 
-    def test_runner_rejects_malformed_policy_env(self, monkeypatch, capsys):
+    def test_runner_rejects_malformed_task_timeout_env(self, monkeypatch, capsys):
         from repro.experiments import runner
 
-        monkeypatch.setenv(RETRIES_ENV_VAR, "lots")
+        monkeypatch.setattr(runner, "QUICK_PROFILE", MICRO)
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "nan")
         with pytest.raises(SystemExit) as excinfo:
             runner.main(["fig4"])
         assert excinfo.value.code == 2
-        assert RETRIES_ENV_VAR in capsys.readouterr().err
+        assert TIMEOUT_ENV_VAR in capsys.readouterr().err
 
-    def test_campaign_cli_accepts_policy_flags(self, tmp_path, capsys):
+    def test_campaign_cli_accepts_task_timeout(self, tmp_path, capsys):
         from repro.experiments.runner import main as runner_main
 
         spec_path = tmp_path / "campaign.json"
@@ -554,8 +515,6 @@ class TestFailureCli:
                 str(spec_path),
                 "--out",
                 str(tmp_path / "ws"),
-                "--max-retries",
-                "3",
                 "--task-timeout",
                 "120",
                 "--report",
@@ -565,13 +524,15 @@ class TestFailureCli:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["totals"]["recovery"]["retries"] == 0
-        assert RETRIES_ENV_VAR not in os.environ
+        assert TIMEOUT_ENV_VAR not in os.environ
 
-    def test_campaign_cli_rejects_malformed_policy_flags(self, tmp_path):
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_campaign_cli_rejects_malformed_task_timeout(self, tmp_path, value):
         from repro.experiments.runner import main as runner_main
 
         spec_path = tmp_path / "campaign.json"
         spec_path.write_text(_mini_campaign().to_json())
+        argv = ["campaign", "--spec", str(spec_path), "--out", str(tmp_path / "ws")]
         with pytest.raises(SystemExit) as excinfo:
-            runner_main(["campaign", "--spec", str(spec_path), "--max-retries", "-1"])
+            runner_main([*argv, "--task-timeout", value])
         assert excinfo.value.code == 2

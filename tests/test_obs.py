@@ -21,7 +21,6 @@ from repro.experiments import fig10_guardband, parallel
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import (
-    FailurePolicy,
     parallel_map,
     reset_supervisor_stats,
     supervisor_stats,
@@ -41,9 +40,6 @@ from repro.obs.report import (
 )
 from repro.obs.tracer import SPOOL_SCHEMA, active_tracer
 from repro.utils.rng import child_rng
-
-#: Zero-delay retries: backoff timing is policy, not behaviour under test.
-FAST = FailurePolicy(backoff_base=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +69,7 @@ def _draw_twice_plus_one(task):
 
 def _draw_twice_nested(task):
     # A task that dispatches nested work in-process.
-    return sum(parallel_map(_draw_twice, [task, task], n_workers=1, policy=FAST))
+    return sum(parallel_map(_draw_twice, [task, task], n_workers=1))
 
 
 def _one_draw(task):
@@ -94,7 +90,7 @@ def _raise_injected(task):
 
 def _traced_run(monkeypatch, directory, tasks, fn=_draw_twice, **kwargs):
     monkeypatch.setenv(TRACE_ENV_VAR, str(directory))
-    results = parallel_map(fn, tasks, policy=FAST, **kwargs)
+    results = parallel_map(fn, tasks, **kwargs)
     monkeypatch.delenv(TRACE_ENV_VAR)
     return results
 
@@ -677,7 +673,7 @@ class TestTracedExecution:
 
     def test_pooled_breakdown_accounts_worker_tasks(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
-        parallel_map(_square, list(range(6)), n_workers=2, policy=FAST)
+        parallel_map(_square, list(range(6)), n_workers=2)
         report = merge_trace(tmp_path)
         breakdown = wallclock_breakdown(report)
         assert len(breakdown["tasks"]) == 6
@@ -694,7 +690,7 @@ class TestTracedExecution:
             tasks=((1, "raise"),), state_dir=str(tmp_path / "fault-state")
         )
         results = parallel_map(
-            _square, list(range(4)), n_workers=2, policy=FAST, fault_plan=plan
+            _square, list(range(4)), n_workers=2, fault_plan=plan
         )
         assert results == [_square(v) for v in range(4)]
         report = merge_trace(tmp_path)
@@ -715,7 +711,7 @@ class TestTracedExecution:
             tasks=((2, "kill"),), state_dir=str(tmp_path / "fault-state")
         )
         results = parallel_map(
-            _square, list(range(5)), n_workers=2, policy=FAST, fault_plan=plan
+            _square, list(range(5)), n_workers=2, fault_plan=plan
         )
         assert results == [_square(v) for v in range(5)]
         report = merge_trace(tmp_path)

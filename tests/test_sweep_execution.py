@@ -14,6 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.parallel import parallel_map
+from repro.obs.progress import PROGRESS_ENV_VAR
 
 TINY = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
 
@@ -143,7 +144,7 @@ class TestProgressReporting:
     """Opt-in stderr progress lines from the shared execution layer."""
 
     def test_disabled_by_default(self, capsys, monkeypatch):
-        from repro.experiments.sweeps import PROGRESS_ENV_VAR, execute_points
+        from repro.experiments.sweeps import execute_points
 
         monkeypatch.delenv(PROGRESS_ENV_VAR, raising=False)
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
@@ -151,7 +152,7 @@ class TestProgressReporting:
         assert capsys.readouterr().err == ""
 
     def test_progress_lines_without_cache(self, capsys, monkeypatch):
-        from repro.experiments.sweeps import PROGRESS_ENV_VAR, execute_points
+        from repro.experiments.sweeps import execute_points
 
         monkeypatch.setenv(PROGRESS_ENV_VAR, "1")
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
@@ -161,7 +162,7 @@ class TestProgressReporting:
         assert "3/3 points" in err and "elapsed" in err
 
     def test_progress_counts_cached_points(self, capsys, monkeypatch, tmp_path):
-        from repro.experiments.sweeps import PROGRESS_ENV_VAR, execute_points
+        from repro.experiments.sweeps import execute_points
 
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
         monkeypatch.delenv(PROGRESS_ENV_VAR, raising=False)
@@ -174,7 +175,6 @@ class TestProgressReporting:
 
     def test_runner_progress_flag_sets_env(self, monkeypatch, capsys):
         from repro.experiments import runner
-        from repro.experiments.sweeps import PROGRESS_ENV_VAR
 
         monkeypatch.delenv(PROGRESS_ENV_VAR, raising=False)
         monkeypatch.setattr(runner, "QUICK_PROFILE", TINY)
