@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.utils.validation import require_non_negative, require_positive
+
 __all__ = ["CPRecycleConfig"]
 
 
@@ -47,9 +49,12 @@ class CPRecycleConfig:
         symbols.  ``"pooled"`` pools all segments into one density per
         subcarrier — the literal construction of the paper's Eq. 4.
     kde_chunk_elements:
-        Memory budget (in elements of the KDE kernel-distance intermediate)
-        forwarded to :class:`repro.core.kde.GaussianProductKde`.  ``None``
-        uses the library default.
+        Memory budget of the KDE evaluation, counted in kernel evaluations
+        (query points times training samples per density) per block, and
+        forwarded to :class:`repro.core.kde.GaussianProductKde`.  The decoder
+        scores candidates in blocks of whole symbols (or, for large frames, of
+        subcarrier slices) within this budget; results do not depend on it.
+        ``None`` uses ``GaussianProductKde.DEFAULT_CHUNK_ELEMENTS`` (2**16).
     """
 
     n_segments: int | None = None
@@ -70,22 +75,18 @@ class CPRecycleConfig:
             raise ValueError("n_segments must be at least 1")
         if self.max_segments < 1:
             raise ValueError("max_segments must be at least 1")
-        if self.sphere_radius_scale <= 0:
-            raise ValueError("sphere_radius_scale must be positive")
+        require_positive(self.sphere_radius_scale, "sphere_radius_scale")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
-        for label, value in (
-            ("bandwidth_amplitude", self.bandwidth_amplitude),
-            ("bandwidth_phase", self.bandwidth_phase),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{label} must be positive when given")
-        if self.amplitude_weight < 0 or self.phase_weight < 0:
-            raise ValueError("kernel weights must be non-negative")
+        for label in ("bandwidth_amplitude", "bandwidth_phase"):
+            if getattr(self, label) is not None:
+                require_positive(getattr(self, label), label)
+        require_non_negative(self.amplitude_weight, "amplitude_weight")
+        require_non_negative(self.phase_weight, "phase_weight")
         if self.amplitude_weight == 0 and self.phase_weight == 0:
             raise ValueError("at least one of the kernel weights must be positive")
-        if self.min_bandwidth_amplitude <= 0 or self.min_bandwidth_phase <= 0:
-            raise ValueError("bandwidth floors must be positive")
+        require_positive(self.min_bandwidth_amplitude, "min_bandwidth_amplitude")
+        require_positive(self.min_bandwidth_phase, "min_bandwidth_phase")
         if self.model_scope not in ("pooled", "per-segment"):
             raise ValueError(
                 f"model_scope must be 'pooled' or 'per-segment', got {self.model_scope!r}"

@@ -24,6 +24,8 @@ Two model scopes are supported (``CPRecycleConfig.model_scope``):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import CPRecycleConfig
@@ -31,6 +33,8 @@ from repro.core.kde import GaussianProductKde
 from repro.receiver.frontend import FrontEndOutput
 
 __all__ = ["InterferenceModel"]
+
+_TWO_PI = 2.0 * np.pi
 
 
 class InterferenceModel:
@@ -147,9 +151,7 @@ class InterferenceModel:
         merged = np.concatenate([self.deviations, new_deviations], axis=2)
         return InterferenceModel(merged, self.config)
 
-    def log_likelihood(
-        self, deviations: np.ndarray, fused: bool = False, segments_first: bool = False
-    ) -> np.ndarray:
+    def log_likelihood(self, deviations: np.ndarray) -> np.ndarray:
         """Joint log-likelihood of candidate deviations across segments.
 
         ``deviations`` is a complex array of shape ``(n_data, ..., k, P)``
@@ -161,21 +163,14 @@ class InterferenceModel:
         segment axis — ``(n_data, ..., k)``: the sum over segments of the
         per-segment log densities (the log of the product in Eq. 5).
 
-        ``fused`` selects the pass-minimised kernel evaluation (see
-        :meth:`GaussianProductKde.log_density`); the batched decoder enables
-        it, the per-symbol reference path keeps the reference kernel.
-
-        ``segments_first`` declares the layout ``(n_data, P, ..., k)`` instead
-        of ``(n_data, ..., k, P)``.  The batched decoder builds its deviation
-        tensor in that layout because it matches the per-segment series
-        ordering exactly, making the flatten below a zero-copy reshape of a
-        tensor that would otherwise need a full transposed copy per call.
+        This is the reference evaluation (through
+        :meth:`GaussianProductKde.log_density`); the decoder's hot loop is
+        :meth:`candidate_log_likelihood`.
         """
         deviations = np.asarray(deviations, dtype=complex)
         if deviations.ndim < 3:
             raise ValueError("deviations must have shape (n_data, ..., k, P)")
-        n_data = deviations.shape[0]
-        n_segments = deviations.shape[1] if segments_first else deviations.shape[-1]
+        n_data, n_segments = deviations.shape[0], deviations.shape[-1]
         if n_data != self.n_subcarriers:
             raise ValueError(
                 f"expected a leading axis of {self.n_subcarriers} subcarriers, got {n_data}"
@@ -185,37 +180,35 @@ class InterferenceModel:
                 f"expected {self.n_segments} segments, got {n_segments}"
             )
         if self.config.model_scope == "pooled":
-            if fused:
-                log_density = self.kde.log_density_complex(deviations)
-            else:
-                log_density = self.kde.log_density(np.abs(deviations), np.angle(deviations))
-            # Pool over the segment axis (position 1 or last, per layout).
-            return log_density.sum(axis=1 if segments_first else -1)
+            log_density = self.kde.log_density(np.abs(deviations), np.angle(deviations))
+            return log_density.sum(axis=-1)
         # per-segment: series axis is (subcarrier, segment); arrange the
         # segment axis next to the subcarriers and flatten the two into the
         # series axis.
-        rearranged = deviations if segments_first else np.moveaxis(deviations, -1, 1)
+        rearranged = np.moveaxis(deviations, -1, 1)
         flattened = rearranged.reshape(n_data * n_segments, *rearranged.shape[2:])
-        if fused:
-            log_density = self.kde.log_density_complex(flattened)
-        else:
-            log_density = self.kde.log_density(np.abs(flattened), np.angle(flattened))
+        log_density = self.kde.log_density(np.abs(flattened), np.angle(flattened))
         return log_density.reshape(n_data, n_segments, *rearranged.shape[2:]).sum(axis=1)
 
     def candidate_log_likelihood(
         self, observations: np.ndarray, points: np.ndarray
     ) -> np.ndarray:
-        """Fully-fused joint log-likelihood of candidate lattice points.
+        """Joint log-likelihood of candidate lattice points, the decoder's hot loop.
 
-        The batched decoder's hot loop: given per-segment observations
-        ``(n_data, P, n_symbols)`` and candidate points ``(n_data, n_symbols,
-        k)``, returns the segment-summed log-likelihood ``(n_data, n_symbols,
-        k)`` of every candidate.  Equivalent to building the full deviation
-        tensor and calling :meth:`log_likelihood`, but the deviations, their
-        polar conversion and the kernel evaluation all happen chunk by chunk
-        inside the KDE memory budget, so no candidate-sized intermediate ever
-        reaches full size — the dominant memory-bandwidth cost of the decoder
-        at realistic frame sizes.
+        Given per-segment observations ``(n_data, P, n_symbols)`` and
+        candidate points ``(n_data, n_symbols, k)``, returns the
+        segment-summed log-likelihood ``(n_data, n_symbols, k)`` of every
+        candidate: :meth:`log_likelihood` of the deviation tensor, to
+        rounding.
+
+        The work runs in blocks laid out ``(symbols, candidates, segments,
+        subcarriers)``, subcarriers innermost, so every pass is one long
+        unit-stride loop.  A block holds at most the KDE's
+        ``max_chunk_elements`` kernel evaluations (block size times samples
+        per density) but never splits the segment or candidate axes, so the
+        result is bitwise independent of the budget.  Phases are measured in
+        turns and wrapped with ``d - rint(d)``, and the log-normaliser is
+        subtracted once after the segment sum.
         """
         observations = np.asarray(observations, dtype=complex)
         points = np.asarray(points, dtype=complex)
@@ -238,32 +231,123 @@ class InterferenceModel:
         if n_segments != self.n_segments:
             raise ValueError(f"expected {self.n_segments} segments, got {n_segments}")
         kde = self.kde
-        per_segment = self.config.model_scope == "per-segment"
-        pairs_per_subcarrier = n_segments * n_symbols * k * kde.n_samples
-        chunk = max(1, kde.max_chunk_elements // max(pairs_per_subcarrier, 1))
-        out = np.empty((n_data, n_symbols, k))
-        for first in range(0, n_data, chunk):
-            last = min(first + chunk, n_data)
-            rows = last - first
-            deviations = (
-                observations[first:last, :, :, None] - points[first:last, None, :, :]
-            )  # (rows, P, n_symbols, k)
-            amplitudes = np.abs(deviations)
-            phases = np.arctan2(deviations.imag, deviations.real)
-            if per_segment:
-                log_density = kde._log_density_fused_block(
-                    amplitudes.reshape(rows * n_segments, n_symbols, k),
-                    phases.reshape(rows * n_segments, n_symbols, k),
-                    first * n_segments,
-                    last * n_segments,
-                    owns_inputs=True,
-                )
-                out[first:last] = log_density.reshape(
-                    rows, n_segments, n_symbols, k
-                ).sum(axis=1)
-            else:
-                log_density = kde._log_density_fused_block(
-                    amplitudes, phases, first, last, owns_inputs=True
-                )
-                out[first:last] = log_density.sum(axis=1)
-        return out
+
+        def bank(values: np.ndarray) -> np.ndarray:
+            # Per-series values in (subcarrier, segment) order, transposed to
+            # (..., segment, subcarrier); a pooled model has one segment row
+            # that broadcasts over all segments.
+            return np.ascontiguousarray(values.reshape(n_data, -1, *values.shape[1:]).T)
+
+        # The kernel term w/2 * (x/b)^2 is (c*x)^2 with c = sqrt(w/2)/b.
+        amp_scale = bank(np.sqrt(0.5 * kde.amplitude_weight) / kde.bandwidth_amplitude)
+        turn_scale = bank(_TWO_PI * np.sqrt(0.5 * kde.phase_weight) / kde.bandwidth_phase)
+        amp_samples = bank(kde.amplitude_samples) * amp_scale
+        turn_samples = bank(kde.phase_samples) / _TWO_PI
+        log_norm = bank(kde.log_normaliser)
+        log_norm = log_norm.sum(axis=0) * (n_segments // log_norm.shape[0])
+
+        obs_re = np.ascontiguousarray(observations.real.T)   # (n_symbols, P, n_data)
+        obs_im = np.ascontiguousarray(observations.imag.T)
+        pts_re = np.ascontiguousarray(points.real.transpose(1, 2, 0))[:, :, None]
+        pts_im = np.ascontiguousarray(points.imag.transpose(1, 2, 0))[:, :, None]
+        per_column = max(1, k * n_segments * kde.n_samples)  # evaluations per (symbol, subcarrier)
+        n_sub = max(1, min(n_data, kde.max_chunk_elements // per_column))
+        n_sym = max(1, min(n_symbols, kde.max_chunk_elements // (per_column * n_sub)))
+        # Five block-sized buffers shared by every block: fresh ones per block
+        # would page-fault again each time the allocator trims the heap.
+        work = np.empty((5, n_sym * k * n_segments * n_sub))
+        out = np.empty((n_symbols, k, n_data))
+        for f0 in range(0, n_data, n_sub):
+            cols = slice(f0, f0 + n_sub)
+            slab = [
+                np.ascontiguousarray(b[..., cols])
+                for b in (amp_scale, turn_scale, amp_samples, turn_samples)
+            ]
+            for s0 in range(0, n_symbols, n_sym):
+                rows = slice(s0, s0 + n_sym)
+                shape = (min(n_sym, n_symbols - s0), k, n_segments, min(n_sub, n_data - f0))
+                block = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
+                np.subtract(obs_re[rows, None, :, cols], pts_re[rows, ..., cols], out=block[0])
+                np.subtract(obs_im[rows, None, :, cols], pts_im[rows, ..., cols], out=block[1])
+                out[rows, :, cols] = _segment_summed_log_density(block, *slab)
+        out -= log_norm
+        return out.transpose(2, 0, 1)
+
+
+def _segment_summed_log_density(
+    block: list[np.ndarray],
+    amp_scale: np.ndarray,
+    turn_scale: np.ndarray,
+    amp_samples: np.ndarray,
+    turn_samples: np.ndarray,
+) -> np.ndarray:
+    """Kernel sum of one ``(symbols, candidates, segments, subcarriers)`` block.
+
+    ``block`` holds five contiguous buffers of the block's shape: the first
+    two carry the deviations' real and imaginary parts in, and all five are
+    overwritten.  The banks are ``(segment, subcarrier)`` scales and
+    ``(sample, segment, subcarrier)`` pre-scaled samples.  Returns the
+    segment sum of the per-segment kernel log-sums, ``(symbols, candidates,
+    subcarriers)``: the log-likelihood before its log-normaliser is
+    subtracted.  The result is a view into ``block``.
+    """
+    re, im, amp, first, low = block
+    np.square(re, out=amp)
+    turns = np.arctan2(im, re, out=re)
+    turns *= 1.0 / _TWO_PI
+    amp += np.square(im, out=im)
+    np.sqrt(amp, out=amp)
+    amp *= amp_scale
+    last = len(amp_samples) - 1
+    quadratics = []
+    for j in range(last + 1):
+        # The last sample scores in place in the query buffers; sample 0
+        # scores into `first`, with `low` free until the log-sum-exp.
+        term = np.subtract(
+            amp, amp_samples[j], out=amp if j == last else first if j == 0 else None
+        )
+        term *= term
+        delta = np.subtract(
+            turns, turn_samples[j], out=turns if j == last else low if j == 0 else None
+        )
+        delta -= np.rint(delta, out=im)
+        delta *= turn_scale
+        delta *= delta
+        term += delta
+        quadratics.append(term)
+    # Log-sum-exp of the negated quadratics over the samples.
+    if last == 0:
+        np.copyto(low, quadratics[0])
+    else:
+        np.minimum(quadratics[0], quadratics[1], out=low)
+    if last == 1:
+        # Two samples: -min + log1p(exp(min - max)).
+        total = np.maximum(quadratics[0], quadratics[1], out=quadratics[1])
+        np.subtract(low, total, out=total)
+        np.exp(total, out=total)
+        np.log1p(total, out=total)
+    else:
+        for term in quadratics[2:]:
+            np.minimum(low, term, out=low)
+        for term in quadratics:
+            np.subtract(low, term, out=term)
+            np.exp(term, out=term)
+        total = quadratics[0]
+        for term in quadratics[1:]:
+            total += term
+        np.log(total, out=total)
+    total -= low
+    # Pairwise segment sum in an order fixed by the segment count alone.  The
+    # levels alternate between the two free buffers: an in-place add between
+    # interleaved views of one buffer would make numpy copy its input first.
+    spare = [re.reshape(-1), im.reshape(-1)]
+    while total.shape[2] > 1:
+        half = total.shape[2] // 2
+        shape = (*total.shape[:2], half, total.shape[3])
+        summed = spare[0][: math.prod(shape)].reshape(shape)
+        np.add(total[:, :, :half], total[:, :, half : 2 * half], out=summed)
+        if total.shape[2] % 2:
+            summed[:, :, 0] += total[:, :, -1]
+        total = summed
+        spare.reverse()
+    return total[:, :, 0]

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import require_non_negative, require_positive
+
 __all__ = ["GaussianProductKde", "silverman_bandwidth", "wrap_phase"]
 
 _LOG_TWO_PI = float(np.log(2.0 * np.pi))
@@ -28,7 +30,18 @@ _LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 def wrap_phase(phase: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles to the interval (-pi, pi]."""
-    return (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
+    wrapped = (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
+    # The remainder lands on -pi exactly for odd multiples of pi; only that
+    # end of the interval is open.
+    return np.where(wrapped == -np.pi, np.pi, wrapped)[()]
+
+
+def _wrap_samples(phases: np.ndarray) -> np.ndarray:
+    """:func:`wrap_phase` for training samples, skipping the remainder when it
+    is not needed: angles from ``np.angle`` already lie in [-pi, pi]."""
+    if phases.size and -np.pi <= phases.min() and phases.max() <= np.pi:
+        return np.where(phases == -np.pi, np.pi, phases)
+    return wrap_phase(phases)
 
 
 def silverman_bandwidth(
@@ -55,7 +68,16 @@ def silverman_bandwidth(
     n_samples = samples.shape[axis]
     if n_samples == 0:
         raise ValueError("cannot select a bandwidth from zero samples")
-    spread = np.std(samples, axis=axis)
+    if n_samples < 8:
+        # Sample-major: one elementwise pass per sample instead of a reduction
+        # over short rows.  numpy sums fewer than 8 elements in order, so this
+        # is bit-identical to ``np.std``; from 8 on it sums pairwise.
+        columns = np.moveaxis(samples, axis, 0)
+        mean = sum(columns[1:], columns[0]) / n_samples
+        squares = [np.square(column - mean) for column in columns]
+        spread = np.sqrt(sum(squares[1:], squares[0]) / n_samples)
+    else:
+        spread = np.std(samples, axis=axis)
     return np.maximum(1.06 * spread * n_samples ** (-0.2), floor)
 
 
@@ -76,20 +98,19 @@ class GaussianProductKde:
         Exponents applied to the amplitude and phase kernels; 1.0 recovers the
         plain product kernel of Eq. 4.
     max_chunk_elements:
-        Memory budget for density evaluation, counted in elements of the
-        ``(n_series, ..., n_samples)`` kernel-distance intermediate.  Queries
-        whose intermediate would exceed the budget are evaluated in chunks
-        along the flattened query axis (identical results, bounded memory).
-        ``None`` uses :data:`DEFAULT_CHUNK_ELEMENTS`; pass e.g. ``2**30`` to
-        effectively disable chunking.
+        Memory budget for density evaluation, counted in kernel evaluations:
+        elements of the ``(n_series, ..., n_samples)`` kernel-distance
+        intermediate.  Queries whose intermediate would exceed the budget are
+        evaluated in chunks along the series axis (identical results, bounded
+        memory).  ``None`` uses :data:`DEFAULT_CHUNK_ELEMENTS`; pass e.g.
+        ``2**30`` to effectively disable chunking.
     """
 
-    #: Default evaluation budget: 2**18 float64 elements per pair intermediate
-    #: (2 MiB).  Chunks of this size keep every kernel pass resident in
-    #: last-level cache, which measures fastest for the batched decoder on
-    #: memory-bandwidth-limited hosts; small queries are unaffected (they fit
-    #: one chunk).  Raise it to trade memory for fewer chunk iterations.
-    DEFAULT_CHUNK_ELEMENTS = 2**18
+    #: Default evaluation budget: 2**16 kernel evaluations per block, i.e.
+    #: 2**15 queries of a two-sample density (256 KiB per float64 pass).
+    #: Every pass of the decoder's kernel then stays resident in the per-core
+    #: L2 cache; 2**18 measured up to 35% slower per decoded frame.
+    DEFAULT_CHUNK_ELEMENTS = 2**16
 
     def __init__(
         self,
@@ -113,9 +134,13 @@ class GaussianProductKde:
         if amplitudes.shape[1] < 1:
             raise ValueError("at least one training sample is required")
         self.amplitude_samples = amplitudes
-        self.phase_samples = wrap_phase(phases)
-        self.amplitude_weight = float(amplitude_weight)
-        self.phase_weight = float(phase_weight)
+        self.phase_samples = _wrap_samples(phases)
+        self.amplitude_weight = require_non_negative(amplitude_weight, "amplitude_weight")
+        self.phase_weight = require_non_negative(phase_weight, "phase_weight")
+        min_bandwidth_amplitude = require_positive(
+            min_bandwidth_amplitude, "min_bandwidth_amplitude"
+        )
+        min_bandwidth_phase = require_positive(min_bandwidth_phase, "min_bandwidth_phase")
         if max_chunk_elements is not None and max_chunk_elements < 1:
             raise ValueError("max_chunk_elements must be positive when given")
         self.max_chunk_elements = (
@@ -124,30 +149,19 @@ class GaussianProductKde:
 
         n_series = amplitudes.shape[0]
         if bandwidth_amplitude is not None:
-            self.bandwidth_amplitude = np.full(n_series, float(bandwidth_amplitude))
+            bandwidth = require_positive(bandwidth_amplitude, "bandwidth_amplitude")
+            self.bandwidth_amplitude = np.full(n_series, bandwidth)
         else:
             self.bandwidth_amplitude = silverman_bandwidth(
                 amplitudes, min_bandwidth_amplitude, axis=1
             )
         if bandwidth_phase is not None:
-            self.bandwidth_phase = np.full(n_series, float(bandwidth_phase))
+            bandwidth = require_positive(bandwidth_phase, "bandwidth_phase")
+            self.bandwidth_phase = np.full(n_series, bandwidth)
         else:
             self.bandwidth_phase = silverman_bandwidth(
                 self.phase_samples, min_bandwidth_phase, axis=1
             )
-
-        # Precomputed constants of the fused evaluation path: the kernel term
-        # (w/2) * ((x - s)/b)^2 equals (c*(x - s))^2 with c = sqrt(w/2)/b, so
-        # queries and samples can be pre-scaled once per series.
-        self._amp_scale = np.sqrt(0.5 * self.amplitude_weight) / self.bandwidth_amplitude
-        self._phase_scale = np.sqrt(0.5 * self.phase_weight) / self.bandwidth_phase
-        self._scaled_amp_samples = self.amplitude_samples * self._amp_scale[:, None]
-        self._log_norm = (
-            np.log(self.n_samples)
-            + _LOG_TWO_PI
-            + np.log(self.bandwidth_amplitude)
-            + np.log(self.bandwidth_phase)
-        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -160,12 +174,21 @@ class GaussianProductKde:
         """Training samples per density."""
         return self.amplitude_samples.shape[1]
 
+    @property
+    def log_normaliser(self) -> np.ndarray:
+        """Per-series log of the kernel sum's normaliser ``n * 2pi * Ba * Bphi``."""
+        return (
+            np.log(self.n_samples)
+            + _LOG_TWO_PI
+            + np.log(self.bandwidth_amplitude)
+            + np.log(self.bandwidth_phase)
+        )
+
     def log_density(
         self,
         amplitudes: np.ndarray,
         phases: np.ndarray,
         max_chunk_elements: int | None = None,
-        fused: bool = False,
     ) -> np.ndarray:
         """Log of the estimated density at the query points.
 
@@ -176,17 +199,13 @@ class GaussianProductKde:
         The evaluation materialises an ``(n_series, ..., n_samples)``
         intermediate.  When that would exceed the memory budget
         (``max_chunk_elements``, defaulting to the instance's setting), the
-        query is split into chunks along the flattened trailing axes and the
-        chunks are evaluated sequentially — numerically identical to a single
-        pass because every reduction runs over the training-sample axis only.
+        query is split into chunks of series rows that are evaluated
+        sequentially — numerically identical to a single pass because every
+        reduction runs over the training-sample axis only.
 
-        ``fused=True`` selects the pass-minimised evaluation used by the
-        batched decoder fast path: pre-scaled kernels, in-place accumulation
-        over the sample axis and a remainder-free phase wrap.  It computes the
-        same quantity with the same stability guarantees but associates the
-        floating-point operations differently, so results agree with the
-        reference evaluation only to rounding error (~1e-12 relative); symbol
-        decisions derived from either are identical in practice.
+        This is the reference evaluation; the decoder scores candidates with
+        :meth:`repro.core.interference_model.InterferenceModel.candidate_log_likelihood`,
+        which the tests hold to it.
         """
         amplitudes = np.asarray(amplitudes, dtype=float)
         phases = np.asarray(phases, dtype=float)
@@ -200,61 +219,19 @@ class GaussianProductKde:
         budget = self.max_chunk_elements if max_chunk_elements is None else max_chunk_elements
         if budget is not None and budget < 1:
             raise ValueError("max_chunk_elements must be positive when given")
-        block = self._log_density_fused_block if fused else self._log_density_block
         n_queries = int(np.prod(amplitudes.shape[1:], dtype=np.int64)) if amplitudes.ndim > 1 else 1
         total_elements = self.n_series * max(n_queries, 1) * self.n_samples
         if total_elements <= budget:
-            return block(amplitudes, phases)
+            return self._log_density_block(amplitudes, phases)
 
         # Chunk along the series axis: each chunk is a contiguous row slice of
-        # the query AND of the per-series sample banks, so the kernel passes
-        # stay unit-stride and the chunk working set fits the cache.
+        # the query AND of the per-series sample banks.
         chunk = max(1, budget // (max(n_queries, 1) * self.n_samples))
         out = np.empty(amplitudes.shape)
         for start in range(0, self.n_series, chunk):
             stop = min(start + chunk, self.n_series)
-            out[start:stop] = block(amplitudes[start:stop], phases[start:stop], start, stop)
-        return out
-
-    def log_density_complex(
-        self,
-        deviations: np.ndarray,
-        max_chunk_elements: int | None = None,
-    ) -> np.ndarray:
-        """Fused log-density of complex deviations (fast path only).
-
-        Equivalent to ``log_density(np.abs(d), np.angle(d), fused=True)`` but
-        performs the polar conversion chunk by chunk inside the memory budget,
-        so the amplitude/phase intermediates of a large query never exist at
-        full size: one DRAM round-trip less per decoded batch.
-        """
-        deviations = np.asarray(deviations, dtype=complex)
-        if deviations.shape[0] != self.n_series:
-            raise ValueError(
-                f"query leading dimension {deviations.shape[0]} does not match the "
-                f"number of densities {self.n_series}"
-            )
-        budget = self.max_chunk_elements if max_chunk_elements is None else max_chunk_elements
-        if budget is not None and budget < 1:
-            raise ValueError("max_chunk_elements must be positive when given")
-        n_queries = (
-            int(np.prod(deviations.shape[1:], dtype=np.int64)) if deviations.ndim > 1 else 1
-        )
-        total_elements = self.n_series * max(n_queries, 1) * self.n_samples
-        if total_elements <= budget:
-            return self._log_density_fused_block(
-                np.abs(deviations),
-                np.arctan2(deviations.imag, deviations.real),
-                owns_inputs=True,
-            )
-        chunk = max(1, budget // (max(n_queries, 1) * self.n_samples))
-        out = np.empty(deviations.shape, dtype=float)
-        for start in range(0, self.n_series, chunk):
-            stop = min(start + chunk, self.n_series)
-            rows = deviations[start:stop]
-            self._log_density_fused_block(
-                np.abs(rows), np.arctan2(rows.imag, rows.real), start, stop,
-                out=out[start:stop], owns_inputs=True,
+            out[start:stop] = self._log_density_block(
+                amplitudes[start:stop], phases[start:stop], start, stop
             )
         return out
 
@@ -280,94 +257,7 @@ class GaussianProductKde:
         # log-sum-exp over the training-sample axis, numerically stable.
         peak = exponent.max(axis=-1, keepdims=True)
         summed = np.log(np.exp(exponent - peak).sum(axis=-1)) + peak[..., 0]
-        normalisation = (
-            np.log(self.n_samples)
-            + _LOG_TWO_PI
-            + np.log(self.bandwidth_amplitude[rows]).reshape(shape_bandwidth[:-1])
-            + np.log(self.bandwidth_phase[rows]).reshape(shape_bandwidth[:-1])
-        )
-        return summed - normalisation
-
-    def _log_density_fused_block(
-        self,
-        amplitudes: np.ndarray,
-        phases: np.ndarray,
-        start: int = 0,
-        stop: int | None = None,
-        out: np.ndarray | None = None,
-        owns_inputs: bool = False,
-    ) -> np.ndarray:
-        """Pass-minimised kernel evaluation of the series rows ``start:stop``.
-
-        Instead of materialising the full ``(n_series, ..., n_samples)``
-        pair tensor and reducing it with generic small-axis reductions, this
-        walks the sample axis with in-place elementwise passes over
-        query-sized buffers: pre-scaled kernel distances, a ``rint``-based
-        phase wrap (cheaper than the remainder-based one), and an online
-        max/sum for the log-sum-exp.  ~6x fewer memory passes than the
-        reference block on typical decoder workloads.
-        """
-        rows = slice(start, self.n_series if stop is None else stop)
-        n_rows = amplitudes.shape[0]
-        extra_dims = amplitudes.ndim - 1
-        bshape = (n_rows,) + (1,) * extra_dims
-        amp_scale = self._amp_scale[rows].reshape(bshape)
-        phase_scale = self._phase_scale[rows].reshape(bshape)
-        scaled_amp_samples = self._scaled_amp_samples[rows]
-        phase_samples = self.phase_samples[rows]
-        if owns_inputs:
-            # The caller hands over freshly-built temporaries: scale in place.
-            scaled_query = np.multiply(amplitudes, amp_scale, out=amplitudes)
-        else:
-            scaled_query = amplitudes * amp_scale
-        two_pi = 2.0 * np.pi
-        inv_two_pi = 1.0 / two_pi
-
-        exponents: list[np.ndarray] = []
-        for j in range(self.n_samples):
-            term = scaled_query - scaled_amp_samples[:, j].reshape(bshape)
-            np.multiply(term, term, out=term)
-            if owns_inputs and j == self.n_samples - 1:
-                # Last pass over the phases: reuse the caller's buffer.
-                delta = np.subtract(phases, phase_samples[:, j].reshape(bshape), out=phases)
-            else:
-                delta = phases - phase_samples[:, j].reshape(bshape)
-            delta -= two_pi * np.rint(delta * inv_two_pi)
-            delta *= phase_scale
-            np.multiply(delta, delta, out=delta)
-            term += delta
-            np.negative(term, out=term)
-            exponents.append(term)
-        log_norm = self._log_norm[rows].reshape(bshape)
-
-        if self.n_samples == 2:
-            # Two-sample log-sum-exp shortcut (the per-segment default):
-            # logsumexp(a, b) = max(a, b) + log1p(exp(-|a - b|)).
-            first, second = exponents
-            peak = np.maximum(first, second)
-            result = np.subtract(first, second, out=first if out is None else out)
-            np.abs(result, out=result)
-            np.negative(result, out=result)
-            np.exp(result, out=result)
-            np.log1p(result, out=result)
-            result += peak
-            result -= log_norm
-            return result
-
-        peak: np.ndarray | None = None
-        for term in exponents:
-            # The running peak must not alias the first term: both are
-            # mutated independently in the accumulation pass below.
-            peak = term.copy() if peak is None else np.maximum(peak, term, out=peak)
-        total: np.ndarray | None = None
-        for term in exponents:
-            term -= peak
-            np.exp(term, out=term)
-            total = term if total is None else np.add(total, term, out=total)
-        result = np.log(total, out=total if out is None else out)
-        result += peak
-        result -= log_norm
-        return result
+        return summed - self.log_normaliser[rows].reshape(shape_bandwidth[:-1])
 
     def density(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Estimated density (linear scale) at the query points."""

@@ -77,13 +77,14 @@ class FixedSphereMlDecoder:
         ``observations`` has shape ``(P, n_symbols, n_data_subcarriers)``;
         the result has shape ``(n_symbols, n_data_subcarriers)``.
 
-        One sphere selection and one KDE evaluation cover every symbol.  The
-        likelihoods go through the fused kernel, whose floating-point
-        reassociation changes log-densities only at the ~1e-12 level
-        relative to the per-symbol :meth:`decode_frame_reference`; decisions
-        are identical unless two candidates tie to within that rounding,
-        which the equivalence suite pins down across constellations, scopes
-        and real scenario workloads.
+        One sphere selection and one
+        :meth:`InterferenceModel.candidate_log_likelihood` call cover every
+        symbol.  That kernel reassociates floating-point operations, so its
+        log-likelihoods differ from the per-symbol
+        :meth:`decode_frame_reference` only by rounding (about 1e-12
+        relative); decisions are identical unless two candidates tie to within
+        that rounding, which the equivalence suite pins down across
+        constellations, scopes and real scenario workloads.
         """
         observations = np.asarray(observations, dtype=complex)
         if observations.ndim != 3:
@@ -101,22 +102,17 @@ class FixedSphereMlDecoder:
             radius=self.sphere_radius,
             max_candidates=self.config.max_candidates,
         )
-        k = candidates.n_candidates
-        points = candidates.points.reshape(n_symbols, n_data, k)
-        # The candidate deviations, their polar conversion and the kernel
-        # evaluation run chunk by chunk inside the model — no frame-sized
-        # candidate tensor is ever materialised.
-        subcarrier_major = np.ascontiguousarray(np.transpose(observations, (2, 0, 1)))
-        candidate_major = np.ascontiguousarray(np.transpose(points, (1, 0, 2)))
+        shape = (n_symbols, n_data, candidates.n_candidates)
         log_likelihood = model.candidate_log_likelihood(
-            subcarrier_major, candidate_major
-        )                                                             # (n_data, S, k)
-        valid = np.moveaxis(candidates.valid.reshape(n_symbols, n_data, k), 0, 1)
-        log_likelihood = np.where(valid, log_likelihood, -np.inf)
-        best = np.argmax(log_likelihood, axis=-1)                     # (n_data, S)
-        indices = np.moveaxis(candidates.indices.reshape(n_symbols, n_data, k), 0, 1)
-        decided = np.take_along_axis(indices, best[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(decided.T, dtype=np.int64)        # (S, n_data)
+            np.transpose(observations, (2, 0, 1)),                 # (n_data, P, S) view
+            np.transpose(candidates.points.reshape(shape), (1, 0, 2)),
+        )                                                          # (n_data, S, k)
+        log_likelihood = np.where(
+            candidates.valid.reshape(shape), np.transpose(log_likelihood, (1, 0, 2)), -np.inf
+        )
+        best = np.argmax(log_likelihood, axis=-1)                  # (S, n_data)
+        decided = np.take_along_axis(candidates.indices.reshape(shape), best[..., None], axis=-1)
+        return np.ascontiguousarray(decided[..., 0], dtype=np.int64)
 
     def decode_frame_reference(
         self, observations: np.ndarray, model: InterferenceModel

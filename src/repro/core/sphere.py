@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.phy.constellation import Constellation
+from repro.utils.validation import require_positive
 
 __all__ = ["SphereCandidates", "select_sphere_candidates", "centroid"]
 
@@ -71,8 +72,7 @@ def select_sphere_candidates(
     The nearest lattice point is always kept, even when it lies outside the
     sphere, so that decoding never fails.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    require_positive(radius, "radius")
     if max_candidates < 1:
         raise ValueError("max_candidates must be at least 1")
     centers = np.asarray(centers, dtype=complex).reshape(-1)

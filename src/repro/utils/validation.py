@@ -6,6 +6,7 @@ These keep constructor bodies readable: each helper raises ``ValueError`` (or
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -14,6 +15,7 @@ __all__ = [
     "require_positive_int",
     "require_non_negative_int",
     "require_positive",
+    "require_non_negative",
     "require_in_range",
     "require_power_of_two",
     "require_unique_indices",
@@ -39,8 +41,15 @@ def require_non_negative_int(value: int, name: str) -> int:
 
 def require_positive(value: float, name: str) -> float:
     value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def require_non_negative(value: float, name: str) -> float:
+    value = float(value)
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
     return value
 
 

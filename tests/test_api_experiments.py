@@ -152,6 +152,11 @@ class TestReceiverRegistry:
                 ReceiverSpec("cprecycle", options={"segment_count": 4}), dot11g_allocation()
             )
 
+    def test_non_finite_options_are_rejected(self):
+        spec = ReceiverSpec("cprecycle", options={"min_bandwidth_amplitude": float("nan")})
+        with pytest.raises(ValueError, match="min_bandwidth_amplitude"):
+            build_receiver(spec, dot11g_allocation())
+
     def test_optionless_plugin_bug_is_not_blamed_on_options(self):
         @register_receiver("test-buggy", overwrite=True)
         def _build(allocation, n_segments):

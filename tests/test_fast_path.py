@@ -52,6 +52,13 @@ class TestKdeFastPath:
         looped = np.array([silverman_bandwidth(row, 0.02) for row in samples])
         assert np.array_equal(vectorised, looped)
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    def test_sample_major_silverman_matches_row_std(self, n_samples):
+        # Fewer than 8 samples per density take the sample-major path.
+        samples = np.random.default_rng(n_samples).normal(size=(31, n_samples))
+        expected = np.maximum(1.06 * np.std(samples, axis=1) * n_samples ** (-0.2), 0.02)
+        assert np.array_equal(silverman_bandwidth(samples, 0.02, axis=1), expected)
+
     def test_silverman_scalar_unchanged(self):
         assert silverman_bandwidth(np.zeros(10), floor=0.05) == 0.05
 
@@ -62,26 +69,6 @@ class TestKdeFastPath:
         qp = rng.uniform(-4.0, 4.0, (23, 6, 4))
         full = kde.log_density(qa, qp, max_chunk_elements=10**9)
         assert np.array_equal(full, kde.log_density(qa, qp, max_chunk_elements=budget))
-        fused_full = kde.log_density(qa, qp, fused=True, max_chunk_elements=10**9)
-        fused_chunked = kde.log_density(qa, qp, fused=True, max_chunk_elements=budget)
-        assert np.array_equal(fused_full, fused_chunked)
-
-    @pytest.mark.parametrize("n_samples", [1, 2, 5])
-    def test_fused_kernel_matches_reference_kernel(self, n_samples):
-        kde, rng = self._kde(n_samples=n_samples, seed=11)
-        qa = rng.uniform(0.0, 2.0, (23, 8))
-        qp = rng.uniform(-4.0, 4.0, (23, 8))
-        reference = kde.log_density(qa, qp)
-        fused = kde.log_density(qa, qp, fused=True)
-        assert np.allclose(reference, fused, rtol=1e-9, atol=1e-9)
-
-    @pytest.mark.parametrize("budget", [1, 64, 10**9])
-    def test_log_density_complex_matches_polar_fused(self, budget):
-        kde, rng = self._kde(seed=5)
-        dev = rng.normal(size=(23, 4, 3)) + 1j * rng.normal(size=(23, 4, 3))
-        via_polar = kde.log_density(np.abs(dev), np.angle(dev), fused=True)
-        via_complex = kde.log_density_complex(dev, max_chunk_elements=budget)
-        assert np.array_equal(via_polar, via_complex)
 
     def test_invalid_budget_rejected(self):
         kde, rng = self._kde()
@@ -96,13 +83,27 @@ class TestKdeFastPath:
 # Interference model                                                          #
 # --------------------------------------------------------------------------- #
 class TestModelFastPath:
-    def _model(self, scope, n_data=12, n_segments=5, n_preambles=2, seed=0):
+    def _model(self, scope, n_data=12, n_segments=5, n_preambles=2, seed=0, budget=None):
         rng = np.random.default_rng(seed)
         deviations = 0.3 * (
             rng.normal(size=(n_data, n_segments, n_preambles))
             + 1j * rng.normal(size=(n_data, n_segments, n_preambles))
         )
-        return InterferenceModel(deviations, CPRecycleConfig(model_scope=scope)), rng
+        config = CPRecycleConfig(model_scope=scope, kde_chunk_elements=budget)
+        return InterferenceModel(deviations, config), rng
+
+    @staticmethod
+    def _queries(rng, n_data=12, n_segments=5, n_symbols=6, k=4):
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        return draw(n_data, n_segments, n_symbols), draw(n_data, n_symbols, k)
+
+    @staticmethod
+    def _reference(model, observations, points):
+        """``log_likelihood`` of the full (n_data, S, k, P) deviation tensor."""
+        deviations = observations[:, :, :, None] - points[:, None, :, :]
+        return model.log_likelihood(np.moveaxis(deviations, 1, -1))
 
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
     def test_batched_log_likelihood_matches_symbol_loop(self, scope):
@@ -118,25 +119,47 @@ class TestModelFastPath:
         assert np.array_equal(batched, looped)
 
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
-    def test_segments_first_layout_matches_segments_last(self, scope):
-        model, rng = self._model(scope)
-        dev = 0.4 * (rng.normal(size=(12, 7, 4, 5)) + 1j * rng.normal(size=(12, 7, 4, 5)))
-        last = model.log_likelihood(dev, fused=True)
-        first = model.log_likelihood(
-            np.ascontiguousarray(np.moveaxis(dev, -1, 1)), fused=True, segments_first=True
-        )
-        assert np.allclose(last, first, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize("n_preambles", [1, 2, 5])
+    def test_candidate_kernel_matches_reference_kernel(self, scope, n_preambles):
+        model, rng = self._model(scope, n_preambles=n_preambles, seed=11)
+        observations, points = self._queries(rng, n_symbols=8)
+        candidate = model.candidate_log_likelihood(observations, points)
+        reference = self._reference(model, observations, points)
+        assert np.allclose(candidate, reference, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
-    def test_candidate_log_likelihood_matches_deviation_tensor(self, scope):
-        model, rng = self._model(scope, seed=4)
-        n_symbols, k = 6, 4
-        observations = rng.normal(size=(12, 5, n_symbols)) + 1j * rng.normal(size=(12, 5, n_symbols))
-        points = rng.normal(size=(12, n_symbols, k)) + 1j * rng.normal(size=(12, n_symbols, k))
-        fusedpath = model.candidate_log_likelihood(observations, points)
-        deviations = observations[:, :, :, None] - points[:, None, :, :]
-        tensor = model.log_likelihood(deviations, fused=True, segments_first=True)
-        assert np.allclose(fusedpath, tensor, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize(
+        "n_segments, k, n_symbols, budget",
+        [
+            (5, 4, 6, None),
+            (1, 4, 6, None),  # one segment: fig14's P = 1
+            (5, 1, 6, None),  # one candidate
+            (5, 4, 7, 3 * 4 * 5 * 2 * 12),  # per-segment blocks of 3 symbols: 7 = 3 + 3 + 1
+        ],
+    )
+    def test_candidate_log_likelihood_matches_deviation_tensor(
+        self, scope, n_segments, k, n_symbols, budget
+    ):
+        model, rng = self._model(scope, n_segments=n_segments, seed=4, budget=budget)
+        observations, points = self._queries(rng, n_segments=n_segments, n_symbols=n_symbols, k=k)
+        candidate = model.candidate_log_likelihood(observations, points)
+        assert candidate.shape == (12, n_symbols, k)
+        reference = self._reference(model, observations, points)
+        assert np.allclose(candidate, reference, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("budget", [1, 7, 100, 10**9])
+    def test_candidate_log_likelihood_is_bitwise_independent_of_budget(self, scope, budget):
+        # Per-segment: 40 evaluations per (symbol, subcarrier), so budgets 1
+        # and 7 give one-subcarrier blocks and 100 splits the 13 subcarriers
+        # 2 + ... + 2 + 1.
+        model, rng = self._model(scope, n_data=13, seed=6, budget=budget)
+        whole, _ = self._model(scope, n_data=13, seed=6, budget=10**9)
+        observations, points = self._queries(rng, n_data=13, n_symbols=7)
+        assert np.array_equal(
+            model.candidate_log_likelihood(observations, points),
+            whole.candidate_log_likelihood(observations, points),
+        )
 
     def test_candidate_log_likelihood_validation(self):
         model, rng = self._model("per-segment")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
@@ -14,9 +14,19 @@ from repro.phy.constellation import qam16, qam64, qpsk
 
 class TestWrapPhase:
     @given(st.floats(min_value=-50.0, max_value=50.0))
+    @example(np.pi)
+    @example(-np.pi)
+    @example(3 * np.pi)
+    @example(-3 * np.pi)
     def test_range(self, phase):
         wrapped = float(wrap_phase(phase))
         assert -np.pi < wrapped <= np.pi + 1e-12
+
+    def test_training_samples_in_range_keep_the_closed_end(self):
+        # np.angle returns -pi for a negative real part with a -0.0 imaginary
+        # part; the fit skips the remainder for such in-range angles.
+        kde = GaussianProductKde(np.ones(3), np.angle(np.array([complex(-1, -0.0), -1, 1j])))
+        assert np.array_equal(kde.phase_samples[0], [np.pi, np.pi, np.pi / 2])
 
     def test_wrap_identity_in_range(self):
         assert wrap_phase(0.5) == pytest.approx(0.5)
@@ -82,6 +92,16 @@ class TestGaussianProductKde:
             kde.log_density(np.ones((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
             GaussianProductKde(np.ones((2, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_bandwidth_amplitude", 0.0), ("min_bandwidth_phase", np.nan),
+         ("amplitude_weight", -1.0), ("phase_weight", np.inf),
+         ("bandwidth_amplitude", np.nan), ("bandwidth_phase", 0.0)],
+    )
+    def test_invalid_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GaussianProductKde(np.ones(2), np.zeros(2), **{field: value})
 
     def test_weights_change_relative_importance(self):
         amps = np.array([0.5, 0.5])
@@ -174,10 +194,13 @@ class TestSphere:
                                               max_candidates=7)
         assert candidates.n_candidates == 7
 
+    @pytest.mark.parametrize("radius", [0.0, np.nan, np.inf])
+    def test_invalid_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            select_sphere_candidates(qpsk(), np.array([0j]), radius=radius)
+
     def test_invalid_parameters(self):
         c = qpsk()
-        with pytest.raises(ValueError):
-            select_sphere_candidates(c, np.array([0j]), radius=0.0)
         with pytest.raises(ValueError):
             select_sphere_candidates(c, np.array([0j]), radius=1.0, max_candidates=0)
 
@@ -253,3 +276,13 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CPRecycleConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["sphere_radius_scale", "bandwidth_amplitude", "bandwidth_phase", "amplitude_weight",
+         "phase_weight", "min_bandwidth_amplitude", "min_bandwidth_phase"],
+    )
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CPRecycleConfig(**{field: value})
