@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.api import run_experiment_spec
 from repro.experiments import fig05_naive
 
 
 @pytest.mark.parametrize("sir_db", [-10.0, -20.0, -30.0])
 def test_fig5_guardband_sweep(benchmark, bench_profile, report, sir_db):
+    spec = fig05_naive.build_spec(sir_db=sir_db, guard_band_subcarriers=(0, 16, 64))
     result = benchmark.pedantic(
-        fig05_naive.run,
-        kwargs=dict(profile=bench_profile, sir_db=sir_db, guard_band_subcarriers=(0, 16, 64)),
-        rounds=1,
-        iterations=1,
+        run_experiment_spec, args=(spec, bench_profile), rounds=1, iterations=1
     )
     report(result)
     oracle = result.series["Oracle Scheme"]

@@ -1,14 +1,13 @@
 """Benchmark / regeneration of Figure 8 (PSR vs SIR, single ACI interferer)."""
 
+from repro.api import run_experiment_spec
 from repro.experiments import fig08_aci_single
 
 
 def test_fig8_psr_vs_sir(benchmark, bench_profile, report):
+    spec = fig08_aci_single.build_spec(sir_range_db=(-28.0, -12.0))
     result = benchmark.pedantic(
-        fig08_aci_single.run,
-        kwargs=dict(profile=bench_profile, sir_range_db=(-28.0, -12.0)),
-        rounds=1,
-        iterations=1,
+        run_experiment_spec, args=(spec, bench_profile), rounds=1, iterations=1
     )
     report(result)
     # CPRecycle is at least as good as the standard receiver at every point,

@@ -1,11 +1,13 @@
 """Benchmark / regeneration of Figure 13 (interfering-neighbour CDF)."""
 
+from repro.api import run_experiment_spec
 from repro.experiments import fig13_network
 
 
 def test_fig13_neighbor_cdf(benchmark, bench_profile, report):
+    spec = fig13_network.build_spec()
     result = benchmark.pedantic(
-        fig13_network.run, args=(bench_profile,), rounds=1, iterations=1
+        run_experiment_spec, args=(spec, bench_profile), rounds=1, iterations=1
     )
     report(result)
     standard = result.series["Standard Receiver"]

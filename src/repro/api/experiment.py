@@ -12,8 +12,8 @@ through — the eleven builtin figures and any user-authored spec alike:
   assembled per (outer-axes combination x receiver) and named by the
   spec's ``series_label`` template.
 * ``kind="analysis"`` resolves a registered analysis runner
-  (:func:`repro.api.registry.resolve_analysis`) and forwards the spec's
-  ``params``.
+  (:func:`analysis_runner`), binds the spec's ``params`` to its signature
+  before anything runs, and forwards them.
 
 :func:`spec_hash` is the short content hash of a resolved spec that keys
 result artifacts (:meth:`repro.experiments.store.ResultStore.save`).
@@ -22,11 +22,12 @@ result artifacts (:meth:`repro.experiments.store.ResultStore.save`).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 from dataclasses import replace
 from typing import Any
 
-from repro.api.registry import resolve_analysis
+from repro.api.registry import AnalysisRunner, resolve_analysis
 from repro.api.specs import (
     ExperimentSpec,
     ReceiverSpec,
@@ -40,6 +41,7 @@ from repro.experiments.store import stable_key
 from repro.experiments.sweeps import SweepPoint, execute_points, run_sweep_point
 
 __all__ = [
+    "analysis_runner",
     "expand_psr_points",
     "run_experiment_spec",
     "series_from_outcomes",
@@ -192,6 +194,26 @@ def series_from_outcomes(
     )
 
 
+def analysis_runner(spec: ExperimentSpec) -> AnalysisRunner:
+    """The registered runner of an analysis spec, its ``params`` checked.
+
+    The params are bound against the runner's signature, so a misspelled
+    key raises a :class:`SpecError` naming the analysis and the keys before
+    anything is simulated, as :func:`~repro.api.registry.build_receiver`
+    does for receiver options.
+    """
+    assert spec.analysis is not None  # analysis-validated
+    runner = resolve_analysis(spec.analysis)
+    params = spec.params or {}
+    try:
+        inspect.signature(runner).bind(None, n_workers=None, **params)
+    except TypeError as error:
+        raise SpecError(
+            f"analysis {spec.analysis!r} rejected params {sorted(params)}: {error}"
+        ) from error
+    return runner
+
+
 def run_experiment_spec(
     spec: ExperimentSpec,
     profile: Any = None,
@@ -218,8 +240,7 @@ def run_experiment_spec(
                 payload_length=spec.payload_length,
                 seed=spec.seed,
             )
-        assert spec.analysis is not None  # analysis-validated
-        runner = resolve_analysis(spec.analysis)
+        runner = analysis_runner(spec)
         result: FigureResult = runner(profile, n_workers=n_workers, **(spec.params or {}))
         return result
 

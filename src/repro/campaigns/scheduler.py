@@ -44,6 +44,7 @@ from typing import Any
 from repro import obs
 from repro.api.campaign import CampaignSpec, PrecisionSpec
 from repro.api.experiment import (
+    analysis_runner,
     expand_psr_points,
     run_experiment_spec,
     series_from_outcomes,
@@ -199,8 +200,11 @@ def run_campaign(
     resolved: dict[str, ExperimentSpec] = {}
     precisions: dict[str, PrecisionSpec] = {}
     for entry in spec.experiments:
-        resolved[entry.resolved_name] = entry.build().resolve(profile)
+        member = entry.build().resolve(profile)
+        resolved[entry.resolved_name] = member
         precisions[entry.resolved_name] = spec.precision_for(entry)
+        if member.kind == "analysis":
+            analysis_runner(member)  # misspelled params fail before the first round
 
     campaign_hash = stable_key((spec, profile, resolved))[:12]
 

@@ -11,6 +11,12 @@
 (c) A constellation-plane illustration (BPSK, five segments): most segments
     cluster near the transmitted lattice point while an outlier segment sits
     near the other point — the situation that defeats the naive decoder.
+
+Panel (b) is the builtin ``fig4`` experiment:
+``run_experiment_spec(build_spec(), profile, n_workers=...)`` runs it through
+the registered ``fig4-segment-profile`` analysis, which is
+:func:`run_segment_profile` itself.  Panels (a) and (c) are library
+functions.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import ExperimentSpec, register_analysis, run_experiment_spec
+from repro.api import ExperimentSpec, register_analysis
 from repro.core.oracle import interference_power_per_segment
 from repro.experiments.config import ExperimentProfile, aci_scenario, default_profile
 from repro.experiments.results import FigureResult
@@ -29,13 +35,10 @@ from repro.utils.dsp import linear_to_db
 from repro.utils.rng import child_rng
 
 __all__ = [
-    "SPEC",
     "build_spec",
-    "run",
     "run_subcarrier_profile",
     "run_segment_profile",
     "run_constellation",
-    "main",
 ]
 
 #: Number of FFT segments used in the paper's Fig. 4 analysis.
@@ -112,11 +115,11 @@ def _segment_profile_point(task: _SegmentProfileTask) -> list[float]:
     return [float(value) for value in linear_to_db(normalised)]
 
 
+@register_analysis("fig4-segment-profile")
 def run_segment_profile(
     profile: ExperimentProfile | None = None,
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
     subcarrier_offset_from_edge: int = 4,
-    seed: int | None = None,
     n_workers: int | None = None,
 ) -> FigureResult:
     """Figure 4b: interference power per FFT segment on an edge subcarrier.
@@ -130,7 +133,7 @@ def run_segment_profile(
         _SegmentProfileTask(
             sir_db=sir_db,
             payload_length=profile.payload_length,
-            seed=profile.seed if seed is None else seed,
+            seed=profile.seed,
             subcarrier_offset_from_edge=subcarrier_offset_from_edge,
         )
         for sir_db in sir_values_db
@@ -183,22 +186,6 @@ def run_constellation(
     )
 
 
-@register_analysis("fig4-segment-profile")
-def _segment_profile_analysis(
-    profile: ExperimentProfile,
-    n_workers: int | None = None,
-    sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
-    subcarrier_offset_from_edge: int = 4,
-) -> FigureResult:
-    """Registered analysis runner behind the Figure 4 spec."""
-    return run_segment_profile(
-        profile,
-        sir_values_db=tuple(sir_values_db),
-        subcarrier_offset_from_edge=subcarrier_offset_from_edge,
-        n_workers=n_workers,
-    )
-
-
 def build_spec() -> ExperimentSpec:
     """The canonical Figure 4 spec (the representative segment profile)."""
     return ExperimentSpec(
@@ -209,31 +196,3 @@ def build_spec() -> ExperimentSpec:
         analysis="fig4-segment-profile",
         params={"sir_values_db": [-10.0, -20.0, -30.0], "subcarrier_offset_from_edge": 4},
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None, n_workers: int | None = None
-) -> FigureResult:
-    """Representative result for Figure 4 (the segment profile, Fig. 4b)."""
-    return run_experiment_spec(SPEC, profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print all three panels of Figure 4."""
-    from repro.experiments.results import format_table
-
-    profile = default_profile()
-    for result in (
-        run_subcarrier_profile(profile),
-        run_segment_profile(profile),
-        run_constellation(profile),
-    ):
-        print(format_table(result))
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,9 @@ Each panel is one declarative :class:`~repro.api.ExperimentSpec`: the three
 receivers are registry-resolved :class:`~repro.api.ReceiverSpec` entries
 with a 16-segment budget, and each guard-band value is one sweep point on
 the shared execution layer, so ``--workers`` and the persistent point
-cache apply.
+cache apply.  The builtin ``fig5`` experiment is the -20 dB panel; run any
+panel with ``run_experiment_spec(build_spec(sir_db=-30.0), profile,
+n_workers=...)``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile
-from repro.experiments.results import FigureResult
 
-__all__ = ["SPEC", "build_spec", "run", "run_all", "main", "GUARD_BAND_SUBCARRIERS"]
+__all__ = ["build_spec", "GUARD_BAND_SUBCARRIERS"]
 
 #: Guard-band sweep in subcarriers (0 to 20 MHz at 312.5 kHz spacing).
 GUARD_BAND_SUBCARRIERS: tuple[int, ...] = (0, 8, 16, 32, 64)
@@ -63,36 +62,3 @@ def build_spec(
         x_transform="guard_mhz",
         notes=("single adjacent-channel interferer with rectangular symbol edges",),
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    sir_db: float = -20.0,
-    guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
-    n_workers: int | None = None,
-) -> FigureResult:
-    """One panel of Figure 5 (a single SIR value)."""
-    return run_experiment_spec(
-        build_spec(sir_db, guard_band_subcarriers), profile, n_workers=n_workers
-    )
-
-
-def run_all(profile: ExperimentProfile | None = None) -> dict[float, FigureResult]:
-    """All three panels (SIR -10, -20, -30 dB), as in the paper."""
-    return {sir: run(profile, sir_db=sir) for sir in (-10.0, -20.0, -30.0)}
-
-
-def main() -> None:
-    """Print all three panels of Figure 5."""
-    from repro.experiments.results import format_table
-
-    for sir, result in run_all().items():
-        print(format_table(result))
-        print()
-
-
-if __name__ == "__main__":
-    main()

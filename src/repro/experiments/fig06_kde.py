@@ -10,7 +10,10 @@
 
 Each SIR value of panel (b) is an independent analysis task dispatched
 through the shared sweep-execution layer, so ``--workers`` and the persistent
-point cache apply.
+point cache apply.  Panel (b) is the builtin ``fig6`` experiment:
+``run_experiment_spec(build_spec(), profile, n_workers=...)`` runs it through
+the registered ``fig6-deviation-cdf`` analysis, which is
+:func:`run_deviation_cdf` itself.  Panel (a) is a library function.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import ExperimentSpec, register_analysis, run_experiment_spec
+from repro.api import ExperimentSpec, register_analysis
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
 from repro.experiments.config import ExperimentProfile, aci_scenario, default_profile
@@ -29,14 +32,7 @@ from repro.experiments.sweeps import execute_points
 from repro.receiver.frontend import FrontEnd
 from repro.utils.rng import child_rng
 
-__all__ = [
-    "SPEC",
-    "build_spec",
-    "run",
-    "run_bandwidth_illustration",
-    "run_deviation_cdf",
-    "main",
-]
+__all__ = ["build_spec", "run_bandwidth_illustration", "run_deviation_cdf"]
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -121,6 +117,7 @@ def _deviation_point(task: _DeviationTask) -> dict[str, list[float]]:
     }
 
 
+@register_analysis("fig6-deviation-cdf")
 def run_deviation_cdf(
     profile: ExperimentProfile | None = None,
     sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
@@ -140,7 +137,7 @@ def run_deviation_cdf(
             sir_db=sir_db,
             payload_length=profile.payload_length,
             seed=profile.seed,
-            quantiles=quantiles,
+            quantiles=tuple(quantiles),
         )
         for sir_db in sir_values_db
     ]
@@ -159,22 +156,6 @@ def run_deviation_cdf(
     )
 
 
-@register_analysis("fig6-deviation-cdf")
-def _deviation_cdf_analysis(
-    profile: ExperimentProfile,
-    n_workers: int | None = None,
-    sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
-    quantiles: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
-) -> FigureResult:
-    """Registered analysis runner behind the Figure 6 spec."""
-    return run_deviation_cdf(
-        profile,
-        sir_values_db=tuple(sir_values_db),
-        quantiles=tuple(quantiles),
-        n_workers=n_workers,
-    )
-
-
 def build_spec() -> ExperimentSpec:
     """The canonical Figure 6 spec (the representative deviation CDF)."""
     return ExperimentSpec(
@@ -188,26 +169,3 @@ def build_spec() -> ExperimentSpec:
             "quantiles": [0.1, 0.25, 0.5, 0.75, 0.9],
         },
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None, n_workers: int | None = None
-) -> FigureResult:
-    """Representative result for Figure 6 (the deviation CDF, Fig. 6b)."""
-    return run_experiment_spec(SPEC, profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print both panels of Figure 6."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run_bandwidth_illustration(), float_format="{:8.4f}"))
-    print()
-    print(format_table(run_deviation_cdf()))
-
-
-if __name__ == "__main__":
-    main()

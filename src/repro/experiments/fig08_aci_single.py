@@ -5,10 +5,10 @@ without CPRecycle.  The paper's headline ACI result: CPRecycle moves every
 curve's cliff to substantially lower SIR, enabling communication in regimes
 where the standard receiver loses every packet.
 
-The figure is one declarative :class:`~repro.api.ExperimentSpec` (``SPEC``)
-run through the :func:`~repro.api.run_experiment_spec` facade — dump it with
-``cprecycle-experiments fig8 --dump-spec`` as a starting point for custom
-scenarios.
+The figure is one declarative :class:`~repro.api.ExperimentSpec`, run as
+``run_experiment_spec(build_spec(...), profile, n_workers=...)`` — dump it
+with ``cprecycle-experiments fig8 --dump-spec`` as a starting point for
+custom scenarios.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile, PAPER_MCS_SET
-from repro.experiments.results import FigureResult
+from repro.experiments.config import PAPER_MCS_SET
 
-__all__ = ["SPEC", "build_spec", "run", "main"]
+__all__ = ["build_spec"]
 
 
 def build_spec(
@@ -48,27 +46,3 @@ def build_spec(
         series_label="{mcs} {receiver}",
         notes=("interferer on the adjacent subcarrier block, 4-subcarrier guard band",),
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    mcs_names: tuple[str, ...] = PAPER_MCS_SET,
-    sir_range_db: tuple[float, float] = (-32.0, -8.0),
-    n_workers: int | None = None,
-) -> FigureResult:
-    """Packet success rate vs SIR with one adjacent-channel interferer."""
-    return run_experiment_spec(build_spec(mcs_names, sir_range_db), profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print Figure 8."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,8 +6,8 @@ per-subcarrier interference model keeps most of its gain.  Both interferers
 share the scenario's total SIR (the spec layer splits the power 3 dB each),
 exactly as the paper counts combined interference power.
 
-The figure is one declarative :class:`~repro.api.ExperimentSpec` (``SPEC``)
-run through the :func:`~repro.api.run_experiment_spec` facade.
+The figure is one declarative :class:`~repro.api.ExperimentSpec`, run as
+``run_experiment_spec(build_spec(...), profile, n_workers=...)``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile, PAPER_MCS_SET
-from repro.experiments.results import FigureResult
+from repro.experiments.config import PAPER_MCS_SET
 
-__all__ = ["SPEC", "build_spec", "run", "main"]
+__all__ = ["build_spec"]
 
 
 def build_spec(
@@ -52,27 +50,3 @@ def build_spec(
         series_label="{mcs} {receiver}",
         notes=("interferers on both sides of the sender; SIR counts their combined power",),
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    mcs_names: tuple[str, ...] = PAPER_MCS_SET,
-    sir_range_db: tuple[float, float] = (-32.0, -8.0),
-    n_workers: int | None = None,
-) -> FigureResult:
-    """Packet success rate vs SIR with interferers on both adjacent blocks."""
-    return run_experiment_spec(build_spec(mcs_names, sir_range_db), profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print Figure 9."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

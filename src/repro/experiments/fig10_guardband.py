@@ -5,8 +5,9 @@ with and without CPRecycle.  The paper's spectrum-efficiency argument: with
 CPRecycle a cognitive user can be packed much closer to a strong incumbent
 for the same packet success rate.
 
-The figure is one declarative :class:`~repro.api.ExperimentSpec` (``SPEC``):
-the (SIR x guard-band) grid is two sweep axes, the guard axis doubles as the
+The figure is one declarative :class:`~repro.api.ExperimentSpec`, run as
+``run_experiment_spec(build_spec(...), profile, n_workers=...)``: the
+(SIR x guard-band) grid is two sweep axes, the guard axis doubles as the
 x-axis (rendered in MHz via ``x_transform``), and every grid cell runs as an
 independent sweep point through the shared execution layer, so
 ``--workers`` and the persistent point cache apply exactly as in the
@@ -22,12 +23,9 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile
-from repro.experiments.results import FigureResult
 
-__all__ = ["SPEC", "build_spec", "run", "main", "GUARD_BAND_SUBCARRIERS"]
+__all__ = ["build_spec", "GUARD_BAND_SUBCARRIERS"]
 
 #: Guard-band sweep in subcarriers (0 to 30 MHz at 312.5 kHz spacing).
 GUARD_BAND_SUBCARRIERS: tuple[int, ...] = (0, 16, 32, 64, 96)
@@ -56,29 +54,3 @@ def build_spec(
         x_label="Guard band (MHz)",
         x_transform="guard_mhz",
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
-    guard_band_subcarriers: tuple[int, ...] = GUARD_BAND_SUBCARRIERS,
-    n_workers: int | None = None,
-) -> FigureResult:
-    """Packet success rate vs guard band, with and without CPRecycle."""
-    return run_experiment_spec(
-        build_spec(sir_values_db, guard_band_subcarriers), profile, n_workers=n_workers
-    )
-
-
-def main() -> None:
-    """Print Figure 10."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -5,8 +5,8 @@ sensing disabled.  Co-channel interference is harsher than ACI (it is in-band
 and hits every subcarrier), the tolerated SIR range is narrower, and
 CPRecycle's gain is smaller but still material.
 
-The figure is one declarative :class:`~repro.api.ExperimentSpec` (``SPEC``)
-run through the :func:`~repro.api.run_experiment_spec` facade.
+The figure is one declarative :class:`~repro.api.ExperimentSpec`, run as
+``run_experiment_spec(build_spec(...), profile, n_workers=...)``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile, PAPER_MCS_SET
-from repro.experiments.results import FigureResult
+from repro.experiments.config import PAPER_MCS_SET
 
-__all__ = ["SPEC", "build_spec", "run", "main"]
+__all__ = ["build_spec"]
 
 
 def build_spec(
@@ -48,27 +46,3 @@ def build_spec(
             "interferer occupies the same 802.11g subcarriers, clear channel assessment off",
         ),
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    mcs_names: tuple[str, ...] = PAPER_MCS_SET,
-    sir_range_db: tuple[float, float] = (-5.0, 25.0),
-    n_workers: int | None = None,
-) -> FigureResult:
-    """Packet success rate vs SIR with a single co-channel interferer."""
-    return run_experiment_spec(build_spec(mcs_names, sir_range_db), profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print Figure 11."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

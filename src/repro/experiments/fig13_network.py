@@ -24,9 +24,11 @@ DESIGN.md for the substitution), in two modes:
   greedy-colouring channel-capacity estimate from the PSR-weighted conflict
   graph.
 
-Each Monte-Carlo realization (and, in simulated mode, each unique per-link
-scenario) is one task on the shared sweep-execution layer, so ``--workers``
-fans work across the process pool and the persistent point cache applies.
+Either mode runs as ``run_experiment_spec(build_spec(mode), profile,
+n_workers=...)``.  Each Monte-Carlo realization (and, in simulated mode,
+each unique per-link scenario) is one task on the shared sweep-execution
+layer, so ``--workers`` fans work across the process pool and the
+persistent point cache applies.
 Placement jitter and shadowing consume independent child RNG streams per
 (seed, realization) pair — an earlier revision derived them from
 ``seed + realization``, which aliased realization ``r`` of seed ``s`` with
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import DeploymentSpec, ExperimentSpec, register_analysis, run_experiment_spec
+from repro.api import DeploymentSpec, ExperimentSpec, register_analysis
 from repro.experiments.config import ExperimentProfile, default_profile
 from repro.experiments.results import FigureResult
 from repro.experiments.sweeps import execute_points
@@ -58,14 +60,10 @@ from repro.network.neighbors import DEFAULT_THRESHOLD_DBM, NeighborAnalysis, cou
 from repro.utils.rng import child_rng
 
 __all__ = [
-    "SPEC",
     "build_spec",
-    "run",
-    "run_simulated",
     "run_analyses",
     "run_simulated_analyses",
     "realization_rngs",
-    "main",
     "CPRECYCLE_TOLERANCE_GAIN_DB",
 ]
 
@@ -341,7 +339,7 @@ def _simulated_neighbor_cdf_analysis(
 
 
 # --------------------------------------------------------------------------- #
-# Specs and entry points                                                      #
+# Specs                                                                       #
 # --------------------------------------------------------------------------- #
 def build_spec(mode: str = "threshold") -> ExperimentSpec:
     """The canonical Figure 13 spec, in either neighbour-count mode."""
@@ -375,31 +373,3 @@ def build_spec(mode: str = "threshold") -> ExperimentSpec:
             },
         )
     raise ValueError(f"unknown fig13 mode {mode!r}; use 'threshold' or 'simulated'")
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None, n_workers: int | None = None
-) -> FigureResult:
-    """CDF of interfering neighbours per access point, standard vs CPRecycle."""
-    return run_experiment_spec(SPEC, profile, n_workers=n_workers)
-
-
-def run_simulated(
-    profile: ExperimentProfile | None = None, n_workers: int | None = None
-) -> FigureResult:
-    """Simulated-mode Figure 13 (per-link scenarios, no hard-coded gain)."""
-    return run_experiment_spec(build_spec(mode="simulated"), profile, n_workers=n_workers)
-
-
-def main() -> None:
-    """Print Figure 13."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run(), float_format="{:8.3f}"))
-
-
-if __name__ == "__main__":
-    main()

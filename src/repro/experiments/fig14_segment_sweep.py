@@ -7,7 +7,8 @@ benefits saturate once roughly 60 % of the cyclic prefix is used, and at mild
 interference 20 % is already enough — so CPRecycle degrades gracefully on
 computation-limited devices and in high-delay-spread environments.
 
-The figure is one declarative :class:`~repro.api.ExperimentSpec`: the
+The figure is one declarative :class:`~repro.api.ExperimentSpec`, run as
+``run_experiment_spec(build_spec(...), profile, n_workers=...)``: the
 ``segment_fraction`` sweep axis resolves each fraction into the receiver's
 segment budget (``max(1, round(fraction * cp_length))``) and the x-axis is
 rendered as a percentage of the cyclic prefix via ``x_transform``.  Every
@@ -25,12 +26,9 @@ from repro.api import (
     ScenarioSpec,
     SweepAxis,
     SweepSpec,
-    run_experiment_spec,
 )
-from repro.experiments.config import ExperimentProfile
-from repro.experiments.results import FigureResult
 
-__all__ = ["SPEC", "build_spec", "run", "main"]
+__all__ = ["build_spec"]
 
 MCS_NAME = "16qam-1/2"
 #: Fractions of the cyclic prefix used as FFT segments.
@@ -59,29 +57,3 @@ def build_spec(
         x_transform="segment_percent_of_cp",
         notes=("one FFT segment is equivalent to the standard OFDM receiver",),
     )
-
-
-SPEC = build_spec()
-
-
-def run(
-    profile: ExperimentProfile | None = None,
-    sir_values_db: tuple[float, ...] = (-10.0, -20.0, -30.0),
-    segment_fractions: tuple[float, ...] = SEGMENT_FRACTIONS,
-    n_workers: int | None = None,
-) -> FigureResult:
-    """Packet success rate vs number of FFT segments (as % of the CP)."""
-    return run_experiment_spec(
-        build_spec(sir_values_db, segment_fractions), profile, n_workers=n_workers
-    )
-
-
-def main() -> None:
-    """Print Figure 14."""
-    from repro.experiments.results import format_table
-
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

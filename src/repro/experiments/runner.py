@@ -1,16 +1,18 @@
 """Command-line entry point regenerating the paper's tables and figures.
 
-Every builtin experiment is a declarative :class:`repro.api.ExperimentSpec`
-(``BUILTIN_SPECS``) executed through the
+``BUILTIN_SPECS`` is the one table of builtin experiments: each name maps to
+its figure module's ``build_spec``, and every run goes through the
 :func:`repro.api.run_experiment_spec` facade on the shared sweep-execution
 layer, so ``--workers`` applies uniformly to all of them, results persist
 as reloadable JSON artifacts keyed by profile/spec hash
 (:mod:`repro.experiments.store`), and custom scenarios run from a spec file
-without any new figure module.
+without any new figure module.  From Python, run a builtin as
+``run_experiment_spec(BUILTIN_SPECS["fig8"](), profile, n_workers=2)``.
 
 Usage::
 
-    cprecycle-experiments                 # run everything with the quick profile
+    cprecycle-experiments                 # run every builtin but fig13-simulated
+                                          # with the quick profile
     cprecycle-experiments fig8 fig11      # run a subset
     cprecycle-experiments --profile full  # paper-scale run (hours)
     cprecycle-experiments --workers 8     # process-pool parallel sweep points
@@ -82,30 +84,16 @@ from repro.experiments import (
     table01_cp,
 )
 from repro.experiments.cli_env import add_execution_flags, environment, execution_env
-from repro.experiments.config import FULL_PROFILE, QUICK_PROFILE, ExperimentProfile
+from repro.experiments.config import FULL_PROFILE, QUICK_PROFILE
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.results import format_csv, format_table
 from repro.experiments.store import CACHE_ENV_VAR, ResultStore
 from repro.obs import TRACE_ENV_VAR
 
-__all__ = ["EXPERIMENTS", "BUILTIN_SPECS", "builtin_spec", "run_experiment", "main"]
+__all__ = ["BUILTIN_SPECS", "OPT_IN", "builtin_spec", "main"]
 
-#: Legacy per-figure entry points (kept for library callers and tests).
-EXPERIMENTS: dict[str, Callable[..., object]] = {
-    "table1": table01_cp.run_isi_free_analysis,
-    "fig4": fig04_segments.run,
-    "fig5": fig05_naive.run,
-    "fig6": fig06_kde.run,
-    "fig8": fig08_aci_single.run,
-    "fig9": fig09_aci_two.run,
-    "fig10": fig10_guardband.run,
-    "fig11": fig11_cci_single.run,
-    "fig12": fig12_cci_two.run,
-    "fig13": fig13_network.run,
-    "fig14": fig14_segment_sweep.run,
-}
-
-#: The canonical declarative spec of every builtin experiment.
+#: Every builtin experiment, name -> its canonical spec, in the order a bare
+#: invocation runs them.
 BUILTIN_SPECS: dict[str, Callable[[], ExperimentSpec]] = {
     "table1": table01_cp.build_spec,
     "fig4": fig04_segments.build_spec,
@@ -118,13 +106,13 @@ BUILTIN_SPECS: dict[str, Callable[[], ExperimentSpec]] = {
     "fig12": fig12_cci_two.build_spec,
     "fig13": fig13_network.build_spec,
     "fig14": fig14_segment_sweep.build_spec,
+    "fig13-simulated": lambda: fig13_network.build_spec(mode="simulated"),
 }
 
-#: The simulated-mode Figure 13 variant is a first-class builtin spec, but
-#: deliberately not part of EXPERIMENTS: a default "run everything" stays
+#: Builtins a bare invocation skips: a default "run everything" stays
 #: threshold-fast, while `fig13 --mode simulated` (or naming fig13-simulated
 #: explicitly) opts into the per-link network simulation.
-BUILTIN_SPECS["fig13-simulated"] = lambda: fig13_network.build_spec(mode="simulated")
+OPT_IN = frozenset({"fig13-simulated"})
 
 
 def builtin_spec(name: str) -> ExperimentSpec:
@@ -132,11 +120,6 @@ def builtin_spec(name: str) -> ExperimentSpec:
     if name not in BUILTIN_SPECS:
         raise ValueError(f"unknown experiment {name!r}; valid: {sorted(BUILTIN_SPECS)}")
     return BUILTIN_SPECS[name]()
-
-
-def run_experiment(name: str, profile: ExperimentProfile):
-    """Run one named builtin experiment (through its spec) and return the result."""
-    return run_experiment_spec(builtin_spec(name), profile)
 
 
 _FORMATTERS = {
@@ -239,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         "experiments",
         nargs="*",
         default=None,
-        help=f"experiments to run (default: all). Choices: {', '.join(EXPERIMENTS)}",
+        help="experiments to run (default: all but "
+        f"{', '.join(sorted(OPT_IN))}). Choices: {', '.join(BUILTIN_SPECS)}",
     )
     parser.add_argument(
         "--profile",
@@ -310,6 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         _print_registries()
         return 0
     profile = FULL_PROFILE if args.profile == "full" else QUICK_PROFILE
+    unknown = [name for name in args.experiments if name not in BUILTIN_SPECS]
+    if unknown:
+        # Before anything runs: a typo in the last name must not cost the
+        # runs of the names before it.
+        parser.error(
+            f"unknown experiment(s) {', '.join(unknown)}; valid: {', '.join(BUILTIN_SPECS)}"
+        )
 
     if args.mode is not None:
         # --mode selects the fig13 variant; rewriting the experiment name up
@@ -337,11 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--dump-spec exports a builtin experiment; it cannot follow --spec")
         if not args.experiments or len(args.experiments) != 1:
             parser.error("--dump-spec needs exactly one experiment name (e.g. fig8)")
-        try:
-            spec = builtin_spec(args.experiments[0]).resolve(profile)
-        except ValueError as error:
-            parser.error(str(error))
-        print(spec.to_json())
+        print(builtin_spec(args.experiments[0]).resolve(profile).to_json())
         return 0
 
     spec_file: ExperimentSpec | None = None
@@ -355,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         except SpecError as error:
             parser.error(f"invalid spec file {args.spec}: {error}")
 
-    names = args.experiments or list(EXPERIMENTS)
+    names = args.experiments or [name for name in BUILTIN_SPECS if name not in OPT_IN]
     out_dir: Path | None = args.out
     if args.resume and out_dir is None:
         out_dir = Path("results")
@@ -376,7 +363,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with environment(overrides):
         if spec_file is not None:
-            emit(spec_file.name, spec_file)
+            try:
+                emit(spec_file.name, spec_file)
+            except SpecError as error:
+                parser.error(f"invalid spec file {args.spec}: {error}")
         else:
             for name in names:
                 emit(name, builtin_spec(name))

@@ -278,7 +278,9 @@ class ResultStore:
         one is quarantined to ``<name>.json.corrupt`` and raises
         ``ValueError`` naming the quarantine file (artifacts are re-creatable
         by re-running the experiment, so there is no partial state to resume
-        from).
+        from).  A record without a ``result`` object (a campaign's
+        ``manifest.json`` or ``summary.json``) raises ``ValueError`` naming
+        the file.
         """
         path = self.path_for(name)
         if not path.is_file():
@@ -295,6 +297,8 @@ class ResultStore:
                 f"artifact {name!r} has unsupported schema version {version!r} "
                 f"(this build reads <= {STORE_SCHEMA_VERSION})"
             )
+        if not isinstance(record.get("result"), dict):
+            raise ValueError(f"{path} is not a result artifact: it has no 'result' object")
         return record
 
     def load(self, name: str) -> FigureResult:
@@ -302,10 +306,23 @@ class ResultStore:
         return FigureResult.from_dict(self.load_record(name)["result"])
 
     def names(self) -> list[str]:
-        """Experiments with an artifact in the store."""
+        """Experiments with a result artifact in the store.
+
+        Other JSON files (a campaign workspace's ``manifest.json`` and
+        ``summary.json``) and unreadable ones are not listed.
+        """
         if not self.root.is_dir():
             return []
-        return sorted(path.stem for path in self.root.glob("*.json"))
+        return sorted(path.stem for path in self.root.glob("*.json") if _is_result(path))
+
+
+def _is_result(path: Path) -> bool:
+    """Whether ``path`` holds a JSON record with a ``result`` object."""
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return isinstance(record, dict) and isinstance(record.get("result"), dict)
 
 
 # --------------------------------------------------------------------------- #

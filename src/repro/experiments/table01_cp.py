@@ -1,11 +1,15 @@
 """Table 1 — cyclic prefix provisioning across 802.11 standards.
 
-The table is static standards data; the accompanying analysis quantifies the
-over-provisioning argument of section 2.2: how many cyclic prefix samples are
-left untouched by a typical indoor delay spread, i.e. how many FFT segments
-CPRecycle has to work with on each channel width.  Each standard's row is one
-(trivially cheap) task on the shared sweep-execution layer, so the analysis
-honours the same ``--workers`` and caching knobs as every other experiment.
+The table is static standards data (:func:`repro.standards.dot11.table1_rows`);
+the accompanying analysis quantifies the over-provisioning argument of
+section 2.2: how many cyclic prefix samples are left untouched by a typical
+indoor delay spread, i.e. how many FFT segments CPRecycle has to work with on
+each channel width.  Each standard's row is one (trivially cheap) task on the
+shared sweep-execution layer, so the analysis honours the same ``--workers``
+and caching knobs as every other experiment.  The analysis is the builtin
+``table1`` experiment: ``run_experiment_spec(build_spec(), profile,
+n_workers=...)`` runs it through the registered ``table1-isi-free``
+analysis, which is :func:`run_isi_free_analysis` itself.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import ExperimentSpec, register_analysis
+from repro.experiments.config import ExperimentProfile
 from repro.experiments.results import FigureResult
 from repro.experiments.sweeps import execute_points
-from repro.standards.dot11 import DOT11_CP_TABLE, CyclicPrefixSpec, isi_free_samples, table1_rows
+from repro.standards.dot11 import DOT11_CP_TABLE, CyclicPrefixSpec, isi_free_samples
 
-__all__ = ["SPEC", "build_spec", "run", "run_isi_free_analysis", "main"]
+__all__ = ["build_spec", "run_isi_free_analysis"]
 
 
 @dataclass(frozen=True)
@@ -36,18 +41,6 @@ def _isi_free_point(task: _SpecTask) -> dict[str, float]:
     }
 
 
-def run() -> list[dict[str, object]]:
-    """Rows of Table 1, identical in layout to the paper."""
-    return table1_rows()
-
-
-@register_analysis("table1-isi-free")
-def _isi_free_analysis(profile, n_workers: int | None = None, delay_spread_us: float = 0.1):
-    """Registered analysis runner behind the Table 1 spec (profile unused:
-    the table is static standards data)."""
-    return run_isi_free_analysis(delay_spread_us=delay_spread_us, n_workers=n_workers)
-
-
 def build_spec() -> ExperimentSpec:
     """The canonical Table 1 spec (the ISI-free over-provisioning analysis)."""
     return ExperimentSpec(
@@ -60,16 +53,18 @@ def build_spec() -> ExperimentSpec:
     )
 
 
-SPEC = build_spec()
-
-
+@register_analysis("table1-isi-free")
 def run_isi_free_analysis(
-    delay_spread_us: float = 0.1, n_workers: int | None = None
+    profile: ExperimentProfile | None = None,
+    delay_spread_us: float = 0.1,
+    n_workers: int | None = None,
 ) -> FigureResult:
     """ISI-free cyclic prefix samples per standard for a given delay spread.
 
     Reproduces the observation that the number of usable FFT segments grows
-    with channel width because the delay spread does not.
+    with channel width because the delay spread does not.  ``profile`` is
+    unused (the table is static standards data); it is the first argument
+    every registered analysis takes.
     """
     tasks = [_SpecTask(spec=spec, delay_spread_us=delay_spread_us) for spec in DOT11_CP_TABLE]
     outcomes = execute_points(_isi_free_point, tasks, n_workers=n_workers)
@@ -85,23 +80,3 @@ def run_isi_free_analysis(
             "ISI-free samples (P)": [outcome["free"] for outcome in outcomes],
         },
     )
-
-
-def main() -> None:
-    """Print Table 1 and the over-provisioning analysis."""
-    rows = run()
-    headers = list(rows[0].keys())
-    widths = [max(len(h), *(len(str(row[h])) for row in rows)) for h in headers]
-    print("Table 1: Cyclic Prefix in 802.11 standards")
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(str(row[h]).ljust(w) for h, w in zip(headers, widths)))
-    print()
-    from repro.experiments.results import format_table
-
-    print(format_table(run_isi_free_analysis()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,10 +8,12 @@ exactly, for any worker count.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.api import (
+    CampaignExperiment,
     ExperimentSpec,
     InterfererSpec,
     ReceiverSpec,
@@ -33,7 +35,7 @@ from repro.experiments import (
     fig14_segment_sweep,
     runner,
 )
-from repro.experiments.config import ExperimentProfile
+from repro.experiments.config import QUICK_PROFILE, ExperimentProfile
 from repro.experiments.link import packet_success_rate, psr
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.results import FigureResult
@@ -68,7 +70,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("legacy_link", ["fast", "reference"])
     def test_fig8_matches_legacy_path(self, legacy_link):
         sirs = sir_axis(-24.0, -12.0, TINY.n_sir_points)
-        result = fig08_aci_single.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))
+        spec = fig08_aci_single.build_spec(mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))
+        result = run_experiment_spec(spec, TINY)
         for index, sir in enumerate(sirs):
             legacy = _legacy_point(
                 expcfg.aci_scenario("qpsk-1/2", sir, payload_length=TINY.payload_length),
@@ -81,7 +84,8 @@ class TestBitIdentity:
 
     def test_fig10_matches_legacy_path(self):
         guards = (0, 64)
-        result = fig10_guardband.run(TINY, sir_values_db=(-10.0,), guard_band_subcarriers=guards)
+        spec = fig10_guardband.build_spec(sir_values_db=(-10.0,), guard_band_subcarriers=guards)
+        result = run_experiment_spec(spec, TINY)
         for index, guard in enumerate(guards):
             legacy = _legacy_point(
                 expcfg.aci_scenario(
@@ -96,7 +100,8 @@ class TestBitIdentity:
 
     def test_fig12_matches_legacy_path(self):
         sirs = sir_axis(5.0, 20.0, TINY.n_sir_points)
-        result = fig12_cci_two.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(5.0, 20.0))
+        spec = fig12_cci_two.build_spec(mcs_names=("qpsk-1/2",), sir_range_db=(5.0, 20.0))
+        result = run_experiment_spec(spec, TINY)
         for index, sir in enumerate(sirs):
             legacy = _legacy_point(
                 expcfg.cci_scenario(
@@ -108,7 +113,8 @@ class TestBitIdentity:
             assert result.series["QPSK (1/2) With CPRecycle"][index] == legacy["cprecycle"]
 
     def test_fig14_segment_budget_matches_legacy_path(self):
-        result = fig14_segment_sweep.run(TINY, sir_values_db=(-16.0,), segment_fractions=(0.1,))
+        spec = fig14_segment_sweep.build_spec(sir_values_db=(-16.0,), segment_fractions=(0.1,))
+        result = run_experiment_spec(spec, TINY)
         cp_length = expcfg.aci_scenario(
             "16qam-1/2", -16.0, payload_length=TINY.payload_length
         ).allocation.cp_length
@@ -122,9 +128,9 @@ class TestBitIdentity:
         assert result.series["SIR -16 dB"][0] == legacy["cprecycle"]
 
     def test_fig8_workers_invariance(self):
-        kwargs = dict(mcs_names=("qpsk-1/2",), sir_range_db=(-20.0, -12.0))
-        assert fig08_aci_single.run(TINY, n_workers=2, **kwargs) == fig08_aci_single.run(
-            TINY, n_workers=1, **kwargs
+        spec = fig08_aci_single.build_spec(mcs_names=("qpsk-1/2",), sir_range_db=(-20.0, -12.0))
+        assert run_experiment_spec(spec, TINY, n_workers=2) == run_experiment_spec(
+            spec, TINY, n_workers=1
         )
 
 
@@ -238,7 +244,7 @@ class TestInterfererAxisSweep:
 
 class TestAnalysisSpecs:
     def test_fig4_spec_dispatches_to_segment_profile(self):
-        via_spec = run_experiment_spec(fig04_segments.SPEC, TINY)
+        via_spec = run_experiment_spec(fig04_segments.build_spec(), TINY)
         direct = fig04_segments.run_segment_profile(TINY)
         assert via_spec == direct
 
@@ -247,16 +253,26 @@ class TestAnalysisSpecs:
             resolve_analysis("fig99-nope")
 
     def test_analysis_spec_from_json_resolves_in_fresh_registry(self):
-        spec = ExperimentSpec.from_json(fig04_segments.SPEC.to_json())
+        spec = ExperimentSpec.from_json(fig04_segments.build_spec().to_json())
         assert isinstance(run_experiment_spec(spec, TINY), FigureResult)
 
-    def test_analysis_spec_execution_fields_take_effect(self):
-        from dataclasses import replace
+    def test_misspelled_params_fail_before_anything_runs(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the analysis ran before its params were checked")
 
+        monkeypatch.setattr(fig04_segments, "execute_points", never)
+        spec = replace(
+            fig04_segments.build_spec(),
+            params={"sir_value_db": [-20.0], "subcarrier_offset_from_edge": 4},
+        )
+        with pytest.raises(SpecError, match=r"'fig4-segment-profile'.*sir_value_db"):
+            run_experiment_spec(spec, TINY)
+
+    def test_analysis_spec_execution_fields_take_effect(self):
         # An edited seed in a dumped analysis spec must change the result
         # (the analysis draws its randomness from the profile seed).
-        default = run_experiment_spec(fig04_segments.SPEC, TINY)
-        reseeded = run_experiment_spec(replace(fig04_segments.SPEC, seed=99), TINY)
+        default = run_experiment_spec(fig04_segments.build_spec(), TINY)
+        reseeded = run_experiment_spec(replace(fig04_segments.build_spec(), seed=99), TINY)
         assert default != reseeded
         assert reseeded == fig04_segments.run_segment_profile(
             replace(TINY, seed=99)
@@ -348,6 +364,51 @@ class TestCli:
             runner.main(["--spec", str(spec_path)])
         assert "test oracle" in capsys.readouterr().err
 
+    def test_misspelled_analysis_params_in_spec_file_are_a_usage_error(self, tmp_path, capsys):
+        assert runner.main(["fig4", "--dump-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["params"]["sir_value_db"] = payload["params"].pop("sir_values_db")
+        spec_path = tmp_path / "fig4.json"
+        spec_path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        assert "sir_value_db" in capsys.readouterr().err
+
+    def test_unknown_name_fails_before_anything_runs(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["table1", "fig99", "--out", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert not (out_dir / "table1.json").exists()
+        err = capsys.readouterr().err
+        assert "fig99" in err and "table1, fig4, fig5" in err
+
+    def test_bare_runner_runs_the_builtin_table_in_order(self, monkeypatch):
+        default = [
+            "table1", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12",
+            "fig13", "fig14",
+        ]
+        assert list(runner.BUILTIN_SPECS) == default + ["fig13-simulated"]
+        ran = []
+
+        def record(spec, profile):
+            ran.append(spec.name)
+            return FigureResult(spec.figure, spec.title, "x", [], {})
+
+        monkeypatch.setattr(runner, "run_experiment_spec", record)
+        assert runner.main([]) == 0
+        assert ran == default
+
+    @pytest.mark.parametrize("name", list(runner.BUILTIN_SPECS))
+    def test_every_builtin_round_trips_dump_spec_and_resolves_in_campaigns(self, name, capsys):
+        assert runner.main([name, "--dump-spec"]) == 0
+        dumped = capsys.readouterr().out.rstrip("\n")
+        assert ExperimentSpec.from_json(dumped).to_json() == dumped
+        entry = CampaignExperiment(builtin=name)
+        assert entry.build() == runner.BUILTIN_SPECS[name]()
+        assert entry.build().resolve(QUICK_PROFILE).to_json() == dumped
+
     def test_dump_spec_needs_one_experiment(self):
         with pytest.raises(SystemExit):
             runner.main(["--dump-spec"])
@@ -372,10 +433,10 @@ class TestCli:
             runner.builtin_spec("fig99")
 
     def test_run_experiment_via_specs(self):
-        result = runner.run_experiment("fig13", TINY)
+        result = run_experiment_spec(runner.builtin_spec("fig13"), TINY)
         assert isinstance(result, FigureResult)
         with pytest.raises(ValueError):
-            runner.run_experiment("fig99", TINY)
+            runner.builtin_spec("fig99")
 
     def test_mode_simulated_dumps_the_simulated_fig13_spec(self, capsys):
         assert runner.main(["fig13", "--mode", "simulated", "--dump-spec"]) == 0

@@ -8,6 +8,7 @@ mid-round interrupt completes with bit-identical final counts.
 
 import functools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,12 @@ def _mini_psr_spec(name="mini-cci", sir_values=(5.0, 10.0, 15.0, 20.0, 25.0)):
         sweep=SweepSpec(axes=(SweepAxis("sir_db", values=tuple(sir_values)),)),
         series_label="{receiver}",
     )
+
+
+def _misspelled_fig4_spec():
+    """The builtin fig4 spec with ``sir_values_db`` misspelled in its params."""
+    spec = CampaignExperiment(builtin="fig4").build()
+    return replace(spec, params={"sir_value_db": [-20.0], "subcarrier_offset_from_edge": 4})
 
 
 def _campaign(experiments, **kwargs):
@@ -257,6 +264,22 @@ class TestAdaptiveCampaign:
         assert record["campaign"] == "fig4-fig11"
         assert record["adaptive"]["n_packets"]
 
+    def test_misspelled_analysis_params_fail_before_the_first_round(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(scheduler_module, "run_sweep_point_counts", calls.append)
+        spec = _campaign(
+            [
+                CampaignExperiment(spec=_mini_psr_spec()),
+                CampaignExperiment(spec=_misspelled_fig4_spec()),
+            ]
+        )
+        with pytest.raises(SpecError, match=r"'fig4-segment-profile'.*sir_value_db"):
+            run_campaign(spec, tmp_path / "ws", n_workers=1)
+        assert calls == []
+        assert not (tmp_path / "ws" / "manifest.json").exists()
+
     def test_shared_cells_simulate_once(self, tmp_path):
         """Two experiments over identical scenarios collapse to one cell set."""
         spec = _campaign(
@@ -415,6 +438,16 @@ class TestCampaignCli:
             )
             == 0
         )
+
+    def test_misspelled_analysis_params_are_a_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(
+            _campaign([CampaignExperiment(spec=_misspelled_fig4_spec())]).to_json()
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["campaign", "--spec", str(spec_path), "--out", str(tmp_path / "ws")])
+        assert excinfo.value.code == 2
+        assert "sir_value_db" in capsys.readouterr().err
 
     def test_invalid_spec_file_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import run_experiment_spec
 from repro.channel.scenario import Scenario
 from repro.experiments import config as expcfg
 from repro.experiments import (
@@ -18,9 +19,10 @@ from repro.experiments import (
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.link import packet_success_rate, symbol_error_rate
 from repro.experiments.results import FigureResult, format_table
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import BUILTIN_SPECS, builtin_spec
 from repro.phy.subcarriers import dot11g_allocation
 from repro.receiver.standard import StandardOfdmReceiver
+from repro.standards.dot11 import table1_rows
 
 TINY = ExperimentProfile(name="tiny", n_packets=3, payload_length=30, n_sir_points=2)
 
@@ -108,7 +110,7 @@ class TestResults:
 
 class TestFigureModules:
     def test_table1(self):
-        rows = table01_cp.run()
+        rows = table1_rows()
         assert len(rows) == 4
         analysis = table01_cp.run_isi_free_analysis()
         assert len(analysis.x_values) == 4
@@ -128,7 +130,8 @@ class TestFigureModules:
         assert len(c.series["real"]) == 5
 
     def test_fig5(self):
-        result = fig05_naive.run(TINY, sir_db=-10.0, guard_band_subcarriers=(0, 16))
+        spec = fig05_naive.build_spec(sir_db=-10.0, guard_band_subcarriers=(0, 16))
+        result = run_experiment_spec(spec, TINY)
         assert set(result.series) == {"Standard OFDM Receiver", "Oracle Scheme", "Naive Decoder"}
         assert len(result.x_values) == 2
 
@@ -148,27 +151,30 @@ class TestFigureModules:
         assert fig06_kde._normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_fig8_and_fig11_shapes(self):
-        result = fig08_aci_single.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))
+        spec = fig08_aci_single.build_spec(mcs_names=("qpsk-1/2",), sir_range_db=(-24.0, -12.0))
+        result = run_experiment_spec(spec, TINY)
         assert "QPSK (1/2) With CPRecycle" in result.series
         assert len(result.x_values) == TINY.n_sir_points
-        cci = fig11_cci_single.run(TINY, mcs_names=("qpsk-1/2",), sir_range_db=(5.0, 20.0))
+        spec = fig11_cci_single.build_spec(mcs_names=("qpsk-1/2",), sir_range_db=(5.0, 20.0))
+        cci = run_experiment_spec(spec, TINY)
         assert "QPSK (1/2) Without CPRecycle" in cci.series
 
     def test_fig13(self):
-        result = fig13_network.run(TINY)
+        result = run_experiment_spec(fig13_network.build_spec(), TINY)
         for series in result.series.values():
             assert series[-1] == pytest.approx(1.0)
         analyses = fig13_network.run_analyses(TINY, n_realizations=2)
         assert analyses["cprecycle"].mean < analyses["standard"].mean
 
     def test_fig14(self):
-        result = fig14_segment_sweep.run(TINY, sir_values_db=(-16.0,), segment_fractions=(0.1, 1.0))
+        spec = fig14_segment_sweep.build_spec(sir_values_db=(-16.0,), segment_fractions=(0.1, 1.0))
+        result = run_experiment_spec(spec, TINY)
         assert len(result.x_values) == 2
 
     def test_runner_registry(self):
-        assert set(EXPERIMENTS) >= {"table1", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
-                                    "fig11", "fig12", "fig13", "fig14"}
-        result = run_experiment("fig13", TINY)
+        assert set(BUILTIN_SPECS) >= {"table1", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
+                                      "fig11", "fig12", "fig13", "fig14"}
+        result = run_experiment_spec(builtin_spec("fig13"), TINY)
         assert isinstance(result, FigureResult)
         with pytest.raises(ValueError):
-            run_experiment("fig99", TINY)
+            builtin_spec("fig99")

@@ -46,7 +46,7 @@ from repro.experiments.parallel import (
     resolve_task_timeout,
     supervisor_stats,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import builtin_spec
 from repro.experiments.store import CACHE_ENV_VAR, CampaignManifest
 from repro.experiments.sweeps import execute_points, run_sweep_point
 
@@ -310,12 +310,12 @@ class TestSweepBitIdentityUnderFaults:
         assert faulted == clean
 
     def test_fig4_bit_identical_under_task_exception(self, tmp_path, monkeypatch):
-        clean = run_experiment("fig4", MICRO)
+        clean = run_experiment_spec(builtin_spec("fig4"), MICRO)
         monkeypatch.setenv(
             FAULTS_ENV_VAR,
             json.dumps({"tasks": {"0": "raise"}, "state_dir": str(tmp_path / "faults")}),
         )
-        assert run_experiment("fig4", MICRO) == clean
+        assert run_experiment_spec(builtin_spec("fig4"), MICRO) == clean
         assert supervisor_stats().retries >= 1
 
     def test_fig13_simulated_bit_identical_under_worker_kill(self, tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.api import run_experiment_spec
 from repro.experiments import fig10_guardband, parallel
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.faults import FaultPlan
@@ -458,12 +459,11 @@ class TestTaskDigests:
         # The link simulation draws its streams inside each task, in workers.
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         profile = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
+        spec = fig10_guardband.build_spec(sir_values_db=(-10.0,), guard_band_subcarriers=(0, 16))
         results = {}
         for workers in (1, 2):
             monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / f"w{workers}"))
-            results[workers] = fig10_guardband.run(
-                profile, n_workers=workers, sir_values_db=(-10.0,), guard_band_subcarriers=(0, 16)
-            )
+            results[workers] = run_experiment_spec(spec, profile, n_workers=workers)
         assert results[1] == results[2]
         tasks, _ = task_digests(tmp_path / "w1")
         assert len(tasks) == 2 and all(record["rng_streams"] for record in tasks.values())

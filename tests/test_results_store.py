@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import run_experiment_spec
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.results import (
     RESULT_SCHEMA_VERSION,
@@ -13,13 +14,15 @@ from repro.experiments.results import (
     format_csv,
     format_table,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import BUILTIN_SPECS, OPT_IN
 from repro.experiments.store import (
     CACHE_ENV_VAR,
+    CampaignManifest,
     PointCache,
     ResultStore,
     config_hash,
     stable_key,
+    write_json_artifact,
 )
 from repro.experiments.sweeps import execute_points
 
@@ -48,9 +51,9 @@ class TestEmptyResultRendering:
 
 
 class TestFigureResultSerialisation:
-    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("name", sorted(set(BUILTIN_SPECS) - OPT_IN))
     def test_round_trip_every_experiment(self, name):
-        result = run_experiment(name, MICRO)
+        result = run_experiment_spec(BUILTIN_SPECS[name](), MICRO)
         assert isinstance(result, FigureResult)
         restored = FigureResult.from_json(result.to_json())
         assert restored == result
@@ -115,6 +118,23 @@ class TestResultStore:
         store.path_for("f").write_text(json.dumps(record))
         with pytest.raises(ValueError):
             store.load("f")
+
+    def test_names_lists_only_result_artifacts(self, tmp_path):
+        # A campaign workspace keeps its manifest and summary next to the
+        # per-experiment artifacts.
+        store = ResultStore(tmp_path)
+        store.save("fig11", FigureResult("F", "t", "x", [1], {"a": [2.0]}))
+        CampaignManifest(tmp_path / "manifest.json").flush()
+        write_json_artifact(tmp_path / "summary.json", {"schema_version": 1, "campaign": "c"})
+        assert store.names() == ["fig11"]
+
+    def test_load_record_rejects_a_record_without_result(self, tmp_path):
+        write_json_artifact(tmp_path / "summary.json", {"schema_version": 1, "campaign": "c"})
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="summary.json"):
+            store.load_record("summary")
+        with pytest.raises(ValueError, match="no 'result' object"):
+            store.load("summary")
 
 
 # Module-level (picklable) counting task function for the cache tests.  The

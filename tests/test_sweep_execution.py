@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import run_experiment_spec
 from repro.experiments import (
     fig05_naive,
     fig06_kde,
@@ -23,15 +24,15 @@ class TestWorkersInvariance:
     """Results are bit-identical for any worker count."""
 
     def test_fig10_workers2_matches_serial(self):
-        kwargs = dict(sir_values_db=(-10.0,), guard_band_subcarriers=(0, 16))
-        serial = fig10_guardband.run(TINY, n_workers=1, **kwargs)
-        pooled = fig10_guardband.run(TINY, n_workers=2, **kwargs)
+        spec = fig10_guardband.build_spec(sir_values_db=(-10.0,), guard_band_subcarriers=(0, 16))
+        serial = run_experiment_spec(spec, TINY, n_workers=1)
+        pooled = run_experiment_spec(spec, TINY, n_workers=2)
         assert pooled == serial
 
     def test_fig14_workers2_matches_serial(self):
-        kwargs = dict(sir_values_db=(-16.0,), segment_fractions=(0.1, 1.0))
-        serial = fig14_segment_sweep.run(TINY, n_workers=1, **kwargs)
-        pooled = fig14_segment_sweep.run(TINY, n_workers=2, **kwargs)
+        spec = fig14_segment_sweep.build_spec(sir_values_db=(-16.0,), segment_fractions=(0.1, 1.0))
+        serial = run_experiment_spec(spec, TINY, n_workers=1)
+        pooled = run_experiment_spec(spec, TINY, n_workers=2)
         assert pooled == serial
 
     def test_fig13_workers2_matches_serial(self):
@@ -45,7 +46,8 @@ class TestSweepLayerCoverage:
     """The refactored figures execute and keep their paper-level properties."""
 
     def test_fig5_runs_through_sweep_layer(self):
-        result = fig05_naive.run(TINY, sir_db=-10.0, guard_band_subcarriers=(0, 16))
+        spec = fig05_naive.build_spec(sir_db=-10.0, guard_band_subcarriers=(0, 16))
+        result = run_experiment_spec(spec, TINY)
         assert set(result.series) == {"Standard OFDM Receiver", "Oracle Scheme", "Naive Decoder"}
 
     def test_fig6_accepts_workers(self):
