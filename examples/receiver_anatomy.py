@@ -50,7 +50,7 @@ def main() -> None:
 
     # Stage 3: fixed-sphere maximum-likelihood decoding.
     decoder = FixedSphereMlDecoder(rx.spec.mcs.constellation, config)
-    decisions = decoder.decode_frame(front.data_observations(), model)
+    decisions = decoder.decode_frame(front.data, model)
     true_indices = rx.spec.mcs.constellation.nearest_indices(rx.tx_frame.data_points)
     ser = float(np.mean(decisions != true_indices))
     print(f"Stage 3 — sphere ML decoding: sphere radius {decoder.sphere_radius:.2f}, "

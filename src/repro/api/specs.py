@@ -249,6 +249,27 @@ class AllocationSpec:
                         f"allocation kind 'dot11g' has a fixed grid and ignores "
                         f"{geometry_field!r}; use kind 'wideband' to configure geometry"
                     )
+            return
+        # Bad geometry must fail here, not inside the sweep's workers.
+        if not isinstance(self.cp_fraction, (int, float)) or not math.isfinite(self.cp_fraction):
+            raise SpecError(
+                f"allocation cp_fraction must be a finite number, got {self.cp_fraction!r}"
+            )
+        cp_length = round(self.fft_size * self.cp_fraction)
+        if cp_length < 1:
+            raise SpecError(
+                f"allocation cp_fraction {self.cp_fraction!r} gives a cyclic prefix of "
+                f"{cp_length} samples on the {self.fft_size}-bin grid; at least 1 is needed"
+            )
+        if self.start_bin + self.n_subcarriers > self.fft_size:
+            raise SpecError(
+                f"allocation n_subcarriers {self.n_subcarriers} from start_bin "
+                f"{self.start_bin} does not fit in fft_size {self.fft_size}"
+            )
+        try:
+            self.build()
+        except ValueError as error:
+            raise SpecError(f"invalid wideband allocation: {error}") from error
 
     def build(self) -> OfdmAllocation:
         """Instantiate the :class:`OfdmAllocation`."""

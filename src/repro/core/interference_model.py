@@ -97,11 +97,9 @@ class InterferenceModel:
         that batched link simulations can pool the deviations of many packets
         into one model bank before fitting any kernel density.
         """
-        allocation = front.allocation
-        data_bins = allocation.data_bin_array()
-        observed = front.preamble[:, :, data_bins]           # (P, Np, n_data)
+        data_bins = front.allocation.data_bin_array()
         known = front.spec.preamble_frequency[:, data_bins]  # (Np, n_data)
-        deviations = observed - known[None, :, :]
+        deviations = front.preamble - known[None, :, :]      # (P, Np, n_data)
         # Reorder to (n_data, P, Np).
         return np.transpose(deviations, (2, 0, 1))
 

@@ -52,4 +52,4 @@ class NaiveSegmentReceiver(OfdmReceiverBase):
 
     def decide(self, front: FrontEndOutput, rx: ReceivedWaveform) -> np.ndarray:
         constellation = front.spec.mcs.constellation
-        return naive_decide_symbols(front.data_observations(), constellation)
+        return naive_decide_symbols(front.data, constellation)

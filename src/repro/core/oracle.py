@@ -65,6 +65,5 @@ class OracleSegmentReceiver(OfdmReceiverBase):
         power = interference_power_per_segment(rx, front, include_noise=self.include_noise)
         power = power[:, :, data_bins]                       # (P, n_symbols, n_data)
         best_segment = np.argmin(power, axis=0)              # (n_symbols, n_data)
-        observations = front.data_observations()             # (P, n_symbols, n_data)
-        chosen = np.take_along_axis(observations, best_segment[None, :, :], axis=0)[0]
+        chosen = np.take_along_axis(front.data, best_segment[None, :, :], axis=0)[0]
         return constellation.nearest_indices(chosen)

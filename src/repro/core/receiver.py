@@ -74,7 +74,7 @@ class CPRecycleReceiver(OfdmReceiverBase):
         model = self.build_model(front)
         self._last_model = model
         decoder = FixedSphereMlDecoder(front.spec.mcs.constellation, self.config)
-        return decoder.decode_frame(front.data_observations(), model)
+        return decoder.decode_frame(front.data, model)
 
     # ------------------------------------------------------------------ #
     def demodulate_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[Demodulated]:
@@ -97,18 +97,17 @@ class CPRecycleReceiver(OfdmReceiverBase):
         self._last_model = None
         with obs.span("engine.frontend", n_packets=len(rxs)):
             fronts = self.front_end.process_batch(rxs)
-        observations = [front.data_observations() for front in fronts]
         groups: dict[tuple, list[int]] = {}
         for index, front in enumerate(fronts):
-            key = (observations[index].shape, front.spec.mcs.name)
+            key = (front.data.shape, front.spec.mcs.name)
             groups.setdefault(key, []).append(index)
 
         results: list[Demodulated | None] = [None] * len(rxs)
         for indices in groups.values():
             group_fronts = [fronts[i] for i in indices]
             constellation = group_fronts[0].spec.mcs.constellation
-            n_data = observations[indices[0]].shape[2]
-            stacked_obs = np.concatenate([observations[i] for i in indices], axis=2)
+            n_data = group_fronts[0].data.shape[2]
+            stacked_obs = np.concatenate([front.data for front in group_fronts], axis=2)
             with obs.span("engine.kde_ml", n_packets=len(indices)):
                 stacked_deviations = np.concatenate(
                     [InterferenceModel.deviations_from_front_end(f) for f in group_fronts],

@@ -165,10 +165,9 @@ def run_constellation(
     )
     rx = scenario.realize(child_rng(profile.seed if seed is None else seed, 4, 3))
     front = FrontEnd(n_segments=n_segments).process(rx)
-    observations = front.data_observations()  # (P, n_symbols, n_data)
     data_bins = rx.allocation.data_bin_array()
     edge_index = int(np.argmax(data_bins))
-    points = observations[:, 0, edge_index]
+    points = front.data[:, 0, edge_index]
     return FigureResult(
         figure="Figure 4c",
         title="Received signal of one subcarrier in five FFT segments (BPSK)",

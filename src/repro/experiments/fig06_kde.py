@@ -98,8 +98,7 @@ def _deviation_point(task: _DeviationTask) -> dict[str, list[float]]:
     front = FrontEnd(n_segments=16).process(rx)
     model = InterferenceModel.from_front_end(front, config)
 
-    observations = front.data_observations()
-    deviations = observations - rx.tx_frame.data_points[None, :, :]
+    deviations = front.data - rx.tx_frame.data_points[None, :, :]
     sample_amplitudes = np.abs(deviations).reshape(-1)
 
     # Model CDF of the amplitude marginal: mixture of Gaussian kernel CDFs.

@@ -102,7 +102,7 @@ class FrameSpec:
         """SERVICE + PSDU + tail bits, before padding."""
         return SERVICE_BITS + 8 * self.psdu_length + TAIL_BITS
 
-    @property
+    @cached_property
     def n_data_symbols(self) -> int:
         """Number of data OFDM symbols in the frame."""
         n_dbps = self.data_bits_per_symbol
@@ -152,20 +152,26 @@ class FrameSpec:
     # ------------------------------------------------------------------ #
     # Known reference content                                            #
     # ------------------------------------------------------------------ #
+    # Cached arrays are read-only: every frame of one transmitter and every
+    # receiver of those frames share them.
     @cached_property
     def preamble_frequency(self) -> np.ndarray:
         """Known frequency-domain training symbols, shape (Np, fft_size)."""
-        return preamble_frequency_symbols(
-            self.allocation, self.n_preamble_symbols, seed=self.preamble_seed
+        return _read_only(
+            preamble_frequency_symbols(
+                self.allocation, self.n_preamble_symbols, seed=self.preamble_seed
+            )
         )
 
     @cached_property
     def data_pilot_values(self) -> np.ndarray:
         """Known pilot values for the data symbols, shape (Nsym, Npilots)."""
-        return pilot_values(
-            self.n_data_symbols,
-            self.allocation.n_pilot_subcarriers,
-            start_index=1,
+        return _read_only(
+            pilot_values(
+                self.n_data_symbols,
+                self.allocation.n_pilot_subcarriers,
+                start_index=1,
+            )
         )
 
     # ------------------------------------------------------------------ #
@@ -183,6 +189,11 @@ class FrameSpec:
     def check_psdu(self, psdu: bytes) -> bool:
         """Verify the frame check sequence of a decoded PSDU."""
         return len(psdu) == self.psdu_length and check_crc32(psdu)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def prepare_data_bits(spec: FrameSpec, psdu: bytes) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.phy.frame import FrameSpec, encode_data_field, prepare_data_bits
+from repro.phy.mcs import get_mcs
 from repro.phy.ofdm import apply_edge_window, assemble_frequency_symbols, ofdm_modulate
 from repro.phy.pilots import pilot_values
 from repro.phy.preamble import dot11_stf_waveform, generic_stf_waveform
@@ -52,9 +53,10 @@ class TxFrame:
 class OfdmTransmitter:
     """Builds standard-compliant frames (and interference streams) for one allocation.
 
-    Parameters mirror :class:`repro.phy.frame.FrameSpec`; the transmitter is
-    stateless apart from its configuration, so one instance can build any
-    number of frames.
+    Parameters mirror :class:`repro.phy.frame.FrameSpec`.  Apart from its
+    configuration the transmitter keeps only one :class:`FrameSpec` per
+    payload length, so every frame of that length shares the spec's cached
+    training and pilot values; one instance can build any number of frames.
     """
 
     def __init__(
@@ -76,22 +78,27 @@ class OfdmTransmitter:
         if edge_window_length < 0:
             raise ValueError("edge_window_length must be non-negative")
         self.edge_window_length = edge_window_length
+        self._specs: dict[int, FrameSpec] = {}
 
     # ------------------------------------------------------------------ #
     def frame_spec(self, payload_length: int) -> FrameSpec:
         """The :class:`FrameSpec` describing a frame with the given payload size."""
-        kwargs = {}
-        if self.scrambler_seed is not None:
-            kwargs["scrambler_seed"] = self.scrambler_seed
-        return FrameSpec(
-            allocation=self.allocation,
-            mcs_name=self.mcs_name,
-            payload_length=payload_length,
-            n_preamble_symbols=self.n_preamble_symbols,
-            preamble_seed=self.preamble_seed,
-            include_stf=self.include_stf,
-            **kwargs,
-        )
+        spec = self._specs.get(payload_length)
+        if spec is None:
+            kwargs = {}
+            if self.scrambler_seed is not None:
+                kwargs["scrambler_seed"] = self.scrambler_seed
+            spec = FrameSpec(
+                allocation=self.allocation,
+                mcs_name=self.mcs_name,
+                payload_length=payload_length,
+                n_preamble_symbols=self.n_preamble_symbols,
+                preamble_seed=self.preamble_seed,
+                include_stf=self.include_stf,
+                **kwargs,
+            )
+            self._specs[payload_length] = spec
+        return spec
 
     def build_frame(self, payload: bytes) -> TxFrame:
         """Encode and modulate a frame carrying ``payload``."""
@@ -145,7 +152,7 @@ class OfdmTransmitter:
         if n_symbols < 1:
             raise ValueError("n_symbols must be at least 1")
         rng = ensure_rng(rng)
-        constellation = self.frame_spec(1).mcs.constellation
+        constellation = get_mcs(self.mcs_name).constellation
         n_data = self.allocation.n_data_subcarriers
         bits = random_bits(n_symbols * n_data * constellation.bits_per_symbol, rng)
         points = constellation.map(bits).reshape(n_symbols, n_data)

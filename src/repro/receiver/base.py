@@ -8,8 +8,8 @@ Every receiver strategy in this library follows the same two-stage structure:
 * ``receive`` — run ``decide`` and push the resulting hard coded bits through
   the shared FEC decode chain, returning a verified PSDU.
 
-Experiments that need to decode thousands of packets call ``demodulate`` on
-each packet and then batch the FEC stage across packets.
+The link engine decodes packets in batches: it calls ``demodulate_batch``
+on a batch of packets and then runs the FEC stage across the whole batch.
 """
 
 from __future__ import annotations
@@ -92,13 +92,12 @@ class OfdmReceiverBase:
     def demodulate_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[Demodulated]:
         """Demodulate a batch of packets, preserving order.
 
-        The base implementation runs the shared front end over the whole
-        batch (one gathered FFT, one channel estimation) and the decision
-        stage packet by packet, so every receiver supports the batched
-        link-engine entry point; receivers with a vectorisable decision stage
-        (CPRecycle) override this to run KDE training and the ML decision
-        across the whole batch as well.  Any override must stay bit-identical
-        to the sequential loop.
+        The base implementation runs the front end and the decision stage
+        packet by packet, so every receiver supports the batched link-engine
+        entry point; receivers with a vectorisable decision stage (CPRecycle)
+        override this to run KDE training and the ML decision across the
+        whole batch.  Any override must stay bit-identical to the sequential
+        loop.
         """
         rxs = list(rxs)
         fronts = self.front_end.process_batch(rxs)

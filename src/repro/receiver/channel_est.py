@@ -19,35 +19,27 @@ import numpy as np
 
 __all__ = [
     "estimate_channel_ls",
-    "estimate_channel_ls_batch",
     "estimate_channel_best_segment",
-    "estimate_channel_best_segment_batch",
     "smooth_channel_estimate",
 ]
 
 
-def estimate_channel_ls(
-    received_preamble: np.ndarray,
-    known_preamble: np.ndarray,
-    occupied_bins: np.ndarray,
-) -> np.ndarray:
+def estimate_channel_ls(received_preamble: np.ndarray, known_preamble: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate averaged over the training symbols.
 
     Parameters
     ----------
     received_preamble:
         Frequency-domain training symbols as seen by the receiver at the
-        reference segment, shape ``(n_preamble_symbols, fft_size)``.
+        reference segment, shape ``(n_preamble_symbols, n_bins)``: the
+        occupied bins only, so the estimate never divides by an empty bin.
     known_preamble:
-        The transmitted training values, same shape.
-    occupied_bins:
-        Bins on which the estimate is computed; all other bins are set to 1
-        so that dividing by the estimate never produces NaNs.
+        The transmitted training values on the same bins, same shape.
 
     Returns
     -------
     numpy.ndarray
-        Complex channel estimate of length ``fft_size``.
+        Complex channel estimate of length ``n_bins``.
     """
     received_preamble = np.atleast_2d(received_preamble)
     known_preamble = np.atleast_2d(known_preamble)
@@ -56,25 +48,17 @@ def estimate_channel_ls(
             f"received and known preambles must have the same shape, got "
             f"{received_preamble.shape} vs {known_preamble.shape}"
         )
-    fft_size = received_preamble.shape[1]
-    occupied = np.asarray(occupied_bins, dtype=int)
-    estimate = np.ones(fft_size, dtype=complex)
-    reference = known_preamble[:, occupied]
-    if np.any(reference == 0):
+    if np.any(known_preamble == 0):
         raise ValueError("known preamble values on occupied bins must be non-zero")
-    per_symbol = received_preamble[:, occupied] / reference
-    estimate[occupied] = per_symbol.mean(axis=0)
+    estimate = (received_preamble / known_preamble).mean(axis=0)
     # Guard against a dead subcarrier producing a zero estimate and a
     # divide-by-zero downstream.
-    zero = np.abs(estimate) < 1e-12
-    estimate[zero] = 1e-12
+    estimate[np.abs(estimate) < 1e-12] = 1e-12
     return estimate
 
 
 def estimate_channel_best_segment(
-    preamble_segments: np.ndarray,
-    known_preamble: np.ndarray,
-    occupied_bins: np.ndarray,
+    preamble_segments: np.ndarray, known_preamble: np.ndarray
 ) -> np.ndarray:
     """Per-subcarrier best-segment channel estimate.
 
@@ -82,11 +66,10 @@ def estimate_channel_best_segment(
     ----------
     preamble_segments:
         Phase-corrected (unequalised) training-symbol spectra for every FFT
-        segment, shape ``(P, n_preamble_symbols, fft_size)``.
+        segment on the occupied bins, shape ``(P, n_preamble_symbols, n_bins)``.
     known_preamble:
-        Transmitted training values, shape ``(n_preamble_symbols, fft_size)``.
-    occupied_bins:
-        Bins on which the estimate is computed.
+        Transmitted training values on the same bins, shape
+        ``(n_preamble_symbols, n_bins)``.
 
     For each subcarrier the per-segment estimates ``H_j = mean_s(Y_js / X_s)``
     are ranked by how much the individual training symbols disagree
@@ -96,103 +79,23 @@ def estimate_channel_best_segment(
     """
     preamble_segments = np.asarray(preamble_segments, dtype=complex)
     if preamble_segments.ndim != 3:
-        raise ValueError("preamble_segments must have shape (P, Np, fft_size)")
+        raise ValueError("preamble_segments must have shape (P, Np, n_bins)")
     known_preamble = np.atleast_2d(known_preamble)
-    n_segments, n_preambles, fft_size = preamble_segments.shape
-    if known_preamble.shape != (n_preambles, fft_size):
+    if known_preamble.shape != preamble_segments.shape[1:]:
         raise ValueError(
             f"known preamble shape {known_preamble.shape} does not match segments "
-            f"({n_preambles}, {fft_size})"
+            f"{preamble_segments.shape[1:]}"
         )
-    if n_preambles < 2:
-        return estimate_channel_ls(preamble_segments[-1], known_preamble, occupied_bins)
-    occupied = np.asarray(occupied_bins, dtype=int)
-    reference = known_preamble[:, occupied]
-    if np.any(reference == 0):
+    if known_preamble.shape[0] < 2:
+        return estimate_channel_ls(preamble_segments[-1], known_preamble)
+    if np.any(known_preamble == 0):
         raise ValueError("known preamble values on occupied bins must be non-zero")
-    per_symbol = preamble_segments[:, :, occupied] / reference[None, :, :]  # (P, Np, n_occ)
-    means = per_symbol.mean(axis=1)                                         # (P, n_occ)
-    spread = np.abs(per_symbol - means[:, None, :]).mean(axis=1)            # (P, n_occ)
-    best = np.argmin(spread, axis=0)                                        # (n_occ,)
-    chosen = means[best, np.arange(occupied.size)]
-    estimate = np.ones(fft_size, dtype=complex)
-    estimate[occupied] = chosen
-    zero = np.abs(estimate) < 1e-12
-    estimate[zero] = 1e-12
-    return estimate
-
-
-def estimate_channel_ls_batch(
-    received_preamble: np.ndarray,
-    known_preamble: np.ndarray,
-    occupied_bins: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`estimate_channel_ls` over a leading packet axis.
-
-    ``received_preamble`` has shape ``(batch, n_preamble_symbols, fft_size)``;
-    the result has shape ``(batch, fft_size)``.  Row ``b`` equals
-    ``estimate_channel_ls(received_preamble[b], ...)`` exactly.
-    """
-    received_preamble = np.asarray(received_preamble, dtype=complex)
-    if received_preamble.ndim != 3:
-        raise ValueError("received_preamble must have shape (batch, Np, fft_size)")
-    known_preamble = np.atleast_2d(known_preamble)
-    batch, _, fft_size = received_preamble.shape
-    if known_preamble.shape != received_preamble.shape[1:]:
-        raise ValueError(
-            f"known preamble shape {known_preamble.shape} does not match "
-            f"{received_preamble.shape[1:]}"
-        )
-    occupied = np.asarray(occupied_bins, dtype=int)
-    reference = known_preamble[:, occupied]
-    if np.any(reference == 0):
-        raise ValueError("known preamble values on occupied bins must be non-zero")
-    estimate = np.ones((batch, fft_size), dtype=complex)
-    per_symbol = received_preamble[:, :, occupied] / reference[None, :, :]
-    estimate[:, occupied] = per_symbol.mean(axis=1)
-    zero = np.abs(estimate) < 1e-12
-    estimate[zero] = 1e-12
-    return estimate
-
-
-def estimate_channel_best_segment_batch(
-    preamble_segments: np.ndarray,
-    known_preamble: np.ndarray,
-    occupied_bins: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`estimate_channel_best_segment` over a leading packet axis.
-
-    ``preamble_segments`` has shape ``(batch, P, n_preamble_symbols,
-    fft_size)``; the result has shape ``(batch, fft_size)`` with row ``b``
-    equal to the per-packet estimator's output exactly.
-    """
-    preamble_segments = np.asarray(preamble_segments, dtype=complex)
-    if preamble_segments.ndim != 4:
-        raise ValueError("preamble_segments must have shape (batch, P, Np, fft_size)")
-    known_preamble = np.atleast_2d(known_preamble)
-    batch, _, n_preambles, fft_size = preamble_segments.shape
-    if known_preamble.shape != (n_preambles, fft_size):
-        raise ValueError(
-            f"known preamble shape {known_preamble.shape} does not match segments "
-            f"({n_preambles}, {fft_size})"
-        )
-    if n_preambles < 2:
-        return estimate_channel_ls_batch(
-            preamble_segments[:, -1], known_preamble, occupied_bins
-        )
-    occupied = np.asarray(occupied_bins, dtype=int)
-    reference = known_preamble[:, occupied]
-    if np.any(reference == 0):
-        raise ValueError("known preamble values on occupied bins must be non-zero")
-    per_symbol = preamble_segments[:, :, :, occupied] / reference[None, None, :, :]
-    means = per_symbol.mean(axis=2)                                  # (batch, P, n_occ)
-    spread = np.abs(per_symbol - means[:, :, None, :]).mean(axis=2)  # (batch, P, n_occ)
-    best = np.argmin(spread, axis=1)                                 # (batch, n_occ)
-    chosen = np.take_along_axis(means, best[:, None, :], axis=1)[:, 0, :]
-    estimate = np.ones((batch, fft_size), dtype=complex)
-    estimate[:, occupied] = chosen
-    zero = np.abs(estimate) < 1e-12
-    estimate[zero] = 1e-12
+    per_symbol = preamble_segments / known_preamble[None, :, :]        # (P, Np, n_bins)
+    means = per_symbol.mean(axis=1)                                    # (P, n_bins)
+    spread = np.abs(per_symbol - means[:, None, :]).mean(axis=1)       # (P, n_bins)
+    best = np.argmin(spread, axis=0)                                   # (n_bins,)
+    estimate = means[best, np.arange(best.size)]
+    estimate[np.abs(estimate) < 1e-12] = 1e-12
     return estimate
 
 

@@ -1,19 +1,21 @@
 """Receiver front end shared by every decoding strategy.
 
 The front end turns a received sample buffer into equalised frequency-domain
-observations of the frame:
+observations of the frame's data subcarriers:
 
 1. frame timing (genie by default, real synchronisation optionally),
 2. determination of the number of usable FFT segments ``P``,
-3. per-segment FFT of the training and data symbols with the phase ramp of
-   Proposition 3.1 corrected,
-4. least-squares channel estimation from the training symbols at the
-   reference (standard) segment,
+3. per-segment FFT of the training and data symbols, keeping only the
+   occupied bins, with the phase ramp of Proposition 3.1 corrected,
+4. channel estimation from the training symbols' occupied bins,
 5. zero-forcing equalisation and optional pilot-based common-phase tracking.
 
 All downstream receivers — standard, naive, oracle and CPRecycle — consume
 the resulting :class:`FrontEndOutput`, so their comparison isolates the
-symbol-decision stage, exactly as in the paper.
+symbol-decision stage, exactly as in the paper.  Each of them reads only the
+data subcarriers (the decisions of Eqs. 3 and 5, the KDE training
+deviations), so those are the only bins the front end scales, phase-corrects
+and equalises.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from repro.channel.scenario import ReceivedWaveform
 from repro.phy.frame import FrameSpec
 from repro.phy.ofdm import symbol_start_indices
 from repro.phy.subcarriers import OfdmAllocation
-from repro.receiver.channel_est import (
-    estimate_channel_best_segment,
-    estimate_channel_best_segment_batch,
-    estimate_channel_ls,
-    estimate_channel_ls_batch,
-)
+from repro.receiver.channel_est import estimate_channel_best_segment, estimate_channel_ls
 from repro.receiver.equalizer import apply_common_phase, equalize, estimate_common_phase
 from repro.receiver.isi_free import detect_isi_free_samples
 from repro.receiver.segments import extract_segments, reference_segment_index, segment_offsets
@@ -43,16 +40,19 @@ __all__ = ["FrontEnd", "FrontEndOutput"]
 
 @dataclass(frozen=True)
 class FrontEndOutput:
-    """Equalised per-segment observations of one frame.
+    """Equalised per-segment observations of one frame's data subcarriers.
+
+    The last axis of every array runs over the data subcarriers in the order
+    of ``allocation.data_bins``.
 
     Attributes
     ----------
     preamble:
-        Equalised training symbols, shape ``(P, n_preamble_symbols, fft_size)``.
+        Equalised training symbols, shape ``(P, n_preamble_symbols, n_data)``.
     data:
-        Equalised data symbols, shape ``(P, n_data_symbols, fft_size)``.
+        Equalised data symbols, shape ``(P, n_data_symbols, n_data)``.
     channel_estimate:
-        Least-squares channel estimate used for equalisation.
+        Channel estimate used for equalisation, shape ``(n_data,)``.
     segment_offsets:
         FFT window offsets of the ``P`` segments (last entry is the standard
         receiver's window).
@@ -82,17 +82,9 @@ class FrontEndOutput:
         """Segment index of the standard receiver's FFT window."""
         return reference_segment_index(self.n_segments)
 
-    def data_observations(self) -> np.ndarray:
-        """Equalised data-subcarrier observations, shape ``(P, n_symbols, n_data)``."""
-        return self.data[:, :, self.allocation.data_bin_array()]
-
-    def preamble_observations(self) -> np.ndarray:
-        """Equalised occupied-bin training observations, ``(P, Np, n_occupied)``."""
-        return self.preamble[:, :, self.allocation.occupied_bin_array()]
-
     def reference_data(self) -> np.ndarray:
         """Standard-receiver view of the data symbols, ``(n_symbols, n_data)``."""
-        return self.data_observations()[self.reference_index]
+        return self.data[self.reference_index]
 
 
 class FrontEnd:
@@ -157,50 +149,86 @@ class FrontEnd:
         self.channel_estimator = channel_estimator
 
     # ------------------------------------------------------------------ #
-    def process(self, rx: ReceivedWaveform, samples: np.ndarray | None = None) -> FrontEndOutput:
-        """Run the front end on a received waveform.
+    def process(self, rx: ReceivedWaveform) -> FrontEndOutput:
+        """Run the front end on one received waveform.
 
-        ``samples`` overrides the buffer to demodulate (used by the oracle
-        receiver to analyse the interference-only component with the exact
-        same processing); timing always refers to the composite buffer.
+        The FFT output keeps only the occupied bins; the channel is estimated
+        on them, and only the data bins are equalised and returned.  Every
+        array equals the data bins of :meth:`process_reference` bit for bit
+        and in memory order.
         """
         spec = rx.spec
         allocation = spec.allocation
-        buffer = rx.composite if samples is None else np.asarray(samples)
+        occupied = allocation.occupied_bin_array()
+        frame_start, offsets = self._windows(rx)
 
-        frame_start = self._frame_start(rx)
-        preamble_start = frame_start + spec.preamble_start
-        data_start = frame_start + spec.data_start
+        # The data symbols follow the training symbols back to back, so one
+        # extraction covers the frame.
+        n_preamble = spec.n_preamble_symbols
+        spectra = extract_segments(
+            rx.composite, allocation, n_preamble + spec.n_data_symbols,
+            frame_start + spec.preamble_start, offsets=offsets, bins=occupied,
+        )
+        preamble, data = spectra[:, :n_preamble], spectra[:, n_preamble:]
+        channel = self._estimate_channel(preamble, spec.preamble_frequency[:, occupied])
+        # Occupied bins are sorted, so searchsorted finds each bin's position.
+        data_at = np.searchsorted(occupied, allocation.data_bin_array())
+        data_channel = channel[data_at]
+        # Indexing and in-place arithmetic give every array the memory order
+        # the full-grid pipeline gives its data bins (see extract_segments).
+        data_eq = data[:, :, data_at]
+        data_eq /= data_channel
+        preamble_eq = preamble[:, :, data_at]
+        preamble_eq /= data_channel
 
-        n_segments = self._segment_count(rx, buffer, data_start)
-        offsets = segment_offsets(allocation.cp_length, n_segments)
+        if self.pilot_phase_tracking and allocation.n_pilot_subcarriers:
+            pilot_at = np.searchsorted(occupied, allocation.pilot_bin_array())
+            pilots = data[reference_segment_index(offsets.size)][:, pilot_at] / channel[pilot_at]
+            phase = estimate_common_phase(pilots, np.arange(pilot_at.size), spec.data_pilot_values)
+            data_eq *= np.exp(-1j * phase)[None, :, None]
+
+        return FrontEndOutput(
+            spec=spec,
+            preamble=preamble_eq,
+            data=data_eq,
+            channel_estimate=data_channel,
+            segment_offsets=offsets,
+            frame_start=frame_start,
+        )
+
+    def process_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[FrontEndOutput]:
+        """Run :meth:`process` over a batch of packets, preserving order."""
+        return [self.process(rx) for rx in rxs]
+
+    def process_reference(self, rx: ReceivedWaveform) -> FrontEndOutput:
+        """Full-grid front end, the test oracle of :meth:`process`.
+
+        Scales, phase-corrects and equalises every FFT bin.  The returned
+        arrays span all ``fft_size`` bins (the channel estimate is 1 on empty
+        bins); their data bins equal :meth:`process` bit for bit.
+        """
+        spec = rx.spec
+        allocation = spec.allocation
+        occupied = allocation.occupied_bin_array()
+        frame_start, offsets = self._windows(rx)
 
         preamble_segments = extract_segments(
-            buffer, allocation, spec.n_preamble_symbols, preamble_start, offsets=offsets
+            rx.composite, allocation, spec.n_preamble_symbols, frame_start + spec.preamble_start,
+            offsets=offsets,
         )
         data_segments = extract_segments(
-            buffer, allocation, spec.n_data_symbols, data_start, offsets=offsets
+            rx.composite, allocation, spec.n_data_symbols, frame_start + spec.data_start,
+            offsets=offsets,
         )
-
-        if (
-            self.channel_estimator == "best-segment"
-            and n_segments > 1
-            and spec.n_preamble_symbols > 1
-        ):
-            channel = estimate_channel_best_segment(
-                preamble_segments, spec.preamble_frequency, allocation.occupied_bin_array()
-            )
-        else:
-            reference = preamble_segments[reference_segment_index(n_segments)]
-            channel = estimate_channel_ls(
-                reference, spec.preamble_frequency, allocation.occupied_bin_array()
-            )
-
+        channel = np.ones(allocation.fft_size, dtype=complex)
+        channel[occupied] = self._estimate_channel(
+            preamble_segments[:, :, occupied], spec.preamble_frequency[:, occupied]
+        )
         preamble_eq = equalize(preamble_segments, channel)
         data_eq = equalize(data_segments, channel)
 
         if self.pilot_phase_tracking and allocation.n_pilot_subcarriers:
-            reference_data = data_eq[reference_segment_index(n_segments)]
+            reference_data = data_eq[reference_segment_index(offsets.size)]
             phase = estimate_common_phase(
                 reference_data, allocation.pilot_bin_array(), spec.data_pilot_values
             )
@@ -216,131 +244,28 @@ class FrontEnd:
         )
 
     # ------------------------------------------------------------------ #
-    def process_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[FrontEndOutput]:
-        """Run the front end over a batch of packets, preserving order.
-
-        Packets that share frame geometry (symbol counts, allocation, timing,
-        segment count and training values) are stacked and processed through
-        one segment extraction (a single gathered FFT), one batched channel
-        estimation and one broadcast equalisation; the per-packet outputs are
-        bit-identical to sequential :meth:`process` calls.  Configurations the
-        batched path does not cover (real synchronisation, pilot phase
-        tracking) fall back to the sequential loop.
-        """
-        rxs = list(rxs)
-        if len(rxs) <= 1 or not self.use_genie_sync or self.pilot_phase_tracking:
-            return [self.process(rx) for rx in rxs]
-
-        groups: dict[tuple, list[int]] = {}
-        group_keys: list[tuple | None] = []
-        for index, rx in enumerate(rxs):
-            spec = rx.spec
-            data_start = rx.frame_start + spec.data_start
-            n_segments = self._segment_count(rx, rx.composite, data_start)
-            key = (
-                spec.n_data_symbols,
-                spec.n_preamble_symbols,
-                spec.preamble_start,
-                spec.data_start,
-                rx.allocation.fft_size,
-                rx.allocation.cp_length,
-                rx.frame_start,
-                n_segments,
-                rx.composite.size,
-            )
-            group_keys.append(key)
-            groups.setdefault(key, []).append(index)
-
-        results: list[FrontEndOutput | None] = [None] * len(rxs)
-        for indices in groups.values():
-            head = rxs[indices[0]]
-            spec = head.spec
-            allocation = spec.allocation
-            # Training values must also agree for one shared channel
-            # estimation; fall back for any packet whose preamble differs.
-            same = [
-                i
-                for i in indices
-                if np.array_equal(rxs[i].spec.preamble_frequency, spec.preamble_frequency)
-            ]
-            for i in set(indices) - set(same):
-                results[i] = self.process(rxs[i])
-            if not same:
-                continue
-            if len(same) == 1:
-                results[same[0]] = self.process(rxs[same[0]])
-                continue
-
-            frame_start = head.frame_start
-            preamble_start = frame_start + spec.preamble_start
-            data_start = frame_start + spec.data_start
-            n_segments = group_keys[same[0]][-2]  # second-to-last key field
-            offsets = segment_offsets(allocation.cp_length, n_segments)
-            buffers = np.stack([rxs[i].composite for i in same])
-
-            n_preamble = spec.n_preamble_symbols
-            if data_start == preamble_start + n_preamble * allocation.symbol_length:
-                # Data symbols follow the training symbols back to back: one
-                # gather and one FFT cover the whole frame, then split.
-                combined = extract_segments(
-                    buffers,
-                    allocation,
-                    n_preamble + spec.n_data_symbols,
-                    preamble_start,
-                    offsets=offsets,
-                )
-                preamble_segments = combined[:, :, :n_preamble]
-                data_segments = combined[:, :, n_preamble:]
-            else:
-                preamble_segments = extract_segments(
-                    buffers, allocation, n_preamble, preamble_start, offsets=offsets
-                )
-                data_segments = extract_segments(
-                    buffers, allocation, spec.n_data_symbols, data_start, offsets=offsets
-                )
-
-            if (
-                self.channel_estimator == "best-segment"
-                and n_segments > 1
-                and spec.n_preamble_symbols > 1
-            ):
-                channel = estimate_channel_best_segment_batch(
-                    preamble_segments, spec.preamble_frequency, allocation.occupied_bin_array()
-                )
-            else:
-                reference = preamble_segments[:, reference_segment_index(n_segments)]
-                channel = estimate_channel_ls_batch(
-                    reference, spec.preamble_frequency, allocation.occupied_bin_array()
-                )
-
-            preamble_eq = preamble_segments / channel[:, None, None, :]
-            data_eq = data_segments / channel[:, None, None, :]
-            for position, i in enumerate(same):
-                results[i] = FrontEndOutput(
-                    spec=rxs[i].spec,
-                    preamble=preamble_eq[position],
-                    data=data_eq[position],
-                    channel_estimate=channel[position],
-                    segment_offsets=offsets,
-                    frame_start=frame_start,
-                )
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    def _frame_start(self, rx: ReceivedWaveform) -> int:
-        if self.use_genie_sync:
-            return rx.frame_start
-        result = synchronize(rx.composite, rx.spec)
-        return result.frame_start
-
-    def _segment_count(self, rx: ReceivedWaveform, buffer: np.ndarray, data_start: int) -> int:
+    def _windows(self, rx: ReceivedWaveform) -> tuple[int, np.ndarray]:
+        """Frame start and the FFT window offsets of the ``P`` segments."""
         allocation = rx.allocation
+        if self.use_genie_sync:
+            frame_start = rx.frame_start
+        else:
+            frame_start = synchronize(rx.composite, rx.spec).frame_start
         if self.n_segments is not None:
             requested = self.n_segments
         elif self.use_genie_isi_free:
             requested = rx.isi_free_cp_samples
         else:
+            data_start = frame_start + rx.spec.data_start
             starts = symbol_start_indices(allocation, rx.spec.n_data_symbols, data_start)
             requested = detect_isi_free_samples(rx.composite, allocation, starts)
-        bounded = min(requested, self.max_segments, allocation.cp_length)
-        return max(bounded, 1)
+        n_segments = max(min(requested, self.max_segments, allocation.cp_length), 1)
+        return frame_start, segment_offsets(allocation.cp_length, n_segments)
+
+    def _estimate_channel(self, preamble: np.ndarray, known: np.ndarray) -> np.ndarray:
+        """Channel estimate from ``(P, Np, n_bins)`` training spectra and known values."""
+        n_segments, n_preamble = preamble.shape[:2]
+        if self.channel_estimator == "best-segment" and n_segments > 1 and n_preamble > 1:
+            return estimate_channel_best_segment(preamble, known)
+        return estimate_channel_ls(preamble[reference_segment_index(n_segments)], known)
+

@@ -13,6 +13,8 @@ the standard receiver's window, which starts right after the cyclic prefix.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.phy.subcarriers import OfdmAllocation
@@ -59,6 +61,19 @@ def segment_phase_ramp(allocation: OfdmAllocation, offset: int) -> np.ndarray:
     return np.exp(2j * np.pi * bins * d / allocation.fft_size)
 
 
+@functools.lru_cache(maxsize=32)
+def _phase_ramps(fft_size: int, delays: tuple[int, ...], bins: tuple[int, ...]) -> np.ndarray:
+    """``exp(2i pi f d / F)`` for every delay ``d`` and bin ``f``: shape ``(delays, bins)``.
+
+    Every packet of a link simulation shares its geometry, so the ramps are
+    cached; the cached array is read-only.  The per-element operation order
+    is that of :func:`segment_phase_ramp`.
+    """
+    ramps = np.exp((2j * np.pi * np.array(bins))[None, :] * np.array(delays)[:, None] / fft_size)
+    ramps.flags.writeable = False
+    return ramps
+
+
 def extract_segments(
     samples: np.ndarray,
     allocation: OfdmAllocation,
@@ -67,34 +82,38 @@ def extract_segments(
     offsets: np.ndarray | None = None,
     n_segments: int | None = None,
     correct_phase: bool = True,
+    bins: np.ndarray | None = None,
 ) -> np.ndarray:
     """FFT of every requested segment of every OFDM symbol.
 
     Parameters
     ----------
     samples:
-        Received sample buffer — one packet's samples of shape ``(n,)``, or a
-        stacked batch of equal-length buffers of shape ``(batch, n)`` (all
-        packets must share the same frame timing).
+        One packet's received sample buffer, shape ``(n,)``.
     n_symbols:
         Number of consecutive OFDM symbols to demodulate.
     start:
         Buffer index of the first symbol's cyclic prefix.
     offsets / n_segments:
-        Either explicit window offsets or a segment count expanded through
-        :func:`segment_offsets`.
+        Either explicit window offsets (consecutive, as
+        :func:`segment_offsets` returns them) or a segment count expanded
+        through :func:`segment_offsets`.
     correct_phase:
         Apply the per-segment phase ramp of Proposition 3.1 (default).
+    bins:
+        FFT bins to keep, in the order given; ``None`` keeps all of them.
+        The result equals ``[..., bins]`` of the full output bit for bit,
+        but scaling and phase correction touch only the kept bins.
 
     Returns
     -------
     numpy.ndarray
-        Complex array of shape ``(n_segments, n_symbols, fft_size)``, with a
-        leading batch axis when ``samples`` is two-dimensional.
+        Complex array of shape ``(n_segments, n_symbols, n_bins)`` (``n_bins``
+        is ``fft_size`` unless ``bins`` is given).
     """
-    samples = np.asarray(samples)
-    if samples.ndim not in (1, 2):
-        raise ValueError("samples must have shape (n,) or (batch, n)")
+    samples = np.ascontiguousarray(samples)
+    if samples.ndim != 1:
+        raise ValueError("samples must have shape (n,)")
     if offsets is None:
         if n_segments is None:
             raise ValueError("provide either offsets or n_segments")
@@ -107,24 +126,37 @@ def extract_segments(
             f"segment offsets must lie in [0, {allocation.cp_length}], got "
             f"[{offsets.min()}, {offsets.max()}]"
         )
+    if not np.array_equal(offsets, offsets[0] + np.arange(offsets.size)):
+        raise ValueError(f"segment offsets must be consecutive, got {offsets.tolist()}")
 
-    buffer_length = samples.shape[-1]
-    symbol_starts = start + np.arange(n_symbols) * allocation.symbol_length
-    window_starts = symbol_starts[None, :] + offsets[:, None]  # (segments, symbols)
-    last_needed = int(window_starts.max()) + allocation.fft_size
-    if int(window_starts.min()) < 0 or last_needed > buffer_length:
+    symbol_length, fft_size = allocation.symbol_length, allocation.fft_size
+    first = start + int(offsets[0])
+    last_needed = first + (n_symbols - 1) * symbol_length + offsets.size - 1 + fft_size
+    if first < 0 or last_needed > samples.size:
         raise ValueError(
-            f"sample buffer of length {buffer_length} cannot hold {n_symbols} symbols "
+            f"sample buffer of length {samples.size} cannot hold {n_symbols} symbols "
             f"starting at {start}"
         )
-    indices = window_starts[..., None] + np.arange(allocation.fft_size)
-    windows = samples[..., indices]  # ([batch,] segments, symbols, fft_size)
-    spectra = np.fft.fft(windows, axis=-1) / np.sqrt(allocation.fft_size)
+    # Window (j, s) starts j + s * symbol_length samples after the first one,
+    # so all windows are one strided view of the buffer: nothing is gathered
+    # or copied before the FFT.  The result stays C-ordered (numpy would
+    # follow the view's strides): later reductions sum in memory order, so
+    # the memory order of an array is part of what it computes.
+    step = samples.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        samples[first:],
+        shape=(offsets.size, n_symbols, fft_size),
+        strides=(step, symbol_length * step, step),
+        writeable=False,
+    )
+    spectra = np.fft.fft(windows, axis=-1, out=np.empty(windows.shape, dtype=complex))
+    if bins is None:
+        bins = np.arange(fft_size)
+    else:
+        bins = np.asarray(bins, dtype=int)
+        spectra = np.take(spectra, bins, axis=-1)
+    spectra /= np.sqrt(fft_size)
     if correct_phase:
-        # All ramps in one vectorised pass: exp(2i pi f d_j / F) per offset j,
-        # with the same per-element operation order as segment_phase_ramp.
         delays = allocation.cp_length - offsets
-        bins = np.arange(allocation.fft_size)
-        ramps = np.exp((2j * np.pi * bins)[None, :] * delays[:, None] / allocation.fft_size)
-        spectra = spectra * ramps[:, None, :]
+        spectra *= _phase_ramps(fft_size, tuple(delays.tolist()), tuple(bins.tolist()))[:, None, :]
     return spectra

@@ -375,6 +375,35 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "sir_value_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "geometry, field_name",
+        [
+            ({"cp_fraction": 0.0}, "cp_fraction"),
+            ({"cp_fraction": 0.003}, "cp_fraction"),  # below 1/(2 * 160): a 0-sample CP
+            ({"cp_fraction": float("nan")}, "cp_fraction"),
+            ({"n_subcarriers": 200}, "n_subcarriers"),
+        ],
+    )
+    def test_bad_sender_allocation_fails_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, geometry, field_name
+    ):
+        assert runner.main(["fig8", "--dump-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["scenario"]["allocation"] = {"kind": "wideband", **geometry}
+        payload["series_label"] = "{receiver}"
+        payload["sweep"]["axes"] = [{"field": "sir_db", "values": [-10.0]}]
+        with pytest.raises(SpecError, match=field_name):
+            ExperimentSpec.from_dict(payload)
+        ran = []
+        monkeypatch.setattr(runner, "run_experiment_spec", lambda *args: ran.append(args))
+        spec_path = tmp_path / "fig8-bad-allocation.json"
+        spec_path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        assert field_name in capsys.readouterr().err
+        assert not ran
+
     def test_unknown_name_fails_before_anything_runs(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         with pytest.raises(SystemExit) as excinfo:

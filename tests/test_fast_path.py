@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.channel.multipath import ExponentialMultipathChannel
 from repro.channel.scenario import Scenario
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
@@ -25,6 +26,7 @@ from repro.experiments.link import FAST_ENGINE_BATCH, packet_success_rate, symbo
 from repro.experiments.parallel import parallel_map, resolve_workers
 from repro.phy.constellation import qam16, qam64, qpsk
 from repro.phy.scrambler import scrambler_sequence
+from repro.phy.subcarriers import dot11g_allocation
 from repro.phy.viterbi import ViterbiDecoder
 from repro.receiver.decode_chain import (
     decode_coded_bits_batch,
@@ -201,6 +203,37 @@ class TestDecoderFastPath:
 # --------------------------------------------------------------------------- #
 # Scenario and front end                                                      #
 # --------------------------------------------------------------------------- #
+def _bits(array):
+    """Dtype, shape and raw bytes of an array: equal only when bitwise equal."""
+    array = np.asarray(array)
+    return array.dtype, array.shape, array.tobytes()
+
+
+def _front_end_scenario(layout):
+    if layout == "802.11g":  # occupied bins split around DC
+        return cci_scenario("qpsk-1/2", 5.0, payload_length=40)
+    two_sided = layout == "wideband-256"
+    return aci_scenario("16qam-1/2", -15.0, payload_length=40, two_sided=two_sided)
+
+
+def assert_front_end_matches_reference(front_end, rxs):
+    """``process`` and ``process_batch`` equal the data bins of the full-grid oracle."""
+    batched = front_end.process_batch(rxs)
+    assert len(batched) == len(rxs)
+    for rx, from_batch in zip(rxs, batched):
+        reference = front_end.process_reference(rx)
+        data_bins = rx.allocation.data_bin_array()
+        for front in (from_batch, front_end.process(rx)):
+            assert _bits(front.preamble) == _bits(reference.preamble[:, :, data_bins])
+            assert _bits(front.data) == _bits(reference.data[:, :, data_bins])
+            # Same memory order too: later reductions sum in memory order.
+            assert front.preamble.strides == reference.preamble[:, :, data_bins].strides
+            assert front.data.strides == reference.data[:, :, data_bins].strides
+            assert _bits(front.channel_estimate) == _bits(reference.channel_estimate[data_bins])
+            assert _bits(front.segment_offsets) == _bits(reference.segment_offsets)
+            assert front.frame_start == reference.frame_start
+
+
 class TestRealizeAndFrontEndBatch:
     def _scenario(self):
         return aci_scenario("qpsk-1/2", -15.0, payload_length=40)
@@ -227,27 +260,42 @@ class TestRealizeAndFrontEndBatch:
         with pytest.raises(ValueError):
             scenario.realize_batch(1, seed=1, first_index=-1)
 
-    def test_process_batch_matches_sequential_process(self):
-        scenario = self._scenario()
-        rxs = scenario.realize_batch(3, seed=5)
-        front_end = FrontEnd(max_segments=scenario.allocation.cp_length)
-        batched = front_end.process_batch(rxs)
-        for rx, front in zip(rxs, batched):
-            expected = front_end.process(rx)
-            assert np.array_equal(front.preamble, expected.preamble)
-            assert np.array_equal(front.data, expected.data)
-            assert np.array_equal(front.channel_estimate, expected.channel_estimate)
-            assert np.array_equal(front.segment_offsets, expected.segment_offsets)
-            assert front.frame_start == expected.frame_start
+    @pytest.mark.parametrize("channel_estimator", ["best-segment", "ls-reference"])
+    @pytest.mark.parametrize("segments, batch", [(1, 1), (5, 3), ("cp", 16)])
+    @pytest.mark.parametrize("layout", ["802.11g", "wideband-160", "wideband-256"])
+    def test_process_matches_full_grid_reference(self, layout, segments, batch,
+                                                 channel_estimator):
+        scenario = _front_end_scenario(layout)
+        cp_length = scenario.allocation.cp_length
+        n_segments = cp_length if segments == "cp" else segments
+        front_end = FrontEnd(
+            n_segments=n_segments, max_segments=cp_length, channel_estimator=channel_estimator
+        )
+        rxs = scenario.realize_batch(batch, seed=5)
+        assert_front_end_matches_reference(front_end, rxs)
+        assert front_end.process(rxs[0]).n_segments == n_segments
 
-    def test_process_batch_single_segment(self):
-        scenario = self._scenario()
-        rxs = scenario.realize_batch(2, seed=5)
-        front_end = FrontEnd(n_segments=1)
-        batched = front_end.process_batch(rxs)
-        for rx, front in zip(rxs, batched):
-            expected = front_end.process(rx)
-            assert np.array_equal(front.data, expected.data)
+    @pytest.mark.parametrize("layout", ["802.11g", "wideband-160", "wideband-256"])
+    def test_pilot_phase_tracking_matches_full_grid_reference(self, layout):
+        scenario = _front_end_scenario(layout)
+        front_end = FrontEnd(max_segments=scenario.allocation.cp_length, pilot_phase_tracking=True)
+        rxs = scenario.realize_batch(3, seed=6)
+        assert_front_end_matches_reference(front_end, rxs)
+        # Tracking does rotate the observations, so the case is not vacuous.
+        untracked = FrontEnd(max_segments=scenario.allocation.cp_length).process(rxs[0])
+        assert not np.array_equal(front_end.process(rxs[0]).data, untracked.data)
+
+    def test_real_sync_with_stf_matches_full_grid_reference(self):
+        scenario = Scenario(dot11g_allocation(), payload_length=40, snr_db=25.0, include_stf=True)
+        front_end = FrontEnd(max_segments=4, use_genie_sync=False)
+        assert_front_end_matches_reference(front_end, scenario.realize_batch(3, seed=4))
+
+    def test_detected_isi_free_count_matches_full_grid_reference(self):
+        allocation = aci_scenario("qpsk-1/2", -10.0, payload_length=40).allocation
+        channel = ExponentialMultipathChannel(50e-9, allocation.sample_rate_hz)
+        scenario = Scenario(allocation, payload_length=40, snr_db=30.0, channel=channel)
+        front_end = FrontEnd(max_segments=allocation.cp_length, use_genie_isi_free=False)
+        assert_front_end_matches_reference(front_end, scenario.realize_batch(3, seed=5))
 
 
 # --------------------------------------------------------------------------- #
@@ -258,7 +306,7 @@ class ReferenceCPRecycle(CPRecycleReceiver):
 
     def decide(self, front, rx):
         decoder = FixedSphereMlDecoder(front.spec.mcs.constellation, self.config)
-        return decoder.decode_frame_reference(front.data_observations(), self.build_model(front))
+        return decoder.decode_frame_reference(front.data, self.build_model(front))
 
 
 def oracle_link_run(scenario, receivers, n_packets, seed, first_packet=0):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments.config import aci_scenario
+from repro.phy import frame as frame_module
 from repro.phy.frame import SERVICE_BITS, TAIL_BITS, FrameSpec, encode_data_field, prepare_data_bits
 from repro.phy.preamble import (
     dot11_ltf_sequence,
@@ -149,3 +151,20 @@ class TestTransmitter:
     def test_symbol_stream_needs_positive_count(self):
         with pytest.raises(ValueError):
             OfdmTransmitter(dot11g_allocation()).symbol_stream(0, 0)
+
+    def test_packets_of_one_scenario_share_one_frame_spec(self, monkeypatch):
+        calls = []
+        original = frame_module.preamble_frequency_symbols
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(frame_module, "preamble_frequency_symbols", counting)
+        scenario = aci_scenario("qpsk-1/2", -10.0, payload_length=30)
+        first, second = scenario.realize_batch(2, seed=3)
+        assert first.spec is second.spec
+        assert len(calls) == 1
+        # The shared arrays cannot be changed through one packet's spec.
+        assert not first.spec.preamble_frequency.flags.writeable
+        assert not first.spec.data_pilot_values.flags.writeable

@@ -63,6 +63,32 @@ class TestSegments:
         occupied = alloc.occupied_bin_array()
         assert not np.allclose(spectra[0][:, occupied], spectra[-1][:, occupied], atol=1e-6)
 
+    @pytest.mark.parametrize("correct_phase", [True, False])
+    def test_matches_per_window_fft_bitwise(self, correct_phase):
+        alloc = dot11g_allocation()
+        rx = Scenario(alloc, payload_length=20, snr_db=20.0).realize(0)
+        n_symbols, start = rx.spec.n_data_symbols, rx.data_start
+        args = (rx.composite, alloc, n_symbols, start)
+        full = extract_segments(*args, n_segments=6, correct_phase=correct_phase)
+        for j, offset in enumerate(segment_offsets(alloc.cp_length, 6)):
+            for s in range(n_symbols):
+                window = start + s * alloc.symbol_length + offset
+                expected = np.fft.fft(rx.composite[window : window + 64]) / np.sqrt(64)
+                if correct_phase:
+                    expected = expected * segment_phase_ramp(alloc, offset)
+                assert full[j, s].tobytes() == expected.tobytes()
+        # Keeping some bins equals slicing the full output, in the order given.
+        bins = alloc.data_bin_array()  # unsorted: negative frequencies first
+        kept = extract_segments(*args, n_segments=6, correct_phase=correct_phase, bins=bins)
+        assert kept.tobytes() == full[:, :, bins].tobytes()
+        # C order, as a plain gather gives: later reductions sum in memory order.
+        assert full.flags.c_contiguous and kept.flags.c_contiguous
+
+    def test_non_consecutive_offsets_rejected(self):
+        alloc = dot11g_allocation()
+        with pytest.raises(ValueError, match="consecutive"):
+            extract_segments(np.zeros(1000, dtype=complex), alloc, 2, 100, offsets=[12, 14, 16])
+
     def test_out_of_buffer_raises(self):
         alloc = dot11g_allocation()
         with pytest.raises(ValueError):
@@ -74,44 +100,40 @@ class TestChannelEstimation:
         alloc = dot11g_allocation()
         scenario = Scenario(alloc, payload_length=20, snr_db=60.0, channel=StaticTapChannel(taps))
         rx = scenario.realize(seed)
+        occupied = alloc.occupied_bin_array()
         spectra = extract_segments(
             rx.composite, alloc, rx.spec.n_preamble_symbols, rx.preamble_start,
-            n_segments=rx.isi_free_cp_samples,
+            n_segments=rx.isi_free_cp_samples, bins=occupied,
         )
-        return alloc, rx, spectra
+        known = rx.spec.preamble_frequency[:, occupied]
+        true_channel = np.fft.fft(np.concatenate([rx.channel_taps, np.zeros(64 - len(taps))]))
+        return spectra, known, true_channel[occupied]
 
     def test_ls_estimate_matches_true_channel(self):
-        taps = (0.9 + 0.1j, 0.3 - 0.2j)
-        alloc, rx, spectra = self._setup(taps)
-        estimate = estimate_channel_ls(spectra[-1], rx.spec.preamble_frequency,
-                                       alloc.occupied_bin_array())
-        true_channel = np.fft.fft(np.concatenate([rx.channel_taps, np.zeros(64 - 2)]))
-        occ = alloc.occupied_bin_array()
-        assert np.allclose(estimate[occ], true_channel[occ], atol=0.05)
+        spectra, known, true_channel = self._setup((0.9 + 0.1j, 0.3 - 0.2j))
+        estimate = estimate_channel_ls(spectra[-1], known)
+        assert np.allclose(estimate, true_channel, atol=0.05)
 
     def test_best_segment_estimate_matches_true_channel(self):
-        taps = (1.0, 0.2j)
-        alloc, rx, spectra = self._setup(taps, seed=1)
-        estimate = estimate_channel_best_segment(spectra, rx.spec.preamble_frequency,
-                                                 alloc.occupied_bin_array())
-        true_channel = np.fft.fft(np.concatenate([rx.channel_taps, np.zeros(64 - 2)]))
-        occ = alloc.occupied_bin_array()
-        assert np.allclose(estimate[occ], true_channel[occ], atol=0.05)
+        spectra, known, true_channel = self._setup((1.0, 0.2j), seed=1)
+        estimate = estimate_channel_best_segment(spectra, known)
+        assert np.allclose(estimate, true_channel, atol=0.05)
 
     def test_unoccupied_bins_default_to_one(self):
-        alloc, rx, spectra = self._setup((1.0,))
-        estimate = estimate_channel_ls(spectra[-1], rx.spec.preamble_frequency,
-                                       alloc.occupied_bin_array())
+        rx = Scenario(dot11g_allocation(), payload_length=20, snr_db=60.0).realize(0)
+        estimate = FrontEnd(n_segments=1).process_reference(rx).channel_estimate
         assert estimate[0] == 1.0  # DC bin unused
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            estimate_channel_ls(np.ones((2, 64)), np.ones((3, 64)), np.arange(4))
+            estimate_channel_ls(np.ones((2, 64)), np.ones((3, 64)))
+        with pytest.raises(ValueError):
+            estimate_channel_best_segment(np.ones((4, 2, 8)), np.ones((2, 9)))
 
     def test_zero_reference_rejected(self):
         known = np.zeros((1, 8))
         with pytest.raises(ValueError):
-            estimate_channel_ls(np.ones((1, 8)), known, np.array([1]))
+            estimate_channel_ls(np.ones((1, 8)), known)
 
     def test_smoothing_reduces_noise(self):
         rng = np.random.default_rng(0)
@@ -214,9 +236,9 @@ class TestFrontEnd:
         rx = scenario.realize(0)
         front = FrontEnd(max_segments=8).process(rx)
         assert front.n_segments == 8
-        assert front.preamble.shape == (8, 2, 64)
-        assert front.data.shape == (8, rx.spec.n_data_symbols, 64)
-        assert front.data_observations().shape == (8, rx.spec.n_data_symbols, 48)
+        assert front.preamble.shape == (8, 2, 48)
+        assert front.data.shape == (8, rx.spec.n_data_symbols, 48)
+        assert front.channel_estimate.shape == (48,)
         assert front.reference_data().shape == (rx.spec.n_data_symbols, 48)
 
     def test_explicit_segment_count(self):
