@@ -27,7 +27,7 @@ import itertools
 from dataclasses import replace
 from typing import Any
 
-from repro.api.registry import AnalysisRunner, resolve_analysis
+from repro.api.registry import AnalysisRunner, build_receiver, resolve_analysis
 from repro.api.specs import (
     ExperimentSpec,
     ReceiverSpec,
@@ -39,9 +39,11 @@ from repro.api.specs import (
 from repro.experiments.results import FigureResult
 from repro.experiments.store import stable_key
 from repro.experiments.sweeps import SweepPoint, execute_points, run_sweep_point
+from repro.phy.subcarriers import OfdmAllocation
 
 __all__ = [
     "analysis_runner",
+    "check_receivers",
     "expand_psr_points",
     "run_experiment_spec",
     "series_from_outcomes",
@@ -155,6 +157,35 @@ def expand_psr_points(spec: ExperimentSpec) -> tuple[list[SweepPoint], list[dict
     return points, contexts
 
 
+def check_receivers(points: list[SweepPoint]) -> None:
+    """Build every distinct receiver of ``points`` once, against its sender
+    allocation, before anything is dispatched.
+
+    A segment count or option the receiver rejects then fails here as a
+    :class:`SpecError` naming the receiver and its options, instead of in
+    every worker after the retries.
+    """
+    allocations: dict[str, OfdmAllocation] = {}
+    built: set[tuple[str, str]] = set()
+    for point in points:
+        # The sender allocation is a function of these two fields alone.
+        geometry = repr((point.scenario.allocation, point.scenario.interferers))
+        if geometry not in allocations:
+            allocations[geometry] = point.scenario.sender_allocation()
+        for receiver in point.receivers:
+            if (repr(receiver), geometry) in built:
+                continue
+            built.add((repr(receiver), geometry))
+            try:
+                build_receiver(receiver, allocations[geometry])
+            except SpecError:
+                raise
+            except ValueError as error:
+                raise SpecError(
+                    f"receiver {receiver.name!r} with options {receiver.options}: {error}"
+                ) from error
+
+
 def series_from_outcomes(
     spec: ExperimentSpec,
     contexts: list[dict[str, Any]],
@@ -245,5 +276,6 @@ def run_experiment_spec(
         return result
 
     points, contexts = expand_psr_points(spec)
+    check_receivers(points)
     outcomes = execute_points(run_sweep_point, points, n_workers=n_workers)
     return series_from_outcomes(spec, contexts, outcomes)

@@ -652,8 +652,15 @@ class ReceiverSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise SpecError(f"receiver name must be a non-empty string, got {self.name!r}")
-        if self.n_segments is not None and self.n_segments < 1:
-            raise SpecError(f"receiver n_segments must be >= 1, got {self.n_segments}")
+        if self.n_segments is not None and (
+            isinstance(self.n_segments, bool)
+            or not isinstance(self.n_segments, int)
+            or self.n_segments < 1
+        ):
+            raise SpecError(
+                f"receiver {self.name!r} n_segments must be an integer >= 1, "
+                f"got {self.n_segments!r}"
+            )
         if self.options is not None:
             if not isinstance(self.options, dict):
                 raise SpecError(f"receiver options must be a JSON object, got {self.options!r}")

@@ -45,6 +45,7 @@ from repro import obs
 from repro.api.campaign import CampaignSpec, PrecisionSpec
 from repro.api.experiment import (
     analysis_runner,
+    check_receivers,
     expand_psr_points,
     run_experiment_spec,
     series_from_outcomes,
@@ -205,6 +206,8 @@ def run_campaign(
         precisions[entry.resolved_name] = spec.precision_for(entry)
         if member.kind == "analysis":
             analysis_runner(member)  # misspelled params fail before the first round
+        else:
+            check_receivers(expand_psr_points(member)[0])  # so do rejected receivers
 
     campaign_hash = stable_key((spec, profile, resolved))[:12]
 

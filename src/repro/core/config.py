@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_non_negative, require_positive, require_positive_int
 
 __all__ = ["CPRecycleConfig"]
 
@@ -71,13 +71,11 @@ class CPRecycleConfig:
     kde_chunk_elements: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_segments is not None and self.n_segments < 1:
-            raise ValueError("n_segments must be at least 1")
-        if self.max_segments < 1:
-            raise ValueError("max_segments must be at least 1")
+        if self.n_segments is not None:
+            require_positive_int(self.n_segments, "n_segments")
+        require_positive_int(self.max_segments, "max_segments")
         require_positive(self.sphere_radius_scale, "sphere_radius_scale")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be at least 1")
+        require_positive_int(self.max_candidates, "max_candidates")
         for label in ("bandwidth_amplitude", "bandwidth_phase"):
             if getattr(self, label) is not None:
                 require_positive(getattr(self, label), label)
@@ -91,5 +89,5 @@ class CPRecycleConfig:
             raise ValueError(
                 f"model_scope must be 'pooled' or 'per-segment', got {self.model_scope!r}"
             )
-        if self.kde_chunk_elements is not None and self.kde_chunk_elements < 1:
-            raise ValueError("kde_chunk_elements must be positive when given")
+        if self.kde_chunk_elements is not None:
+            require_positive_int(self.kde_chunk_elements, "kde_chunk_elements")

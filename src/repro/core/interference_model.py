@@ -24,6 +24,7 @@ Two model scopes are supported (``CPRecycleConfig.model_scope``):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,6 +66,7 @@ class InterferenceModel:
         self.config = config if config is not None else CPRecycleConfig()
         self.deviations = deviations
         self.kde = self._build_kde()
+        self._work = np.empty((5, 0))  # kernel work buffers, grown on demand
 
     # ------------------------------------------------------------------ #
     def _build_kde(self) -> GaussianProductKde:
@@ -149,6 +151,39 @@ class InterferenceModel:
         merged = np.concatenate([self.deviations, new_deviations], axis=2)
         return InterferenceModel(merged, self.config)
 
+    @functools.cached_property
+    def _kernel_banks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The densities' constants as :func:`_segment_summed_log_density` reads them.
+
+        One ``(2 + 2 * n_samples, segment, subcarrier)`` stack, so that a
+        block gathers its subcarriers in one indexing pass: the amplitude
+        and turn scales, then the scaled amplitude samples, then the turn
+        samples.  A pooled model has one segment row that broadcasts over
+        all segments.  Also the segment-summed log-normaliser
+        ``(subcarrier,)``.  Built once per model.
+        """
+        kde, n_data = self.kde, self.n_subcarriers
+
+        def bank(values: np.ndarray) -> np.ndarray:
+            # Per-series values in (subcarrier, segment) order, transposed to
+            # (..., segment, subcarrier).
+            return np.ascontiguousarray(values.reshape(n_data, -1, *values.shape[1:]).T)
+
+        # The kernel term w/2 * (x/b)^2 is (c*x)^2 with c = sqrt(w/2)/b.
+        amp_scale = bank(np.sqrt(0.5 * kde.amplitude_weight) / kde.bandwidth_amplitude)
+        turn_scale = bank(_TWO_PI * np.sqrt(0.5 * kde.phase_weight) / kde.bandwidth_phase)
+        stack = np.concatenate(
+            [
+                amp_scale[None],
+                turn_scale[None],
+                bank(kde.amplitude_samples) * amp_scale,
+                bank(kde.phase_samples) / _TWO_PI,
+            ]
+        )
+        log_norm = bank(kde.log_normaliser)
+        log_norm = log_norm.sum(axis=0) * (self.n_segments // log_norm.shape[0])
+        return stack, log_norm
+
     def log_likelihood(self, deviations: np.ndarray) -> np.ndarray:
         """Joint log-likelihood of candidate deviations across segments.
 
@@ -189,85 +224,93 @@ class InterferenceModel:
         return log_density.reshape(n_data, n_segments, *rearranged.shape[2:]).sum(axis=1)
 
     def candidate_log_likelihood(
-        self, observations: np.ndarray, points: np.ndarray
+        self,
+        observations: np.ndarray,
+        points: np.ndarray,
+        subcarriers: np.ndarray | None = None,
     ) -> np.ndarray:
         """Joint log-likelihood of candidate lattice points, the decoder's hot loop.
 
-        Given per-segment observations ``(n_data, P, n_symbols)`` and
-        candidate points ``(n_data, n_symbols, k)``, returns the
-        segment-summed log-likelihood ``(n_data, n_symbols, k)`` of every
-        candidate: :meth:`log_likelihood` of the deviation tensor, to
-        rounding.
+        Given per-segment observations ``(n, P, n_symbols)`` and candidate
+        points ``(n, n_symbols, k)``, returns the segment-summed
+        log-likelihood ``(n, n_symbols, k)`` of every candidate:
+        :meth:`log_likelihood` of the deviation tensor, to rounding.  Row
+        ``i`` is scored against the densities of subcarrier
+        ``subcarriers[i]``; without ``subcarriers``, ``n`` must be the
+        model's subcarrier count and row ``i`` is subcarrier ``i``.  Either
+        way the call makes ``n * P * n_symbols * k`` kernel evaluations
+        (each against every training sample of its density), which is what
+        the argument shapes count.
 
         The work runs in blocks laid out ``(symbols, candidates, segments,
-        subcarriers)``, subcarriers innermost, so every pass is one long
-        unit-stride loop.  A block holds at most the KDE's
-        ``max_chunk_elements`` kernel evaluations (block size times samples
-        per density) but never splits the segment or candidate axes, so the
-        result is bitwise independent of the budget.  Phases are measured in
-        turns and wrapped with ``d - rint(d)``, and the log-normaliser is
-        subtracted once after the segment sum.
+        rows)``, rows innermost, so every pass is one long unit-stride loop;
+        each block gathers its rows' densities.  A block holds at most the
+        KDE's ``max_chunk_elements`` kernel evaluations (block size times
+        samples per density) but never splits the segment or candidate axes,
+        and every score is elementwise arithmetic on its own row, so a score
+        is bitwise independent of the budget, of the other rows and
+        candidates in the call and of where its row sits.  Phases are
+        measured in turns and wrapped with ``d - rint(d)``, and the
+        log-normaliser is subtracted once after the segment sum.
         """
         observations = np.asarray(observations, dtype=complex)
         points = np.asarray(points, dtype=complex)
         if observations.ndim != 3 or points.ndim != 3:
             raise ValueError(
-                "observations must have shape (n_data, P, n_symbols) and points "
-                "(n_data, n_symbols, k)"
+                "observations must have shape (n, P, n_symbols) and points (n, n_symbols, k)"
             )
-        n_data, n_segments, n_symbols = observations.shape
-        if points.shape[:2] != (n_data, n_symbols):
+        n_rows, n_segments, n_symbols = observations.shape
+        if points.shape[:2] != (n_rows, n_symbols):
             raise ValueError(
                 f"points shape {points.shape} does not match observations "
-                f"({n_data}, P, {n_symbols})"
+                f"({n_rows}, P, {n_symbols})"
             )
         k = points.shape[-1]
-        if n_data != self.n_subcarriers:
-            raise ValueError(
-                f"expected {self.n_subcarriers} subcarriers, got {n_data}"
-            )
+        n_data = self.n_subcarriers
+        if subcarriers is None:
+            if n_rows != n_data:
+                raise ValueError(f"expected {n_data} subcarriers, got {n_rows}")
+        else:
+            subcarriers = np.asarray(subcarriers)
+            if subcarriers.shape != (n_rows,) or subcarriers.dtype.kind not in "iu":
+                raise ValueError(f"subcarriers must be {n_rows} integer indices")
+            if n_rows and not 0 <= subcarriers.min() <= subcarriers.max() < n_data:
+                raise ValueError(f"subcarriers must lie in [0, {n_data})")
         if n_segments != self.n_segments:
             raise ValueError(f"expected {self.n_segments} segments, got {n_segments}")
-        kde = self.kde
+        banks, log_norm = self._kernel_banks
+        if subcarriers is not None:
+            log_norm = log_norm[subcarriers]
+        n_samples = self.kde.n_samples
 
-        def bank(values: np.ndarray) -> np.ndarray:
-            # Per-series values in (subcarrier, segment) order, transposed to
-            # (..., segment, subcarrier); a pooled model has one segment row
-            # that broadcasts over all segments.
-            return np.ascontiguousarray(values.reshape(n_data, -1, *values.shape[1:]).T)
-
-        # The kernel term w/2 * (x/b)^2 is (c*x)^2 with c = sqrt(w/2)/b.
-        amp_scale = bank(np.sqrt(0.5 * kde.amplitude_weight) / kde.bandwidth_amplitude)
-        turn_scale = bank(_TWO_PI * np.sqrt(0.5 * kde.phase_weight) / kde.bandwidth_phase)
-        amp_samples = bank(kde.amplitude_samples) * amp_scale
-        turn_samples = bank(kde.phase_samples) / _TWO_PI
-        log_norm = bank(kde.log_normaliser)
-        log_norm = log_norm.sum(axis=0) * (n_segments // log_norm.shape[0])
-
-        obs_re = np.ascontiguousarray(observations.real.T)   # (n_symbols, P, n_data)
-        obs_im = np.ascontiguousarray(observations.imag.T)
+        obs = observations.T  # (n_symbols, P, n), read in place block by block
         pts_re = np.ascontiguousarray(points.real.transpose(1, 2, 0))[:, :, None]
         pts_im = np.ascontiguousarray(points.imag.transpose(1, 2, 0))[:, :, None]
-        per_column = max(1, k * n_segments * kde.n_samples)  # evaluations per (symbol, subcarrier)
-        n_sub = max(1, min(n_data, kde.max_chunk_elements // per_column))
-        n_sym = max(1, min(n_symbols, kde.max_chunk_elements // (per_column * n_sub)))
-        # Five block-sized buffers shared by every block: fresh ones per block
-        # would page-fault again each time the allocator trims the heap.
-        work = np.empty((5, n_sym * k * n_segments * n_sub))
-        out = np.empty((n_symbols, k, n_data))
-        for f0 in range(0, n_data, n_sub):
+        budget = self.kde.max_chunk_elements
+        per_column = max(1, k * n_segments * n_samples)  # evaluations per (symbol, row)
+        n_sub = max(1, min(n_rows, budget // per_column))
+        n_sym = max(1, min(n_symbols, budget // (per_column * n_sub)))
+        # Five block-sized buffers shared by every block of every call on this
+        # model: fresh ones would page-fault again each time the allocator
+        # trims the heap, and the decoder makes one call per in-sphere count.
+        block_size = n_sym * k * n_segments * n_sub
+        if self._work.shape[1] < block_size:
+            self._work = np.empty((5, block_size))
+        out = np.empty((n_symbols, k, n_rows))
+        for f0 in range(0, n_rows, n_sub):
             cols = slice(f0, f0 + n_sub)
-            slab = [
-                np.ascontiguousarray(b[..., cols])
-                for b in (amp_scale, turn_scale, amp_samples, turn_samples)
-            ]
+            slab = np.ascontiguousarray(
+                banks[..., cols] if subcarriers is None else banks[..., subcarriers[cols]]
+            )
             for s0 in range(0, n_symbols, n_sym):
                 rows = slice(s0, s0 + n_sym)
-                shape = (min(n_sym, n_symbols - s0), k, n_segments, min(n_sub, n_data - f0))
-                block = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
-                np.subtract(obs_re[rows, None, :, cols], pts_re[rows, ..., cols], out=block[0])
-                np.subtract(obs_im[rows, None, :, cols], pts_im[rows, ..., cols], out=block[1])
-                out[rows, :, cols] = _segment_summed_log_density(block, *slab)
+                shape = (min(n_sym, n_symbols - s0), k, n_segments, min(n_sub, n_rows - f0))
+                block = [buffer[: math.prod(shape)].reshape(shape) for buffer in self._work]
+                np.subtract(obs.real[rows, None, :, cols], pts_re[rows, ..., cols], out=block[0])
+                np.subtract(obs.imag[rows, None, :, cols], pts_im[rows, ..., cols], out=block[1])
+                out[rows, :, cols] = _segment_summed_log_density(
+                    block, slab[0], slab[1], slab[2 : 2 + n_samples], slab[2 + n_samples :]
+                )
         out -= log_norm
         return out.transpose(2, 0, 1)
 

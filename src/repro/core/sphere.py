@@ -31,12 +31,15 @@ class SphereCandidates:
     Attributes
     ----------
     indices:
-        Integer array of shape ``(n_subcarriers, k)``: candidate lattice
-        indices, nearest first.  Rows are padded with the nearest point when a
-        subcarrier has fewer than ``k`` candidates inside the sphere.
+        Integer array of shape ``(n_subcarriers, k)``: the ``k`` lattice
+        points nearest each centre, nearest first.
     valid:
-        Boolean mask of the same shape; ``False`` marks padding entries (they
-        must not win the likelihood comparison).
+        Boolean mask of the same shape: ``True`` where the point lies within
+        the sphere, and always in slot 0, so that every row has a candidate.
+        Distances never decrease along a row, so the ``True`` entries of a
+        row are a prefix: its ``m = valid.sum(axis=1)`` in-sphere candidates
+        are its first ``m`` slots.  ``False`` slots must not win the
+        likelihood comparison.
     points:
         Complex lattice coordinates of ``indices``.
     """
@@ -47,7 +50,7 @@ class SphereCandidates:
 
     @property
     def n_candidates(self) -> int:
-        """Number of candidate slots per subcarrier (including padding)."""
+        """Number of candidate slots per subcarrier, in the sphere or not."""
         return int(self.indices.shape[1])
 
 
@@ -69,8 +72,11 @@ def select_sphere_candidates(
     max_candidates:
         Cap on the number of candidates kept per subcarrier (nearest first).
 
-    The nearest lattice point is always kept, even when it lies outside the
-    sphere, so that decoding never fails.
+    Each row keeps the ``k = min(max_candidates, order)`` nearest points,
+    nearest first, and marks those beyond ``radius`` invalid, so a row's
+    in-sphere candidates are a prefix of it.  The nearest lattice point is
+    always valid, even when it lies outside the sphere, so that decoding
+    never fails.
     """
     require_positive(radius, "radius")
     if max_candidates < 1:

@@ -18,7 +18,9 @@ the registered ``fig6-deviation-cdf`` analysis, which is
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +86,47 @@ class _DeviationTask:
     quantiles: tuple[float, ...]
 
 
-def _deviation_point(task: _DeviationTask) -> dict[str, list[float]]:
-    """Measured and model-predicted deviation amplitudes (dB) at the CDF levels.
+def _model_cdf(grid: np.ndarray, train_amplitudes: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
+    """Model CDF of the amplitude marginal at ``grid``: the mean of the
+    Gaussian kernel CDFs of every training amplitude ``(subcarrier,
+    sample)``, each subcarrier with its own bandwidth.
 
-    Module-level so it pickles into pool workers; all randomness derives from
-    ``task.seed``.
+    A grid point's value does not depend on the other grid points passed, so
+    rows computed one at a time equal the rows of the full-grid call.
     """
+    cdf = _normal_cdf((grid[:, None, None] - train_amplitudes[None]) / bandwidths[None, :, None])
+    return cdf.mean(axis=(1, 2))
+
+
+def _interp_on_demand(quantile: float, cdf_row: Callable[[int], float], grid: np.ndarray) -> float:
+    """``np.interp(quantile, cdf, grid)`` for a nondecreasing ``cdf`` whose
+    rows ``cdf_row(i)`` are computed on demand.
+
+    Bisection finds the bracket ``j = searchsorted(cdf, quantile, 'right') -
+    1`` from about ``log2(len(grid))`` rows; ``np.interp`` on the bracketing
+    pair then runs the formula the full call runs on that pair, so the
+    result is bit-identical.  Below the first row and at or above the last,
+    ``np.interp`` returns the grid's end points, as here.
+    """
+    last = len(grid) - 1
+    if quantile < cdf_row(0):
+        return float(grid[0])
+    if quantile >= cdf_row(last):
+        return float(grid[last])
+    low, high = 0, last  # cdf_row(low) <= quantile < cdf_row(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if cdf_row(middle) <= quantile:
+            low = middle
+        else:
+            high = middle
+    return float(np.interp(quantile, [cdf_row(low), cdf_row(high)], grid[low : high + 1]))
+
+
+def _deviation_amplitudes(task: _DeviationTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One SIR point's data-symbol deviation amplitudes, the model CDF's
+    512-point grid, and the preamble-trained model's training amplitudes
+    ``(subcarrier, sample)`` and per-subcarrier amplitude bandwidths."""
     config = CPRecycleConfig(model_scope="pooled", max_segments=16)
     scenario = aci_scenario(
         "qpsk-1/2", sir_db=task.sir_db, payload_length=task.payload_length, edge_window_length=0
@@ -100,16 +137,27 @@ def _deviation_point(task: _DeviationTask) -> dict[str, list[float]]:
 
     deviations = front.data - rx.tx_frame.data_points[None, :, :]
     sample_amplitudes = np.abs(deviations).reshape(-1)
-
-    # Model CDF of the amplitude marginal: mixture of Gaussian kernel CDFs.
+    grid = np.linspace(0.0, float(sample_amplitudes.max()) * 1.2 + 1e-6, 512)
     train_amplitudes = np.abs(model.deviations.reshape(model.n_subcarriers, -1))
     bandwidths = model.kde.bandwidth_amplitude.reshape(model.n_subcarriers, -1).mean(axis=1)
-    grid = np.linspace(0.0, float(sample_amplitudes.max()) * 1.2 + 1e-6, 512)
-    cdf = _normal_cdf((grid[:, None, None] - train_amplitudes[None]) / bandwidths[None, :, None])
-    model_cdf = cdf.mean(axis=(1, 2))
+    return sample_amplitudes, grid, train_amplitudes, bandwidths
+
+
+def _deviation_point(task: _DeviationTask) -> dict[str, list[float]]:
+    """Measured and model-predicted deviation amplitudes (dB) at the CDF levels.
+
+    Module-level so it pickles into pool workers; all randomness derives from
+    ``task.seed``.  The model CDF is evaluated only at the grid rows the
+    quantiles' bisections visit, not on the whole grid.
+    """
+    sample_amplitudes, grid, train_amplitudes, bandwidths = _deviation_amplitudes(task)
+
+    @functools.cache
+    def cdf_row(index: int) -> float:
+        return float(_model_cdf(grid[index : index + 1], train_amplitudes, bandwidths)[0])
 
     measured = [float(np.quantile(sample_amplitudes, q)) for q in task.quantiles]
-    predicted = [float(np.interp(q, model_cdf, grid)) for q in task.quantiles]
+    predicted = [_interp_on_demand(q, cdf_row, grid) for q in task.quantiles]
     return {
         "samples": [20.0 * float(np.log10(max(v, 1e-6))) for v in measured],
         "model": [20.0 * float(np.log10(max(v, 1e-6))) for v in predicted],

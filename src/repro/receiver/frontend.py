@@ -34,6 +34,7 @@ from repro.receiver.equalizer import apply_common_phase, equalize, estimate_comm
 from repro.receiver.isi_free import detect_isi_free_samples
 from repro.receiver.segments import extract_segments, reference_segment_index, segment_offsets
 from repro.receiver.sync import synchronize
+from repro.utils.validation import require_positive_int
 
 __all__ = ["FrontEnd", "FrontEndOutput"]
 
@@ -132,10 +133,9 @@ class FrontEnd:
         pilot_phase_tracking: bool = False,
         channel_estimator: str = "best-segment",
     ):
-        if n_segments is not None and n_segments < 1:
-            raise ValueError("n_segments must be at least 1")
-        if max_segments < 1:
-            raise ValueError("max_segments must be at least 1")
+        if n_segments is not None:
+            require_positive_int(n_segments, "n_segments")
+        require_positive_int(max_segments, "max_segments")
         if channel_estimator not in self._CHANNEL_ESTIMATORS:
             raise ValueError(
                 f"channel_estimator must be one of {self._CHANNEL_ESTIMATORS}, "

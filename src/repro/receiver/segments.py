@@ -34,6 +34,8 @@ def segment_offsets(cp_length: int, n_segments: int) -> np.ndarray:
     offset ``C - P + j``; the returned array is 0-indexed, so its last entry is
     always ``cp_length`` — the standard receiver's window.
     """
+    if isinstance(n_segments, bool) or not isinstance(n_segments, (int, np.integer)):
+        raise TypeError(f"n_segments must be an integer, got {type(n_segments).__name__}")
     if not 1 <= n_segments <= cp_length:
         raise ValueError(
             f"n_segments must be between 1 and the cyclic prefix length ({cp_length}), "

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     CampaignExperiment,
+    CampaignSpec,
     ExperimentSpec,
     InterfererSpec,
     ReceiverSpec,
@@ -26,6 +27,8 @@ from repro.api import (
     resolve_analysis,
     run_experiment_spec,
 )
+from repro.api import experiment as api_experiment
+from repro.campaigns import scheduler as campaign_scheduler
 from repro.experiments import config as expcfg
 from repro.experiments import (
     fig04_segments,
@@ -403,6 +406,61 @@ class TestCli:
         assert excinfo.value.code == 2
         assert field_name in capsys.readouterr().err
         assert not ran
+
+    @pytest.mark.parametrize("cli", ["spec", "campaign"])
+    @pytest.mark.parametrize(
+        "change, field_name",
+        [
+            ({"n_segments": 2.5}, "n_segments"),  # float FFT offsets 38.5 ... 40.5
+            ({"options": {"max_candidates": 2.5}}, "max_candidates"),
+            ({"options": {"max_candidates": True}}, "max_candidates"),
+            ({"options": {"max_candidates": 0.5}}, "max_candidates"),
+            ({"options": {"model_scope": "bogus"}}, "model_scope"),
+        ],
+        ids=["n_segments-2.5", "max_candidates-2.5", "max_candidates-true",
+             "max_candidates-0.5", "model_scope-bogus"],
+    )
+    def test_rejected_receiver_fails_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, cli, change, field_name
+    ):
+        assert runner.main(["fig8", "--dump-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["series_label"] = "{receiver}"
+        payload["sweep"]["axes"] = [{"field": "sir_db", "values": [-10.0]}]
+        payload["n_packets"] = 2
+        (cprecycle,) = [entry for entry in payload["receivers"] if entry["name"] == "cprecycle"]
+        cprecycle.update(change)
+        dispatched = []
+
+        def no_dispatch(*args, **kwargs):
+            dispatched.append(args)
+            raise AssertionError("a sweep task was dispatched")
+
+        monkeypatch.setattr(api_experiment, "execute_points", no_dispatch)
+        monkeypatch.setattr(campaign_scheduler, "execute_points", no_dispatch)
+        spec_path = tmp_path / "spec.json"
+        workspace = tmp_path / "ws"
+        if cli == "spec":
+            spec_path.write_text(json.dumps(payload))
+            argv = ["--spec", str(spec_path)]
+        else:
+            campaign = json.loads(
+                CampaignSpec(
+                    name="rejected-receiver",
+                    experiments=(CampaignExperiment(builtin="fig8"),),
+                    profile="quick",
+                ).to_json()
+            )
+            campaign["experiments"] = [{"spec": payload}]
+            spec_path.write_text(json.dumps(campaign))
+            argv = ["campaign", "--spec", str(spec_path), "--out", str(workspace)]
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert field_name in err and "cprecycle" in err
+        assert not dispatched
+        assert not workspace.exists()
 
     def test_unknown_name_fails_before_anything_runs(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -318,6 +318,11 @@ class TestValidation:
         )
         assert spec.sweep.x_axis.values == (0, 20)
 
+    @pytest.mark.parametrize("n_segments", [0, 2.5, 16.0, True, "16"])
+    def test_receiver_segment_count_must_be_a_positive_integer(self, n_segments):
+        with pytest.raises(SpecError, match="'cprecycle' n_segments"):
+            ReceiverSpec("cprecycle", n_segments=n_segments)
+
     def test_duplicate_receiver_names(self):
         with pytest.raises(SpecError, match="unique"):
             _psr_spec(receivers=(ReceiverSpec("standard"), ReceiverSpec("standard")))

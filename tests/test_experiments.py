@@ -141,6 +141,65 @@ class TestFigureModules:
         b = fig06_kde.run_deviation_cdf(TINY, sir_values_db=(-20.0,))
         assert any("Model" in name for name in b.series)
 
+    @pytest.mark.parametrize("sir_db", [-10.0, -20.0, -30.0])
+    def test_fig6_on_demand_rows_match_the_full_grid(self, sir_db):
+        # The quick profile's three SIR points, against the full-grid CDF.
+        profile = expcfg.QUICK_PROFILE
+        task = fig06_kde._DeviationTask(
+            sir_db=sir_db,
+            payload_length=profile.payload_length,
+            seed=profile.seed,
+            quantiles=(0.1, 0.25, 0.5, 0.75, 0.9),
+        )
+        _, grid, train_amplitudes, bandwidths = fig06_kde._deviation_amplitudes(task)
+        full = fig06_kde._model_cdf(grid, train_amplitudes, bandwidths)
+        assert np.all(np.diff(full) >= 0)
+        for index in (0, 1, 255, 511):
+            row = fig06_kde._model_cdf(grid[index : index + 1], train_amplitudes, bandwidths)
+            assert row[0] == full[index]
+        oracle = [float(np.interp(q, full, grid)) for q in task.quantiles]
+        expected = [20.0 * float(np.log10(max(v, 1e-6))) for v in oracle]
+        assert fig06_kde._deviation_point(task)["model"] == expected
+
+    def test_fig6_on_demand_interp_handles_plateaus_and_ends(self):
+        grid = np.linspace(0.0, 3.0, 61)
+        steps = np.repeat([0.0, 0.1, 0.1, 0.4, 0.4, 0.4, 0.7, 0.9, 1.0, 1.0], 6)
+        cdf = np.concatenate([steps, [1.0]])  # plateaus at 0, 0.1, 0.4 and 1
+        visited = []
+
+        def cdf_row(index):
+            visited.append(index)
+            return float(cdf[index])
+
+        quantiles = [-0.5, 0.0, 1e-12, 0.05, 0.1, 0.25, 0.4, 0.55, 0.7, 0.95, 1.0, 1.5]
+        quantiles += list(np.random.default_rng(0).uniform(0.0, 1.0, 50))
+        for q in quantiles:
+            assert fig06_kde._interp_on_demand(q, cdf_row, grid) == float(np.interp(q, cdf, grid))
+        # A flat CDF: every quantile is below the first row or at or above the last.
+        flat = np.full(61, 0.3)
+        for q in (0.0, 0.3, 0.9):
+            value = fig06_kde._interp_on_demand(q, lambda i: float(flat[i]), grid)
+            assert value == float(np.interp(q, flat, grid))
+
+    def test_fig6_task_evaluates_at_most_64_grid_rows(self, monkeypatch):
+        rows = []
+        normal_cdf = fig06_kde._normal_cdf
+
+        def counted(x):
+            rows.append(np.shape(x)[0])  # the grid axis leads
+            return normal_cdf(x)
+
+        monkeypatch.setattr(fig06_kde, "_normal_cdf", counted)
+        profile = expcfg.QUICK_PROFILE
+        task = fig06_kde._DeviationTask(
+            sir_db=-20.0,
+            payload_length=profile.payload_length,
+            seed=profile.seed,
+            quantiles=(0.1, 0.25, 0.5, 0.75, 0.9),
+        )
+        fig06_kde._deviation_point(task)
+        assert 0 < sum(rows) <= 64
+
     def test_fig6_normal_helpers_known_values(self):
         # Phi(1.96), Phi(-1) and phi(0) to double precision.
         cdf = fig06_kde._normal_cdf(np.array([[1.96], [-1.0]]))

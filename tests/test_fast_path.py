@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.multipath import ExponentialMultipathChannel
 from repro.channel.scenario import Scenario
+from repro.core import interference_model, ml_decoder
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
 from repro.core.kde import GaussianProductKde, silverman_bandwidth
 from repro.core.ml_decoder import FixedSphereMlDecoder
 from repro.core.receiver import CPRecycleReceiver
+from repro.core.sphere import select_sphere_candidates
 from repro.experiments.config import aci_scenario, build_receivers, cci_scenario
 from repro.experiments.link import FAST_ENGINE_BATCH, packet_success_rate, symbol_error_rate
 from repro.experiments.parallel import parallel_map, resolve_workers
@@ -175,29 +177,192 @@ class TestModelFastPath:
 
 
 # --------------------------------------------------------------------------- #
-# ML decoder                                                                  #
+# Sphere and ML decoder                                                       #
 # --------------------------------------------------------------------------- #
+CONSTELLATIONS = {"qpsk": qpsk(), "16qam": qam16(), "64qam": qam64()}
+
+
+def _decoder_frame(constellation, n_segments, seed, far=8.0, n_data=32, n_symbols=10):
+    """Observations ``(P, S, n_data)`` whose centroids sit from on a lattice
+    point (subcarrier 0) to ``far`` minimum distances off it (the last), so
+    the in-sphere counts ``m`` of a frame span 1..k."""
+    rng = np.random.default_rng(seed)
+    true = rng.integers(0, constellation.order, size=(n_symbols, n_data))
+    offsets = constellation.min_distance * np.geomspace(0.05, far, n_data)
+    offsets = offsets * np.exp(2j * np.pi * rng.random((n_symbols, n_data)))
+    shape = (n_segments, n_symbols, n_data)
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return constellation.map_indices(true)[None] + offsets[None] + 0.25 * noise
+
+
+def _decoder_model(n_data, n_segments, scope, seed, budget=None):
+    rng = np.random.default_rng(seed)
+    shape = (n_data, n_segments, 2)
+    deviations = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return InterferenceModel(deviations, CPRecycleConfig(model_scope=scope, kde_chunk_elements=budget))
+
+
+def _in_sphere_counts(decoder, observations):
+    candidates = select_sphere_candidates(
+        decoder.constellation,
+        observations.mean(axis=0).reshape(-1),
+        decoder.sphere_radius,
+        decoder.config.max_candidates,
+    )
+    return candidates, candidates.valid.sum(axis=1)
+
+
+class TestSphereCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CONSTELLATIONS)),
+        radius=st.floats(min_value=1e-9, max_value=1e3),
+        max_candidates=st.integers(min_value=1, max_value=64),
+        centers=st.lists(
+            st.one_of(
+                st.complex_numbers(max_magnitude=2.0),  # on and around the lattice
+                st.complex_numbers(min_magnitude=10.0, max_magnitude=1e6),  # far outside
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_rows_are_nearest_first_with_an_in_sphere_prefix(
+        self, name, radius, max_candidates, centers
+    ):
+        constellation = CONSTELLATIONS[name]
+        centers = np.array(centers, dtype=complex)
+        candidates = select_sphere_candidates(constellation, centers, radius, max_candidates)
+        k = min(max_candidates, constellation.order)
+        assert candidates.indices.shape == candidates.valid.shape == (len(centers), k)
+        distances = np.abs(centers[:, None] - candidates.points)
+        assert np.all(np.diff(distances, axis=1) >= 0)
+        valid = candidates.valid
+        assert valid[:, 0].all()
+        in_sphere = valid.sum(axis=1, keepdims=True)
+        assert np.array_equal(valid, np.arange(k) < in_sphere)  # a prefix
+        assert np.array_equal(valid[:, 1:], distances[:, 1:] <= radius)
+
+
 class TestDecoderFastPath:
+    @pytest.mark.parametrize("share", [2.0, 0.0], ids=["grouped", "full-k"])
+    @pytest.mark.parametrize("n_segments", [1, 5, 40])
     @pytest.mark.parametrize("constellation", [qpsk(), qam16(), qam64()])
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
-    def test_batched_decode_frame_matches_reference(self, constellation, scope):
-        rng = np.random.default_rng(42)
-        n_data, n_segments, n_symbols = 24, 6, 9
-        config = CPRecycleConfig(model_scope=scope)
-        deviations = 0.3 * (
-            rng.normal(size=(n_data, n_segments, 2)) + 1j * rng.normal(size=(n_data, n_segments, 2))
-        )
-        model = InterferenceModel(deviations, config)
-        true = rng.integers(0, constellation.order, size=(n_symbols, n_data))
-        observations = constellation.map_indices(true)[None] + 0.25 * (
-            rng.normal(size=(n_segments, n_symbols, n_data))
-            + 1j * rng.normal(size=(n_segments, n_symbols, n_data))
-        )
-        decoder = FixedSphereMlDecoder(constellation, config)
+    def test_batched_decode_frame_matches_reference(
+        self, constellation, scope, n_segments, share, monkeypatch
+    ):
+        # A share constant above 1 never scores full-k; 0 always does.
+        monkeypatch.setattr(ml_decoder, "FULL_SCORING_SHARE", share)
+        observations = _decoder_frame(constellation, n_segments, seed=42)
+        model = _decoder_model(observations.shape[2], n_segments, scope, seed=3)
+        decoder = FixedSphereMlDecoder(constellation, CPRecycleConfig(model_scope=scope))
+        candidates, in_sphere = _in_sphere_counts(decoder, observations)
+        assert np.array_equal(np.unique(in_sphere), np.arange(1, candidates.n_candidates + 1))
         fast = decoder.decode_frame(observations, model)
         reference = decoder.decode_frame_reference(observations, model)
         assert fast.dtype == reference.dtype
+        assert fast.flags.c_contiguous
         assert np.array_equal(fast, reference)
+
+    @pytest.mark.parametrize("share", [2.0, 0.0], ids=["grouped", "full-k"])
+    def test_exact_ties_decide_by_the_first_maximum(self, share, monkeypatch):
+        monkeypatch.setattr(ml_decoder, "FULL_SCORING_SHARE", share)
+        constellation = qpsk()
+        # Every observation sits on the midpoint of two adjacent QPSK points:
+        # their deviations are +-x exactly, so an amplitude-only kernel
+        # scores the two nearest candidates exactly alike.
+        points = constellation.points
+        adjacent = np.abs(points[:, None] - points[None, :]) == constellation.min_distance
+        pairs = [(a, b) for a, b in zip(*np.nonzero(adjacent)) if a < b]
+        midpoints = np.array([(points[a] + points[b]) / 2 for a, b in pairs])
+        rng = np.random.default_rng(4)
+        observations = np.broadcast_to(
+            rng.choice(midpoints, size=(6, 20)), (5, 6, 20)
+        ).copy()
+        config = CPRecycleConfig(phase_weight=0.0)
+        shape = (20, 5, 2)
+        deviations = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        model = InterferenceModel(deviations, config)
+        decoder = FixedSphereMlDecoder(constellation, config)
+        candidates, _ = _in_sphere_counts(decoder, observations)
+        full = model.candidate_log_likelihood(
+            np.transpose(observations, (2, 0, 1)),
+            np.transpose(candidates.points.reshape(6, 20, 4), (1, 0, 2)),
+        )
+        assert np.all((full == full.max(axis=-1, keepdims=True)).sum(axis=-1) == 2)
+        fast = decoder.decode_frame(observations, model)
+        assert np.array_equal(fast, decoder.decode_frame_reference(observations, model))
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("budget", [1, 7, 100, 10**9])
+    def test_in_sphere_scores_equal_full_k_scores(self, scope, budget):
+        observations = _decoder_frame(qam16(), 5, seed=8)
+        n_segments, n_symbols, n_data = observations.shape
+        decoder = FixedSphereMlDecoder(qam16(), CPRecycleConfig(model_scope=scope))
+        candidates, in_sphere = _in_sphere_counts(decoder, observations)
+        k = candidates.n_candidates
+        whole = _decoder_model(n_data, n_segments, scope, seed=5, budget=10**9)
+        full = whole.candidate_log_likelihood(
+            np.transpose(observations, (2, 0, 1)),
+            np.transpose(candidates.points.reshape(n_symbols, n_data, k), (1, 0, 2)),
+        )
+        full = np.transpose(full, (1, 0, 2)).reshape(-1, k)  # row-major (symbol, subcarrier)
+        model = _decoder_model(n_data, n_segments, scope, seed=5, budget=budget)
+        columns = observations.reshape(n_segments, -1)
+        for m in np.unique(in_sphere):
+            group = np.flatnonzero(in_sphere == m)
+            scores = model.candidate_log_likelihood(
+                columns[:, group].T[:, :, None],
+                candidates.points[group, None, :m],
+                subcarriers=group % n_data,
+            )
+            assert scores.shape == (group.size, 1, m)
+            assert np.array_equal(scores[:, 0], full[group, :m])
+
+    @pytest.mark.parametrize(
+        "name, far, path",
+        [
+            ("qpsk", 0.3, "full-k"),  # near the lattice: every slot in the sphere
+            ("qpsk", 30.0, "grouped"),
+            ("16qam", 8.0, "grouped"),
+            ("64qam", 0.3, "full-k"),
+            ("64qam", 8.0, "grouped"),
+        ],
+    )
+    def test_shape_ledger_counts_the_evaluations_made(self, name, far, path, monkeypatch):
+        observations = _decoder_frame(CONSTELLATIONS[name], 5, seed=9, far=far)
+        n_segments, _, n_data = observations.shape
+        decoder = FixedSphereMlDecoder(CONSTELLATIONS[name])
+        candidates, in_sphere = _in_sphere_counts(decoder, observations)
+        k = candidates.n_candidates
+        share = in_sphere.sum() / (in_sphere.size * k)
+        assert (share >= ml_decoder.FULL_SCORING_SHARE) == (path == "full-k")
+
+        ledger = []
+        score = InterferenceModel.candidate_log_likelihood
+
+        def counted(*args, **kwargs):
+            # The outside-in ledger reads exactly these two shapes.
+            n_rows, n_seg, n_symbols = args[1].shape
+            ledger.append(n_rows * n_seg * n_symbols * args[2].shape[-1])
+            return score(*args, **kwargs)
+
+        made = []
+        kernel = interference_model._segment_summed_log_density
+
+        def evaluated(block, *banks):
+            made.append(block[0].size)  # (symbols, candidates, segments, rows)
+            return kernel(block, *banks)
+
+        monkeypatch.setattr(InterferenceModel, "candidate_log_likelihood", counted)
+        monkeypatch.setattr(interference_model, "_segment_summed_log_density", evaluated)
+        model = _decoder_model(n_data, n_segments, "per-segment", seed=1)
+        decoded = decoder.decode_frame(observations, model)
+        assert np.array_equal(decoded, decoder.decode_frame_reference(observations, model))
+        in_scope = in_sphere.size * k if path == "full-k" else in_sphere[in_sphere > 1].sum()
+        assert sum(ledger) == sum(made) == n_segments * in_scope
+        assert len(ledger) == (1 if path == "full-k" else len(np.unique(in_sphere[in_sphere > 1])))
 
 
 # --------------------------------------------------------------------------- #

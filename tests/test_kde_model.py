@@ -277,6 +277,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CPRecycleConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, 0.5, True, "16", np.float64(16.0)])
+    @pytest.mark.parametrize(
+        "field", ["n_segments", "max_segments", "max_candidates", "kde_chunk_elements"]
+    )
+    def test_integer_fields_accept_only_integers(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            CPRecycleConfig(**{field: value})
+        assert getattr(CPRecycleConfig(**{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "field",

@@ -34,6 +34,14 @@ class TestSegments:
         with pytest.raises(ValueError):
             segment_offsets(16, 17)
 
+    @pytest.mark.parametrize("n_segments", [2.5, 16.0, True])
+    def test_segment_count_must_be_an_integer(self, n_segments):
+        # 2.5 would give the float offsets 14.5, 15.5 and 16.5: no window is
+        # the standard receiver's.
+        with pytest.raises(TypeError, match="n_segments"):
+            segment_offsets(16, n_segments)
+        assert list(segment_offsets(16, np.int64(2))) == [15, 16]
+
     def test_phase_ramp_reference_is_unity(self):
         alloc = dot11g_allocation()
         assert np.allclose(segment_phase_ramp(alloc, alloc.cp_length), 1.0)
@@ -250,6 +258,14 @@ class TestFrontEnd:
     def test_invalid_channel_estimator(self):
         with pytest.raises(ValueError):
             FrontEnd(channel_estimator="mmse")
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("field", ["n_segments", "max_segments"])
+    def test_segment_counts_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            FrontEnd(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            FrontEnd(**{field: 0})
 
     def test_clean_decode_observations_on_lattice(self):
         alloc = dot11g_allocation()
