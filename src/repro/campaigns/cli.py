@@ -29,7 +29,7 @@ from repro.campaigns.report import (
 )
 from repro.campaigns.scheduler import run_campaign
 from repro.experiments.cli_env import add_execution_flags, environment, execution_env
-from repro.experiments.parallel import resolve_workers
+from repro.experiments.parallel import pool_scope, resolve_workers
 
 __all__ = ["main"]
 
@@ -99,8 +99,9 @@ def main(argv: list[str] | None = None) -> int:
 
     workspace = args.out if args.out is not None else Path("campaigns") / spec.name
     # --workers goes to run_campaign, not REPRO_WORKERS: it must outrank the
-    # spec's n_workers, which outranks the environment.
-    with environment(overrides):
+    # spec's n_workers, which outranks the environment.  Every round borrows
+    # one process pool, whose workers are joined when the block exits.
+    with environment(overrides), pool_scope():
         try:
             run = run_campaign(spec, workspace, resume=args.resume, n_workers=args.workers)
         except (SpecError, ValueError) as error:

@@ -14,7 +14,10 @@ of fire-and-forget:
   value depends on the host and the profile, so it stays configurable;
 * :func:`parallel_map` / :func:`parallel_map_chunked` fan a function over a
   list of picklable tasks through a supervised
-  :class:`concurrent.futures.ProcessPoolExecutor`, preserving input order.
+  :class:`concurrent.futures.ProcessPoolExecutor`, preserving input order;
+* :func:`pool_scope` lends one such pool to every sweep run inside it.
+  Both CLIs open one around their whole run, so a run forks its workers
+  once, not once per sweep; a call outside any scope opens its own.
 
 Supervision semantics (all recovery events are counted in
 :func:`supervisor_stats` and logged as one ``[supervise]`` stderr line each):
@@ -24,9 +27,13 @@ Supervision semantics (all recovery events are counted in
 * a task that exceeds the task timeout (pool mode only — serial execution
   cannot be preempted) is abandoned and re-dispatched like a failure;
 * a dead worker (``BrokenProcessPool``) triggers a pool respawn (at most
-  :data:`MAX_POOL_RESPAWNS`) re-dispatching only the incomplete tasks of the
-  current chunk; when the pool keeps dying the supervisor degrades to serial
-  in-process execution instead of giving up;
+  :data:`MAX_POOL_RESPAWNS` per sweep) re-dispatching only the incomplete
+  tasks of the current chunk, and the replacement serves the rest of the
+  scope; when the pool keeps dying the supervisor degrades that sweep to
+  serial in-process execution instead of giving up;
+* a sweep in which a task timed out terminates the pool when it ends (a
+  worker may still be stuck on the abandoned execution), so the next
+  sweep starts a fresh one;
 * a task that cannot be pickled for dispatch (the pool probe only sees the
   first task) is executed serially in the parent with a warning naming the
   point's stable content key, instead of crashing the sweep with an opaque
@@ -52,8 +59,9 @@ import pickle
 import sys
 import warnings
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -69,6 +77,7 @@ __all__ = [
     "resolve_workers",
     "parallel_map",
     "parallel_map_chunked",
+    "pool_scope",
     "supervisor_stats",
     "reset_supervisor_stats",
     "TIMEOUT_ENV_VAR",
@@ -317,44 +326,29 @@ def _run_task(
 _UNSET = object()
 
 
-class _Supervisor:
-    """Drives one ``parallel_map_chunked`` call with failure recovery.
+class _PoolScope:
+    """The process pool one :func:`pool_scope` lends to its sweeps.
 
-    One instance (and its process pool) is reused across every chunk of the
-    call, so checkpointing does not pay a worker-respawn (plus numpy
-    re-import) per chunk.  ``pooled=False`` (serial mode) keeps the retry
-    and fault-injection behaviour without any pool.
+    ``pid`` names the owning process: a worker forked inside a scope
+    inherits it as dead state, which :func:`pool_scope` ignores.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        n_workers: int,
-        task_timeout: float | None,
-        plan: FaultPlan | None,
-        total: int,
-        pooled: bool,
-    ) -> None:
-        self.fn = fn
-        self.task_timeout = task_timeout
-        self.plan = plan
-        self.pooled = pooled
-        self.max_workers = max(1, min(n_workers, total))
+    def __init__(self) -> None:
+        self.pid = os.getpid()
         self.pool: ProcessPoolExecutor | None = None
-        self.respawns = 0
-        self.degraded = False
-        self.hang_suspected = False
-        # Dispatch id naming this call's submit/task events in the trace;
-        # None (and therefore zero per-task work) when tracing is off.
-        self.dispatch = obs.next_dispatch_id() if obs.enabled() else None
+        self.width = 0
 
-    # -- pool lifecycle ----------------------------------------------------- #
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def borrow(self, n_workers: int, width: int) -> ProcessPoolExecutor:
+        """The scope's pool, rebuilt first unless it has at least ``width``
+        workers and at most ``n_workers`` (the count the sweep asked for)."""
+        if self.pool is not None and not width <= self.width <= n_workers:
+            self.close()
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self.pool = ProcessPoolExecutor(max_workers=width)
+            self.width = width
         return self.pool
 
-    def _discard_pool(self) -> None:
+    def discard(self) -> None:
         """Tear the pool down hard (dead or hung workers included)."""
         if self.pool is None:
             return
@@ -365,19 +359,87 @@ class _Supervisor:
         self.pool = None
 
     def close(self) -> None:
-        if self.pool is None:
-            return
-        if self.hang_suspected:
-            # A task timed out earlier: a worker may still be stuck on the
-            # abandoned execution, and a graceful shutdown would join it.
-            self._discard_pool()
-        else:
+        """Shut the pool down, joining its workers."""
+        if self.pool is not None:
             self.pool.shutdown(wait=True)
             self.pool = None
 
+
+#: The scope whose pool sweeps in this process borrow (see :func:`pool_scope`).
+# repro-lint: disable=RPR008 -- deliberately parent-only: only pool_scope()
+# rebinds it, in the process that dispatches the sweeps; a worker's fork copy
+# is dead state, recognised by its owner pid and never used.
+_SCOPE: _PoolScope | None = None
+
+
+@contextmanager
+def pool_scope() -> Iterator[_PoolScope]:
+    """Lend one process pool to every pooled sweep run inside the block.
+
+    The first sweep that needs the pool creates it; the outermost scope
+    shuts it down, joining its workers, on exit, and an inner scope joins
+    the outer one.  Recovery stays per sweep (see the module notes).
+
+    Workers fork once and keep the environment of that moment, so open the
+    scope where the environment is settled: both CLIs open it inside their
+    ``environment(overrides)`` block.
+    """
+    global _SCOPE
+    if _SCOPE is not None and _SCOPE.pid == os.getpid():
+        yield _SCOPE
+        return
+    _SCOPE = scope = _PoolScope()
+    try:
+        yield scope
+    finally:
+        _SCOPE = None
+        scope.close()
+
+
+class _Supervisor:
+    """Drives one ``parallel_map_chunked`` call with failure recovery.
+
+    Every chunk runs on the pool it borrows from ``scope``, so neither a
+    chunk nor a sweep pays a worker respawn (plus numpy re-import); the
+    respawn budget and the degradation to serial are this call's own.
+    ``pooled=False`` (serial mode) keeps the retry and fault-injection
+    behaviour without any pool.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        n_workers: int,
+        task_timeout: float | None,
+        plan: FaultPlan | None,
+        total: int,
+        pooled: bool,
+        scope: _PoolScope,
+    ) -> None:
+        self.fn = fn
+        self.task_timeout = task_timeout
+        self.plan = plan
+        self.pooled = pooled
+        self.n_workers = n_workers
+        self.width = max(1, min(n_workers, total))
+        self.scope = scope
+        self.respawns = 0
+        self.degraded = False
+        self.hang_suspected = False
+        # Dispatch id naming this call's submit/task events in the trace;
+        # None (and therefore zero per-task work) when tracing is off.
+        self.dispatch = obs.next_dispatch_id() if obs.enabled() else None
+
+    # -- pool lifecycle ----------------------------------------------------- #
+    def close(self) -> None:
+        if self.hang_suspected:
+            # A task timed out earlier: a worker may still be stuck on the
+            # abandoned execution, and a graceful shutdown would join it.
+            self.scope.discard()
+
     def _recover_pool(self, n_incomplete: int) -> None:
         """Respawn after a pool death, or degrade to serial once out of respawns."""
-        self._discard_pool()
+        self.scope.discard()
         if self.respawns < MAX_POOL_RESPAWNS:
             self.respawns += 1
             _STATS.pool_respawns += 1
@@ -391,7 +453,6 @@ class _Supervisor:
                 f"(respawn {self.respawns}/{MAX_POOL_RESPAWNS}) and "
                 f"re-dispatching {n_incomplete} incomplete task(s)"
             )
-            self._ensure_pool()
             return
         self.degraded = True
         _STATS.degraded += 1
@@ -426,20 +487,21 @@ class _Supervisor:
                     return results
 
     def _submit(self, chunk: Sequence[Any], base: int, i: int) -> Future[Any]:
+        pool = self.scope.borrow(self.n_workers, self.width)
         if self.dispatch is not None:
             # Payload size is measured with an extra serialisation, paid
             # only while tracing (the pool pickles the dispatch itself).
             with obs.span("dispatch.serialize", dispatch=self.dispatch, ordinal=base + i):
                 payload = len(pickle.dumps((self.fn, chunk[i])))
                 obs.add(bytes=payload)
-            future = self._ensure_pool().submit(
+            future = pool.submit(
                 _run_task, self.fn, chunk[i], self.plan, base + i, True, self.dispatch
             )
             obs.event(
                 "dispatch.submit", dispatch=self.dispatch, ordinal=base + i, bytes=payload
             )
             return future
-        return self._ensure_pool().submit(
+        return pool.submit(
             _run_task, self.fn, chunk[i], self.plan, base + i, True
         )
 
@@ -589,11 +651,12 @@ def parallel_map_chunked(
 
     ``on_chunk(start_index, chunk_results)`` fires as each ``chunk_size``
     slice of the input finishes (the sweep layer flushes its point cache
-    there).  One supervised process pool is reused across all chunks, so
-    checkpointing does not pay a worker-respawn (plus numpy re-import) per
-    chunk.  The task timeout comes from ``REPRO_TASK_TIMEOUT`` (see
-    :func:`resolve_task_timeout`); ``fault_plan`` (default: ``REPRO_FAULTS``)
-    enables deterministic fault injection for tests.
+    there).  Every chunk runs on the pool of the active :func:`pool_scope`;
+    with none active the call opens one, so its pool is shut down before it
+    returns.  The task timeout comes from
+    ``REPRO_TASK_TIMEOUT`` (see :func:`resolve_task_timeout`);
+    ``fault_plan`` (default: ``REPRO_FAULTS``) enables deterministic fault
+    injection for tests.
     """
     tasks: Sequence[_T] = list(items)
     workers = resolve_workers(n_workers)
@@ -613,9 +676,11 @@ def parallel_map_chunked(
 
     with obs.tracing(
         "parallel.map", n_tasks=len(tasks), workers=workers, pooled=use_pool
-    ):
+    ), pool_scope() as scope:
         stats_before = _STATS.snapshot() if obs.enabled() else None
-        supervisor = _Supervisor(fn, workers, task_timeout, plan, total=len(tasks), pooled=use_pool)
+        supervisor = _Supervisor(
+            fn, workers, task_timeout, plan, total=len(tasks), pooled=use_pool, scope=scope
+        )
         results: list[_R] = []
         try:
             for start in range(0, len(tasks), chunk_size):

@@ -85,7 +85,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli_env import add_execution_flags, environment, execution_env
 from repro.experiments.config import FULL_PROFILE, QUICK_PROFILE
-from repro.experiments.parallel import resolve_workers
+from repro.experiments.parallel import pool_scope, resolve_workers
 from repro.experiments.results import format_csv, format_table
 from repro.experiments.store import CACHE_ENV_VAR, ResultStore
 from repro.obs import TRACE_ENV_VAR
@@ -361,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
                 name, result, profile=profile, spec_hash=spec_hash(spec.resolve(profile))
             )
 
-    with environment(overrides):
+    # One process pool serves every sweep of the run; leaving the block
+    # joins its workers, so their CPU and memory count before main returns.
+    with environment(overrides), pool_scope():
         if spec_file is not None:
             try:
                 emit(spec_file.name, spec_file)

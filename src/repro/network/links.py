@@ -211,8 +211,10 @@ def simulate_link_matrices(
     for sir in sirs:
         off_diagonal = ~np.eye(sir.shape[0], dtype=bool)
         simulate_mask = off_diagonal & (sir < clean_sir_db)
-        masks.append((off_diagonal, simulate_mask))
-        unique_sirs.update(float(value) for value in np.unique(sir[simulate_mask]))
+        # Distinct values as a Python set: np.unique imports numpy.ma.
+        values = sorted(set(sir[simulate_mask].tolist()))
+        masks.append((off_diagonal, simulate_mask, values))
+        unique_sirs.update(values)
     grid = sorted(unique_sirs)
 
     points = [
@@ -230,12 +232,12 @@ def simulate_link_matrices(
     psr_of = dict(zip(grid, outcomes))
 
     simulations = []
-    for sir, (off_diagonal, simulate_mask) in zip(sirs, masks):
+    for sir, (off_diagonal, simulate_mask, values) in zip(sirs, masks):
         n = sir.shape[0]
         psr = {name: np.full((n, n), 100.0) for name in names}
-        for value in np.unique(sir[simulate_mask]):
+        for value in values:
             cell = simulate_mask & (sir == value)
-            outcome = psr_of[float(value)]
+            outcome = psr_of[value]
             for name in names:
                 psr[name][cell] = outcome[name]
         simulations.append(

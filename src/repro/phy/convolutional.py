@@ -19,6 +19,7 @@ __all__ = [
     "depuncture",
     "PUNCTURE_PATTERNS",
     "coded_length",
+    "puncture_mask",
     "CODE_RATES",
 ]
 
@@ -70,12 +71,20 @@ def conv_encode(bits: np.ndarray, terminate: bool = False) -> np.ndarray:
     return coded
 
 
+def puncture_mask(rate: str, length: int) -> np.ndarray:
+    """Which of ``length`` rate-1/2 coded bits ``rate`` transmits, as booleans.
+
+    The puncturing pattern repeated to ``length``: what ``np.resize`` gives,
+    built by ``np.tile``, which does not concatenate one copy per period.
+    """
+    pattern = _pattern(rate)
+    return np.tile(pattern.astype(bool), -(-length // pattern.size))[:length]
+
+
 def puncture(coded_bits: np.ndarray, rate: str) -> np.ndarray:
     """Remove bits from a rate-1/2 coded stream to reach a higher rate."""
-    pattern = _pattern(rate)
     coded_bits = np.asarray(coded_bits, dtype=np.uint8)
-    mask = np.resize(pattern, coded_bits.size).astype(bool)
-    return coded_bits[mask]
+    return coded_bits[puncture_mask(rate, coded_bits.size)]
 
 
 def depuncture(punctured_bits: np.ndarray, rate: str, original_length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +95,7 @@ def depuncture(punctured_bits: np.ndarray, rate: str, original_length: int) -> t
     ``known_mask`` marks which positions carry real information.  The Viterbi
     decoder ignores branch metrics at unknown positions.
     """
-    pattern = _pattern(rate)
-    mask = np.resize(pattern, original_length).astype(bool)
+    mask = puncture_mask(rate, original_length)
     expected = int(mask.sum())
     punctured_bits = np.asarray(punctured_bits, dtype=np.uint8)
     if punctured_bits.size != expected:
@@ -102,10 +110,7 @@ def depuncture(punctured_bits: np.ndarray, rate: str, original_length: int) -> t
 
 def coded_length(n_data_bits: int, rate: str) -> int:
     """Number of transmitted coded bits for ``n_data_bits`` input bits."""
-    pattern = _pattern(rate)
-    mother = 2 * n_data_bits
-    mask = np.resize(pattern, mother).astype(bool)
-    return int(mask.sum())
+    return int(puncture_mask(rate, 2 * n_data_bits).sum())
 
 
 def _pattern(rate: str) -> np.ndarray:

@@ -128,19 +128,18 @@ def apply_edge_window(
         raise ValueError(
             f"stream length {symbol_stream.size} is not a whole number of OFDM symbols"
         )
-    n_symbols = symbol_stream.size // length
+    symbols = symbol_stream.reshape(-1, length)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(window_length) + 0.5) / window_length))
-    out = np.zeros(symbol_stream.size + window_length, dtype=complex)
     cp = allocation.cp_length
-    for index in range(n_symbols):
-        symbol = symbol_stream[index * length : (index + 1) * length]
-        # Cyclic suffix: the symbol continues periodically past its end.
-        extended = np.concatenate([symbol, symbol[cp : cp + window_length]])
-        extended = extended.copy()
-        extended[:window_length] *= ramp
-        extended[-window_length:] *= ramp[::-1]
-        out[index * length : index * length + length + window_length] += extended
-    return out[: symbol_stream.size]
+    # Overlap-add on a zeroed output, every symbol at once.  Each symbol's
+    # cyclic suffix (the symbol continuing periodically past its end),
+    # tapered down, lands on the next symbol's head before that head,
+    # tapered up, is added; the last suffix falls past the stream's end.
+    out = np.zeros_like(symbols)
+    out[1:, :window_length] += symbols[:-1, cp : cp + window_length] * ramp[::-1]
+    out[:, :window_length] += symbols[:, :window_length] * ramp
+    out[:, window_length:] += symbols[:, window_length:]
+    return out.reshape(-1)
 
 
 def symbol_start_indices(allocation: OfdmAllocation, n_symbols: int, offset: int = 0) -> np.ndarray:

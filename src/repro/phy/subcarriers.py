@@ -80,7 +80,7 @@ class OfdmAllocation:
             raise ValueError("cp_length must be smaller than fft_size")
         data = require_unique_indices(self.data_bins, "data_bins", self.fft_size)
         pilots = require_unique_indices(self.pilot_bins, "pilot_bins", self.fft_size)
-        if np.intersect1d(data, pilots).size:
+        if not set(data.tolist()).isdisjoint(pilots.tolist()):
             raise ValueError("data_bins and pilot_bins must be disjoint")
         if data.size == 0:
             raise ValueError("an allocation needs at least one data subcarrier")
@@ -184,12 +184,13 @@ def adjacent_block_allocation(
             f"{fft_size}-bin grid"
         )
     bins = np.arange(start_bin, start_bin + n_subcarriers)
-    if n_pilots:
-        pilot_positions = np.linspace(0, n_subcarriers - 1, n_pilots + 2)[1:-1]
-        pilot_bins = bins[np.round(pilot_positions).astype(int)]
-    else:
-        pilot_bins = np.empty(0, dtype=int)
-    data_bins = np.setdiff1d(bins, pilot_bins)
+    pilot_positions = np.round(np.linspace(0, n_subcarriers - 1, n_pilots + 2)[1:-1]).astype(int)
+    pilot_bins = bins[pilot_positions]
+    # The block minus its pilots, in order (a boolean mask, not np.setdiff1d,
+    # whose np.unique imports numpy.ma on first use).
+    is_data = np.ones(n_subcarriers, dtype=bool)
+    is_data[pilot_positions] = False
+    data_bins = bins[is_data]
     return OfdmAllocation(
         fft_size=fft_size,
         cp_length=cp_length,

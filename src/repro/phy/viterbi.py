@@ -176,7 +176,8 @@ class ViterbiDecoder:
         is four in-place ufunc calls over ``(batch, 2, 32)`` blocks: add the
         even and the odd predecessors' metrics to their branch costs, record
         which candidate is strictly smaller, keep the minimum.  The branch
-        costs of every step are built once, step-major.  Decisions are
+        costs of every step are built once, step-major and contiguous (see
+        :func:`_branch_table`), so each step reads one block.  Decisions are
         bit-identical to :meth:`_run_reference`: each candidate is
         ``metric + (cost_a + cost_b)``, and the odd predecessor survives only
         when strictly smaller, as ``argmin`` picks the first of equal values.
@@ -196,13 +197,9 @@ class ViterbiDecoder:
                 ]
             )
 
-        # Branch cost from the even predecessor of every (step, frame, new
-        # state), as (n_steps, batch, 2 input bits, 32).  The odd
-        # predecessor's costs are the same table with the input bit reversed.
-        step_a = cost_a.transpose(1, 0, 2)
-        step_b = cost_b.transpose(1, 0, 2)
-        pair = (step_a[:, :, :, None] + step_b[:, :, None, :]).reshape(n_steps, batch, 4)
-        branch = pair[:, :, _TRELLIS["even_code"]].reshape(n_steps, batch, 2, _HALF)
+        # The odd predecessor's costs are the same table with the input bit
+        # reversed.
+        branch = _branch_table(cost_a, cost_b)
 
         # Hard metrics are int32: 1e9 plus at most 2 per step stays exact and
         # far from overflow for any frame length.
@@ -262,6 +259,24 @@ class ViterbiDecoder:
             choice = survivors[step][rows, states]
             states = prev_state[states, choice]
         return decoded
+
+
+def _branch_table(cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
+    """Branch cost from the even predecessor of every (step, frame, new state).
+
+    Returns a C-contiguous ``(n_steps, batch, 2 input bits, 32)`` table from
+    the ``(batch, n_steps, 2)`` costs of the two coded bits.  The sums of
+    every coded pair are laid out step-major first, and ``np.take`` keeps
+    that order (fancy indexing would not), so each trellis step reads one
+    contiguous block instead of one cache line per element.
+    """
+    batch, n_steps = cost_a.shape[0], cost_a.shape[1]
+    pair = np.add(
+        cost_a.transpose(1, 0, 2)[:, :, :, None],
+        cost_b.transpose(1, 0, 2)[:, :, None, :],
+        order="C",
+    ).reshape(n_steps, batch, 4)
+    return np.take(pair, _TRELLIS["even_code"], axis=2).reshape(n_steps, batch, 2, _HALF)
 
 
 def _traceback(survivors: np.ndarray, final: np.ndarray) -> np.ndarray:

@@ -107,8 +107,7 @@ def decode_coded_bits_batch(spec: FrameSpec, coded_bits: np.ndarray) -> list[Dec
     deinterleaved = blocks[:, :, permutation].reshape(n_frames, -1)
 
     # De-puncture: scatter the whole batch through the shared erasure mask.
-    pattern = convolutional.PUNCTURE_PATTERNS[spec.mcs.code_rate]
-    mask = np.resize(pattern, mother_length).astype(bool)
+    mask = convolutional.puncture_mask(spec.mcs.code_rate, mother_length)
     depunctured = np.zeros((n_frames, mother_length), dtype=np.uint8)
     depunctured[:, mask] = deinterleaved
     known = np.broadcast_to(mask, depunctured.shape)

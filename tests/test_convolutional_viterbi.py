@@ -71,6 +71,14 @@ class TestPuncturing:
         with pytest.raises(ValueError):
             cc.puncture(np.zeros(8, dtype=np.uint8), "5/6")
 
+    @pytest.mark.parametrize("rate", ["1/2", "2/3", "3/4"])
+    def test_puncture_mask_repeats_the_pattern_like_np_resize(self, rate):
+        pattern = cc.PUNCTURE_PATTERNS[rate]
+        for length in range(1, 37):
+            mask = cc.puncture_mask(rate, length)
+            assert mask.dtype == np.bool_
+            assert np.array_equal(mask, np.resize(pattern, length).astype(bool)), length
+
     def test_coded_length_helper(self):
         assert cc.coded_length(100, "1/2") == 200
         assert cc.coded_length(96, "3/4") == 128

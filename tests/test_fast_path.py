@@ -29,7 +29,7 @@ from repro.experiments.parallel import parallel_map, resolve_workers
 from repro.phy.constellation import qam16, qam64, qpsk
 from repro.phy.scrambler import scrambler_sequence
 from repro.phy.subcarriers import dot11g_allocation
-from repro.phy.viterbi import ViterbiDecoder
+from repro.phy.viterbi import _TRELLIS, ViterbiDecoder, _branch_table
 from repro.receiver.decode_chain import (
     decode_coded_bits_batch,
     decode_coded_bits_batch_reference,
@@ -648,6 +648,23 @@ class TestChainEquivalence:
         monkeypatch.setattr(ViterbiDecoder, "MAX_BRANCH_ELEMENTS", 260 * 64)  # 2 frames
         sliced = ViterbiDecoder().decode_batch(coded)
         assert np.array_equal(whole, sliced)
+        assert np.array_equal(sliced, ViterbiDecoder(reference=True).decode_batch(coded))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_viterbi_branch_table_is_step_major_and_contiguous(self, dtype):
+        # Each trellis step reads one (batch, 2, 32) block of the table, so
+        # the step axis must be outermost in memory, not just in shape.
+        rng = np.random.default_rng(3)
+        batch, n_steps = 5, 11
+        cost_a = rng.integers(-2, 3, size=(batch, n_steps, 2)).astype(dtype)
+        cost_b = rng.integers(-2, 3, size=(batch, n_steps, 2)).astype(dtype)
+        table = _branch_table(cost_a, cost_b)
+        assert table.shape == (n_steps, batch, 2, 32)
+        assert table.flags.c_contiguous
+        # New state s is reached from its even predecessor emitting the coded
+        # pair (exp_a[s, 0], exp_b[s, 0]).
+        expected = cost_a[:, :, _TRELLIS["exp_a"][:, 0]] + cost_b[:, :, _TRELLIS["exp_b"][:, 0]]
+        assert np.array_equal(table, expected.transpose(1, 0, 2).reshape(n_steps, batch, 2, 32))
 
     def test_viterbi_soft_paths_agree(self):
         rng = np.random.default_rng(1)

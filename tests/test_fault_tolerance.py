@@ -9,6 +9,7 @@ counts — with 1 or 2 workers.
 
 import json
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -33,6 +34,7 @@ from repro.api import (
 )
 from repro.api.experiment import expand_psr_points
 from repro.campaigns import run_campaign
+from repro.experiments import parallel
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.faults import FAULTS_ENV_VAR, FaultPlan, InjectedFault
 from repro.experiments.parallel import (
@@ -42,6 +44,7 @@ from repro.experiments.parallel import (
     SweepTaskError,
     parallel_map,
     parallel_map_chunked,
+    pool_scope,
     reset_supervisor_stats,
     resolve_task_timeout,
     supervisor_stats,
@@ -78,6 +81,12 @@ def _describe(task):
 def _slow_double(value):
     time.sleep(0.4)
     return _double(value)
+
+
+def _worker_pid(_):
+    # Long enough that both workers of a 2-wide pool take a task.
+    time.sleep(0.1)
+    return os.getpid()
 
 
 # --------------------------------------------------------------------------- #
@@ -259,6 +268,87 @@ class TestSupervisedExecutor:
             fault_plan=plan,
         )
         assert flushed == [(0, 2), (2, 2), (4, 1)]
+
+
+# --------------------------------------------------------------------------- #
+# Pool scope: one pool for every sweep of a run                               #
+# --------------------------------------------------------------------------- #
+class TestPoolScope:
+    def test_calls_in_one_scope_run_on_the_same_workers(self):
+        with pool_scope():
+            first = set(parallel_map(_worker_pid, range(4), n_workers=2))
+            second = set(parallel_map(_worker_pid, range(4), n_workers=2))
+        assert first and os.getpid() not in first
+        assert second <= first
+
+    def test_scope_exit_joins_the_workers(self):
+        with pool_scope():
+            parallel_map(_worker_pid, range(4), n_workers=2)
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+
+    def test_call_outside_a_scope_leaves_no_live_children(self):
+        parallel_map(_worker_pid, range(4), n_workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_never_runs_on_more_workers_than_it_asked_for(self):
+        with pool_scope() as scope:
+            parallel_map(_worker_pid, range(6), n_workers=3)
+            assert scope.width == 3
+            narrow = set(parallel_map(_worker_pid, range(6), n_workers=2))
+            assert scope.width == 2
+        assert len(narrow) <= 2
+
+    def test_worker_kill_recovered_and_replacement_serves_the_next_call(self, tmp_path):
+        plan = _plan(tmp_path, {"1": "kill"})
+        expected = [{"doubled": v * 2} for v in range(6)]
+        with pool_scope() as scope:
+            assert parallel_map(_double, range(6), n_workers=2, fault_plan=plan) == expected
+            assert supervisor_stats().pool_respawns == 1
+            replacement = scope.pool
+            assert replacement is not None
+            before = supervisor_stats().snapshot()
+            # The claim is spent: the same plan runs clean on the replacement.
+            assert parallel_map(_double, range(6), n_workers=2, fault_plan=plan) == expected
+            assert supervisor_stats().diff(before).pool_respawns == 0
+            assert scope.pool is replacement
+
+    def test_timeout_discards_the_pool_and_the_next_call_gets_fresh_workers(
+        self, tmp_path, monkeypatch
+    ):
+        plan = _plan(tmp_path, {"1": "hang"}, hang_seconds=30.0)
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "1.0")
+        with pool_scope() as scope:
+            first = set(parallel_map(_worker_pid, range(4), n_workers=2, fault_plan=plan))
+            assert supervisor_stats().timeouts == 1
+            assert scope.pool is None
+            second = set(parallel_map(_worker_pid, range(4), n_workers=2))
+        assert first.isdisjoint(second)
+
+    def test_runner_builds_one_pool_and_joins_it_before_returning(self, monkeypatch, capsys):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "QUICK_PROFILE", MICRO)
+        built = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        pooled = []
+
+        class RecordingSupervisor(parallel._Supervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pooled.append(self.pooled)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(parallel, "_Supervisor", RecordingSupervisor)
+        assert runner.main(["fig4", "fig11", "--workers", "2"]) == 0
+        assert pooled.count(True) >= 2  # one pooled sweep per figure at least
+        assert built == [2]
+        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------------- #

@@ -101,7 +101,37 @@ class TestModulateDemodulate:
         assert np.allclose(recovered, grid, atol=1e-9)
 
 
+def _edge_window_loop(symbol_stream, allocation, window_length):
+    """The symbol-by-symbol overlap-add that apply_edge_window vectorises."""
+    symbol_stream = np.asarray(symbol_stream, dtype=complex)
+    length = allocation.symbol_length
+    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(window_length) + 0.5) / window_length))
+    out = np.zeros(symbol_stream.size + window_length, dtype=complex)
+    cp = allocation.cp_length
+    for index in range(symbol_stream.size // length):
+        symbol = symbol_stream[index * length : (index + 1) * length]
+        extended = np.concatenate([symbol, symbol[cp : cp + window_length]])
+        extended[:window_length] *= ramp
+        extended[-window_length:] *= ramp[::-1]
+        out[index * length : index * length + length + window_length] += extended
+    return out[: symbol_stream.size]
+
+
 class TestEdgeWindow:
+    @pytest.mark.parametrize(
+        "alloc",
+        [dot11g_allocation(), wideband_allocation(fft_size=160, start_bin=69)],
+        ids=["dot11g", "fig8-wideband"],
+    )
+    @pytest.mark.parametrize("window", [1, 8, "cp"])
+    @pytest.mark.parametrize("n_symbols", [1, 2, 18])
+    def test_matches_symbol_by_symbol_overlap_add_bitwise(self, alloc, window, n_symbols):
+        window_length = alloc.cp_length if window == "cp" else window
+        stream = ofdm.ofdm_modulate(alloc, _random_grid(alloc, n_symbols, 7))
+        stream[::5] = -0.0  # signed zeros keep their sign only in the loop's order
+        windowed = ofdm.apply_edge_window(stream, alloc, window_length)
+        assert windowed.tobytes() == _edge_window_loop(stream, alloc, window_length).tobytes()
+
     def test_zero_window_is_identity(self):
         alloc = dot11g_allocation()
         stream = ofdm.ofdm_modulate(alloc, _random_grid(alloc, 4, 5))
