@@ -13,19 +13,26 @@ Two model scopes are supported (``CPRecycleConfig.model_scope``):
 * ``"pooled"`` — one density per subcarrier built from all ``P * Np`` samples,
   the literal construction of the paper's Eq. 4.
 * ``"per-segment"`` (default) — one density per (subcarrier, segment) built
-  from that segment's ``Np`` samples.  Because an unsynchronised interferer
-  keeps the same symbol-clock alignment for the whole frame, a segment that
-  was clean during the preamble stays clean during the data symbols; keeping
-  the segment identity lets the ML detector exploit this persistence, which
-  matters when the interference is strong on most segments.  This is the
-  variable-bandwidth refinement the paper alludes to with its citation of
-  variable kernel density estimation.
+  from that segment's ``Np`` samples, the variable-bandwidth refinement the
+  paper alludes to with its citation of variable kernel density estimation.
+  It was built on the premise that a segment clean in the preamble stays
+  clean in the data symbols.  The simulator does not behave that way: the
+  interferer's symbol boundary lies inside every FFT window, so which
+  segment leaks least depends on the interferer's data on either side of
+  it, which is new every symbol.  Over 8 x 400-byte 16QAM-1/2 packets at
+  -19 dB ACI with P = 16, the genie per-segment interference power of each
+  data symbol and sender subcarrier ranks against the preamble's mean with
+  a mean Spearman rho of -0.002 to +0.036 (seeds 1, 3, 7 and 11), and the
+  preamble's best segment is the data symbol's best 4.6-7.2% of the time,
+  against 1/16 by chance.  ``tests/test_receivers_integration.py`` pins
+  this at seed 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,9 +40,25 @@ from repro.core.config import CPRecycleConfig
 from repro.core.kde import GaussianProductKde
 from repro.receiver.frontend import FrontEndOutput
 
-__all__ = ["InterferenceModel"]
+__all__ = ["BOUND_SEGMENTS", "InterferenceModel"]
 
 _TWO_PI = 2.0 * np.pi
+
+#: Segments whose amplitude terms :meth:`InterferenceModel.candidate_log_likelihood_bound`
+#: evaluates per subcarrier: the ``min(8, P)`` with the narrowest amplitude
+#: kernel.  Over 357 ``decode_frame`` inputs captured from the four benchmark
+#: workloads at seed 1 (P = 1 to 64; 2-vCPU Xeon, numpy 2.4), the decoder's
+#: full-kernel evaluations were 19-23% / 16-18% / 14-16% / 13-14% / 12-13%
+#: of scoring every in-sphere candidate at 4 / 6 / 8 / 12 / all segments
+#: (network-sim's QPSK frames stay at 25%, one candidate in four, at any
+#: count), and all segments doubled the decode time.  The first 8 segments
+#: by index gave 30-48%.
+BOUND_SEGMENTS = 8
+
+#: Relative slack of that bound: it covers the bound's and the kernel's
+#: different summation orders, at least 10**6 times their rounding error for
+#: up to 64 segments (pairwise depth 12, about 26 unit roundoffs in all).
+_BOUND_SLACK = 1e-8
 
 
 class InterferenceModel:
@@ -240,19 +263,115 @@ class InterferenceModel:
         model's subcarrier count and row ``i`` is subcarrier ``i``.  Either
         way the call makes ``n * P * n_symbols * k`` kernel evaluations
         (each against every training sample of its density), which is what
-        the argument shapes count.
+        the argument shapes count.  :meth:`candidate_log_likelihood_bound`
+        bounds these scores from above at a fraction of the cost.
 
         The work runs in blocks laid out ``(symbols, candidates, segments,
         rows)``, rows innermost, so every pass is one long unit-stride loop;
-        each block gathers its rows' densities.  A block holds at most the
-        KDE's ``max_chunk_elements`` kernel evaluations (block size times
-        samples per density) but never splits the segment or candidate axes,
-        and every score is elementwise arithmetic on its own row, so a score
-        is bitwise independent of the budget, of the other rows and
-        candidates in the call and of where its row sits.  Phases are
-        measured in turns and wrapped with ``d - rint(d)``, and the
-        log-normaliser is subtracted once after the segment sum.
+        each block gathers its rows' densities with one ``np.take``.  A
+        block holds at most the KDE's ``max_chunk_elements`` kernel
+        evaluations (block size times samples per density) but never splits
+        the segment or candidate axes, and every score is elementwise
+        arithmetic on its own row, so a score is bitwise independent of the
+        budget, of the other rows and candidates in the call and of where
+        its row sits.  Phases are measured in turns and wrapped with
+        ``d - rint(d)``, and the log-normaliser is subtracted once after the
+        segment sum.
         """
+        observations, points = self._check_candidates(observations, points, subcarriers)
+        banks, log_norm = self._kernel_banks
+        if subcarriers is not None:
+            log_norm = log_norm[subcarriers]
+        n_rows, n_segments, n_symbols = observations.shape
+        n_samples = self.kde.n_samples
+        obs = observations.T  # (n_symbols, P, n), read in place block by block
+        pts_re, pts_im = _block_points(points)
+        out = np.empty((n_symbols, points.shape[-1], n_rows))
+        for cols, rows, block in self._blocks(n_rows, n_symbols, (points.shape[-1], n_segments)):
+            if rows.start == 0:  # a new run of rows: gather its densities once
+                slab = (
+                    banks[..., cols]
+                    if subcarriers is None
+                    else np.take(banks, subcarriers[cols], axis=2)
+                )
+            np.subtract(obs.real[rows, None, :, cols], pts_re[rows, ..., cols], out=block[0])
+            np.subtract(obs.imag[rows, None, :, cols], pts_im[rows, ..., cols], out=block[1])
+            out[rows, :, cols] = _segment_summed_log_density(
+                block, slab[0], slab[1], slab[2 : 2 + n_samples], slab[2 + n_samples :]
+            )
+        out -= log_norm
+        return out.transpose(2, 0, 1)
+
+    def candidate_log_likelihood_bound(
+        self, observations: np.ndarray, points: np.ndarray
+    ) -> np.ndarray:
+        """An upper bound on :meth:`candidate_log_likelihood` from amplitude terms alone.
+
+        Takes the same ``(n, P, n_symbols)`` observations and ``(n,
+        n_symbols, k)`` points, row ``i`` being subcarrier ``i``, and returns
+        ``(n, n_symbols, k)`` values, none below the score
+        :meth:`candidate_log_likelihood` gives the same candidate (the
+        argument is in :meth:`FixedSphereMlDecoder.decode_frame
+        <repro.core.ml_decoder.FixedSphereMlDecoder.decode_frame>`).
+        Segment ``j`` of subcarrier ``f`` contributes ``log n - min_i
+        a_ij`` if it is one of the subcarrier's :data:`BOUND_SEGMENTS`
+        segments with the narrowest amplitude kernel (first by index among
+        equals; all segments of a pooled model are equal) and ``log n``
+        otherwise.  The amplitude terms ``a_ij`` are computed from the
+        kernel's own banks by the kernel's own operations, so they are
+        bitwise the kernel's.  The sum is raised by a relative ``1e-8`` for
+        rounding, and the log-normaliser is subtracted as the kernel
+        subtracts it.  Blocks are laid out ``(symbols, candidates, bound
+        segments, rows)`` within the KDE's ``max_chunk_elements``, like the
+        kernel's.  Bounding every slot of a frame takes about a fifth of the
+        time the kernel takes to score its in-sphere candidates (17-20% on
+        the paper-link and quick-suite benchmark frames).
+        """
+        observations, points = self._check_candidates(observations, points)
+        n_rows, n_segments, n_symbols = observations.shape
+        k = points.shape[-1]
+        # The bound segments (q, n) and their amplitude banks (1 + n_samples,
+        # q, n): the scale, then the scaled samples.
+        banks, log_norm = self._kernel_banks
+        amplitude = banks[[0, *range(2, 2 + self.kde.n_samples)]]
+        q = min(BOUND_SEGMENTS, n_segments)
+        if amplitude.shape[1] == 1:  # pooled
+            segments = np.broadcast_to(np.arange(q)[:, None], (q, n_rows))
+            amplitude = np.repeat(amplitude, q, axis=1)
+        else:
+            segments = np.argsort(-amplitude[0], axis=0, kind="stable")[:q].copy()
+            amplitude = np.take_along_axis(amplitude, segments[None], axis=1)
+        out = np.empty((n_symbols, n_rows, k))  # returned as (n, n_symbols, k)
+        for cols, rows, block in self._blocks(n_rows, n_symbols, (k, q)):
+            # The block's bound-segment observations (symbols, 1, q, rows) and
+            # its points (symbols, k, 1, rows).
+            run = observations[cols, :, rows]
+            obs = run[np.arange(len(run))[:, None], segments.T[cols]].T[:, None]
+            pts_re, pts_im = _block_points(points[cols, rows])
+            re, im, amp, term, low = block
+            np.subtract(obs.real, pts_re, out=re)
+            np.subtract(obs.imag, pts_im, out=im)
+            np.square(re, out=amp)
+            amp += np.square(im, out=im)
+            np.sqrt(amp, out=amp)
+            amp *= amplitude[0, :, cols]
+            for i, samples in enumerate(amplitude[1:, :, cols]):
+                square = np.subtract(amp, samples, out=term if i else low)
+                square *= square
+                if i:
+                    np.minimum(low, square, out=low)
+            np.sum(low, axis=2, out=out[rows, cols].transpose(0, 2, 1))
+        # log n + 1e-12 caps a segment's log-sum-exp term, P of them the sum.
+        ceiling = n_segments * (math.log(self.kde.n_samples) + 1e-12)
+        out *= -(1.0 - _BOUND_SLACK)
+        out += ceiling * (1.0 + _BOUND_SLACK)
+        out -= log_norm[:, None]
+        return out.transpose(1, 0, 2)
+
+    def _check_candidates(
+        self, observations: np.ndarray, points: np.ndarray, subcarriers: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validated complex ``(n, P, n_symbols)`` observations and ``(n, n_symbols, k)`` points."""
         observations = np.asarray(observations, dtype=complex)
         points = np.asarray(points, dtype=complex)
         if observations.ndim != 3 or points.ndim != 3:
@@ -265,7 +384,6 @@ class InterferenceModel:
                 f"points shape {points.shape} does not match observations "
                 f"({n_rows}, P, {n_symbols})"
             )
-        k = points.shape[-1]
         n_data = self.n_subcarriers
         if subcarriers is None:
             if n_rows != n_data:
@@ -278,41 +396,49 @@ class InterferenceModel:
                 raise ValueError(f"subcarriers must lie in [0, {n_data})")
         if n_segments != self.n_segments:
             raise ValueError(f"expected {self.n_segments} segments, got {n_segments}")
-        banks, log_norm = self._kernel_banks
-        if subcarriers is not None:
-            log_norm = log_norm[subcarriers]
-        n_samples = self.kde.n_samples
+        return observations, points
 
-        obs = observations.T  # (n_symbols, P, n), read in place block by block
-        pts_re = np.ascontiguousarray(points.real.transpose(1, 2, 0))[:, :, None]
-        pts_im = np.ascontiguousarray(points.imag.transpose(1, 2, 0))[:, :, None]
+    def _blocks(
+        self, n_rows: int, n_symbols: int, inner: tuple[int, int]
+    ) -> Iterator[tuple[slice, slice, list[np.ndarray]]]:
+        """The ``(symbols, *inner, rows)`` blocks of a call, symbols innermost.
+
+        Yields the row slice, the symbol slice and five block-shaped work
+        buffers.  A block holds at most the KDE's ``max_chunk_elements``
+        kernel evaluations (block size times samples per density) and never
+        splits the ``inner`` axes; rows and symbols are split into parts as
+        equal as the budget allows.  The buffers are shared by every block of
+        every call on this model: fresh ones would page-fault again each
+        time the allocator trims the heap, and the decoder makes several
+        calls per frame.
+        """
+        per_column = max(1, math.prod(inner) * self.kde.n_samples)  # per (symbol, row)
         budget = self.kde.max_chunk_elements
-        per_column = max(1, k * n_segments * n_samples)  # evaluations per (symbol, row)
-        n_sub = max(1, min(n_rows, budget // per_column))
-        n_sym = max(1, min(n_symbols, budget // (per_column * n_sub)))
-        # Five block-sized buffers shared by every block of every call on this
-        # model: fresh ones would page-fault again each time the allocator
-        # trims the heap, and the decoder makes one call per in-sphere count.
-        block_size = n_sym * k * n_segments * n_sub
+        n_sub = _even_split(n_rows, budget // per_column)
+        n_sym = _even_split(n_symbols, budget // (per_column * n_sub))
+        block_size = n_sym * math.prod(inner) * n_sub
         if self._work.shape[1] < block_size:
+            self._work = np.empty((5, 0))  # release the old buffers before growing
             self._work = np.empty((5, block_size))
-        out = np.empty((n_symbols, k, n_rows))
         for f0 in range(0, n_rows, n_sub):
-            cols = slice(f0, f0 + n_sub)
-            slab = np.ascontiguousarray(
-                banks[..., cols] if subcarriers is None else banks[..., subcarriers[cols]]
-            )
             for s0 in range(0, n_symbols, n_sym):
-                rows = slice(s0, s0 + n_sym)
-                shape = (min(n_sym, n_symbols - s0), k, n_segments, min(n_sub, n_rows - f0))
+                shape = (min(n_sym, n_symbols - s0), *inner, min(n_sub, n_rows - f0))
                 block = [buffer[: math.prod(shape)].reshape(shape) for buffer in self._work]
-                np.subtract(obs.real[rows, None, :, cols], pts_re[rows, ..., cols], out=block[0])
-                np.subtract(obs.imag[rows, None, :, cols], pts_im[rows, ..., cols], out=block[1])
-                out[rows, :, cols] = _segment_summed_log_density(
-                    block, slab[0], slab[1], slab[2 : 2 + n_samples], slab[2 + n_samples :]
-                )
-        out -= log_norm
-        return out.transpose(2, 0, 1)
+                yield slice(f0, f0 + n_sub), slice(s0, s0 + n_sym), block
+
+
+def _even_split(n: int, most: int) -> int:
+    """The size of the fewest equal parts, of at most ``most`` each, that cover ``n``."""
+    parts = -(-n // max(1, most))
+    return max(1, -(-n // max(1, parts)))
+
+
+def _block_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``(n, n_symbols, k)`` points as ``(n_symbols, k, 1, n)``."""
+    return (
+        np.ascontiguousarray(points.real.transpose(1, 2, 0))[:, :, None],
+        np.ascontiguousarray(points.imag.transpose(1, 2, 0))[:, :, None],
+    )
 
 
 def _segment_summed_log_density(

@@ -16,18 +16,7 @@ from repro.core.interference_model import InterferenceModel
 from repro.core.sphere import centroid, select_sphere_candidates
 from repro.phy.constellation import Constellation
 
-__all__ = ["FULL_SCORING_SHARE", "FixedSphereMlDecoder"]
-
-#: In-sphere share of a frame's candidate slots from which
-#: :meth:`FixedSphereMlDecoder.decode_frame` scores every slot in one kernel
-#: call instead of grouping the columns by their in-sphere count.  Grouping
-#: costs gathers and one call per count, about a fifth of a full scoring:
-#: over 92 frames captured from the quick suite, paper-link and campaign
-#: workloads (P = 16 to 64; 2-vCPU Xeon, numpy 2.4), grouped time over
-#: full-k time fitted to 0.21 + share, crossing 1 at a share of 0.79.
-#: 16QAM frames (0.5-0.7 in-sphere) decode 17% faster grouped, QPSK frames
-#: (above 0.95) would be 22% slower, and 64QAM frames straddle the line.
-FULL_SCORING_SHARE = 0.8
+__all__ = ["FixedSphereMlDecoder"]
 
 
 class FixedSphereMlDecoder:
@@ -90,16 +79,40 @@ class FixedSphereMlDecoder:
 
         One sphere selection covers every symbol.  Its rows are nearest
         first, so the ``m`` in-sphere candidates of a (symbol, subcarrier)
-        column are its first ``m`` slots.  Columns are grouped by ``m`` and
-        each group is scored, slots ``0..m-1`` only, by one
-        :meth:`InterferenceModel.candidate_log_likelihood` call; a column
-        with ``m = 1`` takes its nearest point unscored.  When the in-sphere
-        share of all slots reaches :data:`FULL_SCORING_SHARE`, one call
-        scores every slot of every column and the out-of-sphere scores are
-        masked instead.  Either way a column decides by the first maximum of
-        its in-sphere scores, and the kernel scores a candidate bitwise
-        alike wherever it sits, so the two paths decide identically.  The
-        kernel reassociates floating-point operations, so its
+        column are its first ``m`` slots, and a column decides by the first
+        maximum of their :meth:`InterferenceModel.candidate_log_likelihood`
+        scores.  Bound and verify finds that maximum while scoring few of
+        them:
+
+        1. :meth:`InterferenceModel.candidate_log_likelihood_bound` bounds
+           every candidate's score, and the in-sphere candidate with the
+           first-highest bound of each column is scored exactly, in frame
+           layout (one candidate per column; with ``m = 1`` that is the
+           decision).
+        2. Every other in-sphere candidate whose bound is not below that
+           score is scored exactly, in chunks of an eighth of the KDE's
+           ``max_chunk_elements`` kernel evaluations.  Only ``bound <
+           score`` prunes, so a NaN never does.
+
+        A pruned candidate's score is at most its bound, so strictly below
+        a score the column holds, and it can be neither the maximum nor a
+        tie for it.  The bound holds in floating point: correctly rounded
+        operations are monotone, and the bound computes each amplitude term
+        ``a`` from the kernel's banks with the kernel's own operations, so
+        ``a`` is bitwise the kernel's.  The kernel adds a squared phase
+        term ``p >= 0``, so ``fl(a + p) >= a``, and its minimum over the
+        training samples is at least the bound's.  Its log-sum-exp term is
+        ``log1p(exp(x))`` with ``x <= 0``, at most ``log 2``, or the log of
+        ``n`` terms each at most 1, at most ``log n``; ``log n + 1e-12``
+        caps either with room for the library's ulps.  The bound raises its
+        sum by a relative ``1e-8``, which covers the rounding of both sums
+        in their different orders: at least ``10**6`` times the pairwise
+        error of a segment sum for P <= 64.  The log-normaliser is
+        subtracted from both in the same single operation.  So the
+        decisions equal those of scoring every in-sphere candidate, first
+        maximum included.
+
+        The kernel reassociates floating-point operations, so its
         log-likelihoods differ from the per-symbol
         :meth:`decode_frame_reference` only by rounding (about 1e-12
         relative); decisions are identical unless two candidates tie to within
@@ -115,41 +128,51 @@ class FixedSphereMlDecoder:
                 f"observations cover {n_data} subcarriers but the model was trained on "
                 f"{model.n_subcarriers}"
             )
-        centers = centroid(observations, axis=0)  # (n_symbols, n_data)
         candidates = select_sphere_candidates(
             self.constellation,
-            centers.reshape(-1),
+            centroid(observations, axis=0).reshape(-1),
             radius=self.sphere_radius,
             max_candidates=self.config.max_candidates,
         )
-        k = candidates.n_candidates
-        in_sphere = candidates.valid.sum(axis=1)  # m per column, row-major (symbol, subcarrier)
-        if in_sphere.sum() >= FULL_SCORING_SHARE * in_sphere.size * k:
-            shape = (n_symbols, n_data, k)
-            log_likelihood = model.candidate_log_likelihood(
-                np.transpose(observations, (2, 0, 1)),                 # (n_data, P, S) view
-                np.transpose(candidates.points.reshape(shape), (1, 0, 2)),
-            )                                                          # (n_data, S, k)
-            log_likelihood = np.where(
-                candidates.valid.reshape(shape), np.transpose(log_likelihood, (1, 0, 2)), -np.inf
-            )
-            best = np.argmax(log_likelihood, axis=-1).reshape(-1)
-        else:
-            # Columns ordered by m; group m is the slice ends[m-1]:ends[m].
-            by_count = np.argsort(in_sphere, kind="stable")
-            ends = np.cumsum(np.bincount(in_sphere, minlength=k + 1))
-            columns = observations.reshape(n_segments, -1)
-            best = np.zeros(in_sphere.size, dtype=np.intp)  # m = 1: the nearest point
-            for m in range(2, k + 1):
-                group = by_count[ends[m - 1] : ends[m]]
-                if group.size:
-                    scores = model.candidate_log_likelihood(
-                        np.take(columns, group, axis=1).T[:, :, None],  # (n_cols, P, 1)
-                        candidates.points[group, None, :m],              # (n_cols, 1, m)
-                        subcarriers=group % n_data,
-                    )
-                    best[group] = np.argmax(scores[:, 0], axis=-1)
-        decided = candidates.indices[np.arange(in_sphere.size), best]
+        # Columns are row-major (symbol, subcarrier).  A compact copy of the
+        # indices lets the sphere's full-width sort go.
+        indices, valid, points = (
+            np.ascontiguousarray(candidates.indices), candidates.valid, candidates.points
+        )
+        del candidates
+        n_columns, k = indices.shape
+        frame = np.transpose(observations, (2, 0, 1))  # (n_data, P, S) view
+
+        def frame_layout(per_column: np.ndarray) -> np.ndarray:
+            # (columns, k) -> (n_data, S, k), the kernel's frame layout.
+            return np.swapaxes(per_column.reshape(n_symbols, n_data, per_column.shape[1]), 0, 1)
+
+        bound = model.candidate_log_likelihood_bound(frame, frame_layout(points))
+        scores = np.swapaxes(bound, 0, 1).reshape(n_columns, k)  # a view
+        scores[~valid] = -np.inf
+        columns = np.arange(n_columns)
+        best = np.argmax(scores, axis=1)
+        exact = model.candidate_log_likelihood(frame, frame_layout(points[columns, best, None]))
+        exact = np.swapaxes(exact, 0, 1).reshape(n_columns)  # a view
+        verify = ~(scores < exact[:, None])
+        verify &= valid
+        verify[columns, best] = False
+        pairs = np.flatnonzero(verify)  # column * k + slot
+        # The bounds' memory now holds the exact scores; pruned slots keep -inf.
+        scores.fill(-np.inf)
+        scores[columns, best] = exact
+        # Chunks of an eighth of the kernel's budget keep each chunk's
+        # observation gather and density slab below one work buffer.
+        chunk = max(1, model.kde.max_chunk_elements // (8 * n_segments * model.kde.n_samples))
+        for start in range(0, pairs.size, chunk):
+            chunk_pairs = pairs[start : start + chunk]
+            symbols, subcarriers = np.divmod(chunk_pairs // k, n_data)
+            scores.reshape(-1)[chunk_pairs] = model.candidate_log_likelihood(
+                frame[subcarriers, :, symbols][:, :, None],  # (rows, P, 1), any memory order
+                points.reshape(-1)[chunk_pairs, None, None],
+                subcarriers=subcarriers,
+            ).reshape(-1)
+        decided = indices[columns, np.argmax(scores, axis=1)]
         return decided.reshape(n_symbols, n_data).astype(np.int64, copy=False)
 
     def decode_frame_reference(

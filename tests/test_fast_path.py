@@ -9,6 +9,7 @@ and the link simulation itself, whose per-packet oracle lives here.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.multipath import ExponentialMultipathChannel
 from repro.channel.scenario import Scenario
-from repro.core import interference_model, ml_decoder
+from repro.core import interference_model
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
 from repro.core.kde import GaussianProductKde, silverman_bandwidth
@@ -244,16 +245,51 @@ class TestSphereCandidates:
         assert np.array_equal(valid[:, 1:], distances[:, 1:] <= radius)
 
 
+class TestScoreBound:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CONSTELLATIONS)),
+        n_segments=st.sampled_from([1, 2, 8, 9, 40, 64]),  # q > P, q = P and q < P
+        scope=st.sampled_from(["per-segment", "pooled"]),
+        n_preambles=st.integers(min_value=1, max_value=3),
+        weights=st.sampled_from([(1.0, 0.25), (1.0, 0.0), (0.0, 0.25)]),
+        spread=st.sampled_from([0.01, 0.3, 3.0]),
+        far=st.sampled_from([0.1, 1.0, 8.0, 1000.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bound_is_never_below_the_exact_score(
+        self, name, n_segments, scope, n_preambles, weights, spread, far, seed
+    ):
+        # Per-segment densities hold n_preambles samples, pooled ones
+        # P * n_preambles; observations sit from on the lattice to `far`
+        # minimum distances off it.
+        constellation = CONSTELLATIONS[name]
+        amplitude_weight, phase_weight = weights
+        config = CPRecycleConfig(
+            model_scope=scope, amplitude_weight=amplitude_weight, phase_weight=phase_weight
+        )
+        rng = np.random.default_rng(seed)
+        n_data, n_symbols = 6, 3
+        shape = (n_data, n_segments, n_preambles)
+        deviations = spread * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        model = InterferenceModel(deviations, config)
+        observations = _decoder_frame(
+            constellation, n_segments, seed, far=far, n_data=n_data, n_symbols=n_symbols
+        )
+        candidates, _ = _in_sphere_counts(FixedSphereMlDecoder(constellation, config), observations)
+        frame = np.transpose(observations, (2, 0, 1))
+        points = np.transpose(candidates.points.reshape(n_symbols, n_data, -1), (1, 0, 2))
+        bound = model.candidate_log_likelihood_bound(frame, points)
+        exact = model.candidate_log_likelihood(frame, points)
+        assert bound.shape == exact.shape
+        assert np.all(bound >= exact)
+
+
 class TestDecoderFastPath:
-    @pytest.mark.parametrize("share", [2.0, 0.0], ids=["grouped", "full-k"])
     @pytest.mark.parametrize("n_segments", [1, 5, 40])
     @pytest.mark.parametrize("constellation", [qpsk(), qam16(), qam64()])
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
-    def test_batched_decode_frame_matches_reference(
-        self, constellation, scope, n_segments, share, monkeypatch
-    ):
-        # A share constant above 1 never scores full-k; 0 always does.
-        monkeypatch.setattr(ml_decoder, "FULL_SCORING_SHARE", share)
+    def test_batched_decode_frame_matches_reference(self, constellation, scope, n_segments):
         observations = _decoder_frame(constellation, n_segments, seed=42)
         model = _decoder_model(observations.shape[2], n_segments, scope, seed=3)
         decoder = FixedSphereMlDecoder(constellation, CPRecycleConfig(model_scope=scope))
@@ -265,9 +301,7 @@ class TestDecoderFastPath:
         assert fast.flags.c_contiguous
         assert np.array_equal(fast, reference)
 
-    @pytest.mark.parametrize("share", [2.0, 0.0], ids=["grouped", "full-k"])
-    def test_exact_ties_decide_by_the_first_maximum(self, share, monkeypatch):
-        monkeypatch.setattr(ml_decoder, "FULL_SCORING_SHARE", share)
+    def test_exact_ties_decide_by_the_first_maximum(self):
         constellation = qpsk()
         # Every observation sits on the midpoint of two adjacent QPSK points:
         # their deviations are +-x exactly, so an amplitude-only kernel
@@ -320,33 +354,107 @@ class TestDecoderFastPath:
             assert scores.shape == (group.size, 1, m)
             assert np.array_equal(scores[:, 0], full[group, :m])
 
+    def test_frame_without_symbols_decodes_to_nothing(self):
+        model = _decoder_model(32, 5, "per-segment", seed=2)
+        decided = FixedSphereMlDecoder(qam16()).decode_frame(np.zeros((5, 0, 32), complex), model)
+        assert decided.shape == (0, 32) and decided.dtype == np.int64
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_decisions_are_independent_of_the_budget(self, scope):
+        observations = _decoder_frame(qam16(), 9, seed=12)
+        n_data = observations.shape[2]
+        decoder = FixedSphereMlDecoder(qam16(), CPRecycleConfig(model_scope=scope))
+        reference = decoder.decode_frame_reference(
+            observations, _decoder_model(n_data, 9, scope, seed=2)
+        )
+        for budget in (1, 7, 100, 10**9):
+            model = _decoder_model(n_data, 9, scope, seed=2, budget=budget)
+            assert np.array_equal(decoder.decode_frame(observations, model), reference), budget
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_decisions_are_independent_of_memory_order(self, scope):
+        # The front end hands frames over with subcarriers outermost in memory.
+        observations = _decoder_frame(qam16(), 9, seed=14)
+        front_end_order = np.ascontiguousarray(observations.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert not front_end_order.flags.c_contiguous
+        model = _decoder_model(observations.shape[2], 9, scope, seed=4)
+        decoder = FixedSphereMlDecoder(qam16(), CPRecycleConfig(model_scope=scope))
+        decided = decoder.decode_frame(front_end_order, model)
+        assert np.array_equal(decided, decoder.decode_frame(observations, model))
+        assert np.array_equal(decided, decoder.decode_frame_reference(observations, model))
+
+    def test_nan_never_prunes(self):
+        # NaN observations leave their columns one candidate, the nearest.
+        # A NaN training deviation at segment 8 of subcarrier 10 makes every
+        # exact score of that subcarrier NaN, so the reference decides by
+        # the first NaN, slot 0.  With fixed bandwidths the log-normaliser
+        # stays finite, and P = 9 > BOUND_SEGMENTS leaves segment 8 (last by
+        # index among equal kernels) out of the bound, so the bounds stay
+        # finite and rank other slots first in 6 of the 10 columns.
+        observations = _decoder_frame(qam16(), 9, seed=13)
+        observations[2, 1, 3] = np.nan
+        observations[:, 4, 7] = complex(np.nan, 1.0)
+        n_data = observations.shape[2]
+        rng = np.random.default_rng(6)
+        shape = (n_data, 9, 2)
+        deviations = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        deviations[10, 8, 0] = np.nan
+        config = CPRecycleConfig(bandwidth_amplitude=0.3, bandwidth_phase=0.5)
+        model = InterferenceModel(deviations, config)
+        decoder = FixedSphereMlDecoder(qam16(), config)
+        candidates, _ = _in_sphere_counts(decoder, observations)
+        k = candidates.n_candidates
+        bound = model.candidate_log_likelihood_bound(
+            np.transpose(observations, (2, 0, 1)),
+            np.transpose(candidates.points.reshape(10, n_data, k), (1, 0, 2)),
+        )[10]
+        valid = candidates.valid.reshape(10, n_data, k)[:, 10]
+        assert np.isfinite(bound).all()
+        assert np.argmax(np.where(valid, bound, -np.inf), axis=1).any()
+        decided = decoder.decode_frame(observations, model)
+        assert np.array_equal(decided, decoder.decode_frame_reference(observations, model))
+        assert np.array_equal(decided[:, 10], candidates.indices.reshape(10, n_data, k)[:, 10, 0])
+
     @pytest.mark.parametrize(
-        "name, far, path",
+        "name, far",
         [
-            ("qpsk", 0.3, "full-k"),  # near the lattice: every slot in the sphere
-            ("qpsk", 30.0, "grouped"),
-            ("16qam", 8.0, "grouped"),
-            ("64qam", 0.3, "full-k"),
-            ("64qam", 8.0, "grouped"),
+            ("qpsk", 0.3),  # near the lattice: every slot in the sphere
+            ("qpsk", 30.0),
+            ("16qam", 8.0),
+            ("64qam", 0.3),
+            ("64qam", 8.0),
         ],
     )
-    def test_shape_ledger_counts_the_evaluations_made(self, name, far, path, monkeypatch):
+    def test_shape_ledger_counts_the_evaluations_made(self, name, far, monkeypatch):
         observations = _decoder_frame(CONSTELLATIONS[name], 5, seed=9, far=far)
-        n_segments, _, n_data = observations.shape
+        n_segments, n_symbols, n_data = observations.shape
         decoder = FixedSphereMlDecoder(CONSTELLATIONS[name])
         candidates, in_sphere = _in_sphere_counts(decoder, observations)
         k = candidates.n_candidates
-        share = in_sphere.sum() / (in_sphere.size * k)
-        assert (share >= ml_decoder.FULL_SCORING_SHARE) == (path == "full-k")
+        model = _decoder_model(n_data, n_segments, "per-segment", seed=1)
+        # The survivors, from every slot's bound and exact score: the
+        # in-sphere slots other than the best-bound one whose bound is not
+        # below the best-bound slot's exact score.
+        frame = np.transpose(observations, (2, 0, 1))
+        points = np.transpose(candidates.points.reshape(n_symbols, n_data, k), (1, 0, 2))
+        bound, exact = (
+            np.transpose(score(frame, points), (1, 0, 2)).reshape(-1, k)
+            for score in (model.candidate_log_likelihood_bound, model.candidate_log_likelihood)
+        )
+        bound[~candidates.valid] = -np.inf
+        columns = np.arange(in_sphere.size)
+        best = np.argmax(bound, axis=1)
+        survivors = candidates.valid & (bound >= exact[columns, best][:, None])
+        n_survivors = survivors.sum() - survivors[columns, best].sum()
+        assert n_survivors < (in_sphere - 1).sum()  # the bound prunes
 
-        ledger = []
+        calls = []
         score = InterferenceModel.candidate_log_likelihood
 
-        def counted(*args, **kwargs):
-            # The outside-in ledger reads exactly these two shapes.
-            n_rows, n_seg, n_symbols = args[1].shape
-            ledger.append(n_rows * n_seg * n_symbols * args[2].shape[-1])
-            return score(*args, **kwargs)
+        def counted(self, observations, points, subcarriers=None):
+            # The outside-in ledger reads exactly the two argument shapes.
+            calls.append((observations.shape, points.shape, subcarriers is None))
+            return score(self, observations, points, subcarriers)
 
         made = []
         kernel = interference_model._segment_summed_log_density
@@ -357,12 +465,15 @@ class TestDecoderFastPath:
 
         monkeypatch.setattr(InterferenceModel, "candidate_log_likelihood", counted)
         monkeypatch.setattr(interference_model, "_segment_summed_log_density", evaluated)
-        model = _decoder_model(n_data, n_segments, "per-segment", seed=1)
         decoded = decoder.decode_frame(observations, model)
         assert np.array_equal(decoded, decoder.decode_frame_reference(observations, model))
-        in_scope = in_sphere.size * k if path == "full-k" else in_sphere[in_sphere > 1].sum()
-        assert sum(ledger) == sum(made) == n_segments * in_scope
-        assert len(ledger) == (1 if path == "full-k" else len(np.unique(in_sphere[in_sphere > 1])))
+        # One best-bound pass in frame layout, then the survivors in pairs.
+        assert calls[0] == ((n_data, n_segments, n_symbols), (n_data, n_symbols, 1), True)
+        for obs_shape, points_shape, frame_layout in calls[1:]:
+            assert obs_shape[1:] == (n_segments, 1) and points_shape[1:] == (1, 1)
+            assert not frame_layout
+        ledger = sum(math.prod(obs) * points[-1] for obs, points, _ in calls)
+        assert ledger == sum(made) == n_segments * (in_sphere.size + n_survivors)
 
 
 # --------------------------------------------------------------------------- #

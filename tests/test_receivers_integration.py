@@ -18,10 +18,12 @@ from repro.core.config import CPRecycleConfig
 from repro.core.naive import NaiveSegmentReceiver, naive_decide_symbols
 from repro.core.oracle import OracleSegmentReceiver, interference_power_per_segment
 from repro.core.receiver import CPRecycleReceiver
+from repro.experiments.config import aci_scenario
 from repro.phy.constellation import qpsk
 from repro.phy.subcarriers import dot11g_allocation, wideband_allocation
 from repro.receiver.frontend import FrontEnd
 from repro.receiver.standard import StandardOfdmReceiver
+from repro.utils.rng import child_rng
 
 WB = wideband_allocation(fft_size=160, start_bin=1)
 N_TRIALS = 6
@@ -29,6 +31,11 @@ N_TRIALS = 6
 
 def _psr(receiver, scenario, n=N_TRIALS, seed0=100):
     return sum(receiver.receive(scenario.realize(seed0 + i)).success for i in range(n)) / n
+
+
+def _ranks(values):
+    """Ranks along the segment axis (axis 0)."""
+    return np.argsort(np.argsort(values, axis=0), axis=0).astype(float)
 
 
 def _aci_scenario(sir_db, edge_window=8, mcs="qpsk-1/2"):
@@ -70,6 +77,31 @@ class TestOracleReceiver:
         power = interference_power_per_segment(rx, front)
         assert power.shape == (16, rx.spec.n_data_symbols, 160)
         assert np.all(power >= 0)
+
+    def test_preamble_segment_ranking_does_not_carry_to_the_data(self):
+        # The interferer's symbol boundary lies inside every FFT window, so
+        # which segment leaks least changes from symbol to symbol.  Per data
+        # symbol and sender subcarrier, rank the P = 16 segments by genie
+        # interference power, and compare with the preamble's mean ranking.
+        scenario = aci_scenario("16qam-1/2", -19.0, payload_length=400)
+        front_end = FrontEnd(n_segments=16)
+        correlations, same_best = [], []
+        for packet in range(8):
+            rx = scenario.realize(child_rng(1, packet))
+            front = front_end.process(rx)
+            bins = rx.allocation.data_bin_array()
+            preamble = interference_power_per_segment(rx, front, data_start=False)[:, :, bins]
+            preamble = preamble.mean(axis=1)  # (P, n_bins)
+            data = interference_power_per_segment(rx, front)[:, :, bins]  # (P, S, n_bins)
+            a = _ranks(preamble)[:, None]
+            b = _ranks(data)
+            a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+            rho = (a * b).sum(axis=0) / np.sqrt((a * a).sum(axis=0) * (b * b).sum(axis=0))
+            correlations.append(rho.ravel())
+            same_best.append((preamble.argmin(axis=0) == data.argmin(axis=0)).ravel())
+        # Spearman rho near 0, and the best segment repeats at about chance (1/16).
+        assert abs(np.mean(np.concatenate(correlations))) < 0.3
+        assert np.mean(np.concatenate(same_best)) < 0.25
 
     def test_oracle_beats_standard_under_strong_aci(self):
         scenario = _aci_scenario(-24.0)
