@@ -176,6 +176,48 @@ class TestModelFastPath:
                 np.zeros((12, 4, 3), dtype=complex), np.zeros((12, 3, 2), dtype=complex)
             )
 
+    def test_subcarrier_rows_validation(self):
+        # Pair layout: row i is scored against the densities of subcarrier
+        # subcarriers[i], in any order and with repeats.
+        model, _ = self._model("per-segment")
+        obs = np.zeros((3, 5, 1), dtype=complex)
+        pts = np.zeros((3, 1, 2), dtype=complex)
+        scores = model.candidate_log_likelihood(obs, pts, subcarriers=np.array([11, 0, 11]))
+        assert scores.shape == (3, 1, 2)
+        for bad in ([0, 1], [0.0, 1.0, 2.0], [0, 12, 4], [-1, 0, 4]):
+            with pytest.raises(ValueError):
+                model.candidate_log_likelihood(obs, pts, subcarriers=np.array(bad))
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("budget", [1, 7, 100, 10**9])
+    def test_candidate_log_likelihood_bound_is_bitwise_independent_of_budget(
+        self, scope, budget
+    ):
+        # The bound's blocks split rows and symbols only, as the kernel's do,
+        # so which candidates the decoder verifies does not depend on the budget.
+        model, rng = self._model(scope, n_data=13, seed=6, budget=budget)
+        whole, _ = self._model(scope, n_data=13, seed=6, budget=10**9)
+        observations, points = self._queries(rng, n_data=13, n_symbols=7)
+        assert np.array_equal(
+            model.candidate_log_likelihood_bound(observations, points),
+            whole.candidate_log_likelihood_bound(observations, points),
+        )
+
+    def test_candidate_log_likelihood_bound_validation(self):
+        # The bound checks its arguments as the kernel does; its rows are
+        # always the model's subcarriers.
+        model, _ = self._model("per-segment")
+        for observations, points in [
+            ((12, 5, 3), (12, 4, 2)),  # 3 symbols against 4
+            ((12, 4, 3), (12, 3, 2)),  # 4 segments, not 5
+            ((11, 5, 3), (11, 3, 2)),  # 11 rows, not 12
+            ((12, 5), (12, 2)),  # not three-dimensional
+        ]:
+            with pytest.raises(ValueError):
+                model.candidate_log_likelihood_bound(
+                    np.zeros(observations, dtype=complex), np.zeros(points, dtype=complex)
+                )
+
 
 # --------------------------------------------------------------------------- #
 # Sphere and ML decoder                                                       #
@@ -284,6 +326,64 @@ class TestScoreBound:
         assert bound.shape == exact.shape
         assert np.all(bound >= exact)
 
+    @pytest.mark.parametrize("n_segments", [1, 2, 8])
+    def test_bound_exceeds_the_score_by_its_slack_alone_when_nothing_is_dropped(
+        self, n_segments
+    ):
+        # One training sample per density, no phase term and P <= 8: the
+        # kernel's score is minus the sum of every segment's amplitude term,
+        # and the bound sums the same terms, so it exceeds the score by its
+        # slack only: a relative 1e-8 of that sum plus 1e-12 per segment.
+        config = CPRecycleConfig(phase_weight=0.0, bandwidth_amplitude=0.3)
+        rng = np.random.default_rng(n_segments)
+        n_data, n_symbols = 6, 3
+        shape = (n_data, n_segments, 1)
+        deviations = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        model = InterferenceModel(deviations, config)
+        observations = _decoder_frame(
+            qam16(), n_segments, seed=n_segments, n_data=n_data, n_symbols=n_symbols
+        )
+        candidates, _ = _in_sphere_counts(FixedSphereMlDecoder(qam16(), config), observations)
+        frame = np.transpose(observations, (2, 0, 1))
+        points = np.transpose(candidates.points.reshape(n_symbols, n_data, -1), (1, 0, 2))
+        distances = np.abs(frame[:, :, :, None] - points[:, None])  # (n, P, S, k)
+        amplitude = 0.5 * ((distances - np.abs(deviations)[..., None]) / 0.3) ** 2
+        slack = 1e-8 * amplitude.sum(axis=1) + n_segments * 1e-12
+        gap = model.candidate_log_likelihood_bound(frame, points) - model.candidate_log_likelihood(
+            frame, points
+        )
+        assert np.all(gap >= 0)
+        assert np.allclose(gap, slack, rtol=1e-3, atol=1e-13)
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_bound_reads_only_the_narrowest_segments(self, scope):
+        # P = 12 > BOUND_SEGMENTS.  Segment j of subcarrier f has amplitude
+        # samples s and 2s with s = 0.1 * 1.3**rank[f, j], so its Silverman
+        # bandwidth grows with the rank: the 8 lowest ranks are the narrowest
+        # kernels.  A pooled model has one density per subcarrier, and its
+        # first 8 segments by index count.
+        n_data, n_segments, n_symbols, k = 6, 12, 3, 4
+        rng = np.random.default_rng(21)
+        rank = np.argsort(rng.random((n_data, n_segments)), axis=1)
+        deviations = 0.1 * 1.3 ** rank[:, :, None] * np.array([1.0, 2.0])
+        model = InterferenceModel(deviations, CPRecycleConfig(model_scope=scope))
+        if scope == "pooled":
+            narrow = np.broadcast_to(np.arange(n_segments) < 8, rank.shape)
+        else:
+            narrow = rank < 8
+        observations = rng.normal(size=(n_data, n_segments, n_symbols)) + 1j * rng.normal(
+            size=(n_data, n_segments, n_symbols)
+        )
+        points = rng.normal(size=(n_data, n_symbols, k)) + 1j * rng.normal(
+            size=(n_data, n_symbols, k)
+        )
+        bound = model.candidate_log_likelihood_bound(observations, points)
+        for segment in range(n_segments):
+            moved = observations.copy()
+            moved[:, segment] += 0.5
+            changed = model.candidate_log_likelihood_bound(moved, points) != bound
+            assert np.array_equal(changed.any(axis=(1, 2)), narrow[:, segment]), segment
+
 
 class TestDecoderFastPath:
     @pytest.mark.parametrize("n_segments", [1, 5, 40])
@@ -358,6 +458,13 @@ class TestDecoderFastPath:
         model = _decoder_model(32, 5, "per-segment", seed=2)
         decided = FixedSphereMlDecoder(qam16()).decode_frame(np.zeros((5, 0, 32), complex), model)
         assert decided.shape == (0, 32) and decided.dtype == np.int64
+
+    def test_decode_frame_validation(self):
+        model = _decoder_model(32, 5, "per-segment", seed=2)
+        decoder = FixedSphereMlDecoder(qam16())
+        for shape in [(5, 32), (5, 3, 31), (4, 3, 32)]:  # one symbol, 31 subcarriers, P = 4
+            with pytest.raises(ValueError):
+                decoder.decode_frame(np.zeros(shape, dtype=complex), model)
 
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
     def test_decisions_are_independent_of_the_budget(self, scope):
