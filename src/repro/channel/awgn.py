@@ -7,7 +7,22 @@ import numpy as np
 from repro.utils.dsp import db_to_linear, signal_power
 from repro.utils.rng import ensure_rng
 
-__all__ = ["complex_awgn", "awgn_for_snr", "add_awgn"]
+__all__ = ["complex_awgn", "standard_complex_noise", "awgn_for_snr", "add_awgn"]
+
+
+def standard_complex_noise(
+    n_samples: int, rng: int | np.random.Generator | None = None
+) -> np.ndarray:
+    """Complex noise whose real and imaginary parts are standard normal.
+
+    Its mean power is 2; :func:`complex_awgn` scales it by
+    ``sqrt(power / 2)``, and so does a scenario composing a drawn packet
+    at its SNR (:meth:`repro.channel.scenario.Scenario.compose`).
+    """
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    rng = ensure_rng(rng)
+    return rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
 
 
 def complex_awgn(
@@ -18,9 +33,7 @@ def complex_awgn(
         raise ValueError("n_samples must be non-negative")
     if power < 0:
         raise ValueError("power must be non-negative")
-    rng = ensure_rng(rng)
-    scale = np.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+    return np.sqrt(power / 2.0) * standard_complex_noise(n_samples, rng)
 
 
 def awgn_for_snr(

@@ -16,7 +16,11 @@ paper's evaluation scenarios:
   discussion), again with an arbitrary symbol-clock offset.
 
 The interferer's transmit power is calibrated from a target SIR measured at
-the receiver against the post-channel desired-signal power.
+the receiver against the post-channel desired-signal power.  A realisation
+is two steps: :func:`draw_interference` makes every random draw (timing
+offset, symbol stream, channel taps), none of which depends on the SIR, and
+:func:`scale_interference` scales the drawn component to the SIR.  Scenarios
+that differ only in their SIRs therefore share one draw per packet.
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ from repro.utils.dsp import db_to_linear, signal_power
 from repro.utils.rng import ensure_rng
 
 __all__ = [
+    "InterfererDraw",
     "InterfererSpec",
     "RealizedInterference",
     "adjacent_channel_interferer",
     "co_channel_interferer",
+    "draw_interference",
     "realize_interference",
+    "scale_interference",
 ]
 
 
@@ -96,6 +103,22 @@ class RealizedInterference:
     def power(self) -> float:
         """Mean power of the interference component."""
         return signal_power(self.component)
+
+
+@dataclass(frozen=True)
+class InterfererDraw:
+    """The random draws of one interferer over a receive buffer, before scaling.
+
+    ``stream`` is the component at the interferer's transmit level and
+    ``power`` its mean power; :func:`scale_interference` scales it to an
+    SIR.  The arrays are read-only, because every scenario that differs
+    only in SIRs shares them.
+    """
+
+    stream: np.ndarray = field(repr=False)
+    power: float
+    timing_offset: int
+    channel_taps: np.ndarray = field(repr=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -197,10 +220,20 @@ def realize_interference(
         Buffer index of the sender's frame start; the timing offset is defined
         relative to the sender's symbol boundaries.
     """
+    return scale_interference(
+        spec, draw_interference(spec, n_samples, frame_start, rng), reference_power
+    )
+
+
+def draw_interference(
+    spec: InterfererSpec,
+    n_samples: int,
+    frame_start: int,
+    rng: int | np.random.Generator | None = None,
+) -> InterfererDraw:
+    """Make the random draws of :func:`realize_interference`, none scaled by the SIR."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if reference_power <= 0:
-        raise ValueError("reference_power must be positive")
     rng = ensure_rng(rng)
     allocation = spec.allocation
     symbol_length = allocation.symbol_length
@@ -226,9 +259,26 @@ def realize_interference(
     component = stream[start_in_stream : start_in_stream + n_samples]
     if component.size < n_samples:  # pragma: no cover - defensive, stream is oversized
         component = np.pad(component, (0, n_samples - component.size))
+    component.flags.writeable = False
+    taps.flags.writeable = False
+    return InterfererDraw(
+        stream=component,
+        power=signal_power(component),
+        timing_offset=offset,
+        channel_taps=taps,
+    )
 
+
+def scale_interference(
+    spec: InterfererSpec, draw: InterfererDraw, reference_power: float
+) -> RealizedInterference:
+    """Scale a drawn interferer so that its SIR against ``reference_power`` is ``spec.sir_db``."""
+    if reference_power <= 0:
+        raise ValueError("reference_power must be positive")
     target_power = reference_power / db_to_linear(spec.sir_db)
-    component = component * np.sqrt(target_power / signal_power(component))
     return RealizedInterference(
-        spec=spec, component=component, timing_offset=offset, channel_taps=taps
+        spec=spec,
+        component=draw.stream * np.sqrt(target_power / draw.power),
+        timing_offset=draw.timing_offset,
+        channel_taps=draw.channel_taps,
     )

@@ -6,17 +6,33 @@ packet, channel, interference and noise realisation and returns a
 :class:`ReceivedWaveform` containing both the composite samples a real
 receiver would see and the individual components (genie information used by
 the Oracle baseline and by the interference-analysis figures).
+
+A realisation is ``compose(draw(rng))``.  :meth:`Scenario.draw` makes every
+random draw of a packet (frame, channel taps, impairments, the interferers'
+raw streams, the noise before scaling); none of them depends on the SNR or
+on an interferer's SIR.  :meth:`Scenario.compose` scales those draws to the
+scenario's levels.  Scenarios with equal :attr:`Scenario.draw_key` differ at
+most in SNR and SIRs, so they can share one :class:`PacketDraw` per packet
+(the ``draws`` argument of :meth:`Scenario.realize_batch`) and still get
+exactly what their own :meth:`~Scenario.realize` would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
-from repro.channel.awgn import complex_awgn
+from repro.channel.awgn import standard_complex_noise
 from repro.channel.impairments import Impairments
-from repro.channel.interference import InterfererSpec, RealizedInterference, realize_interference
+from repro.channel.interference import (
+    InterfererDraw,
+    InterfererSpec,
+    RealizedInterference,
+    draw_interference,
+    scale_interference,
+)
 from repro.channel.multipath import ChannelModel, FlatChannel, apply_channel
 from repro.phy.frame import FrameSpec
 from repro.phy.subcarriers import OfdmAllocation
@@ -24,7 +40,7 @@ from repro.phy.transmitter import OfdmTransmitter, TxFrame
 from repro.utils.dsp import db_to_linear, signal_power
 from repro.utils.rng import child_rng, ensure_rng
 
-__all__ = ["Scenario", "ReceivedWaveform"]
+__all__ = ["PacketDraw", "Scenario", "ReceivedWaveform"]
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,26 @@ class ReceivedWaveform:
         return self.interference + self.noise
 
 
+@dataclass(frozen=True)
+class PacketDraw:
+    """The random draws of one packet, before any SNR or SIR scaling.
+
+    ``signal`` is the faded frame in its zero-padded receive buffer and
+    ``reference_power`` the faded frame's mean power, against which
+    :meth:`Scenario.compose` sets the noise and interference levels.
+    ``noise`` is :func:`repro.channel.awgn.standard_complex_noise`.  The
+    arrays are read-only, because sibling scenarios share them.
+    """
+
+    tx_frame: TxFrame
+    channel_taps: np.ndarray = field(repr=False)
+    signal: np.ndarray = field(repr=False)
+    frame_start: int
+    reference_power: float
+    interferers: tuple[InterfererDraw, ...]
+    noise: np.ndarray = field(repr=False)
+
+
 class Scenario:
     """A repeatable link-level scenario.
 
@@ -165,8 +201,32 @@ class Scenario:
         """Frame format produced by this scenario."""
         return self._transmitter.frame_spec(self.payload_length)
 
+    @property
+    def draw_key(self) -> tuple[Any, ...]:
+        """Everything :meth:`draw` depends on.
+
+        Two scenarios with equal keys draw identical packets from equal RNG
+        streams; they differ at most in ``snr_db`` and in their
+        interferers' ``sir_db``.
+        """
+        return (
+            self.allocation,
+            self.mcs_name,
+            self.payload_length,
+            self.channel,
+            self.impairments,
+            self.n_preamble_symbols,
+            self.pad_symbols,
+            self.include_stf,
+            tuple(replace(spec, sir_db=0.0) for spec in self.interferers),
+        )
+
     def realize_batch(
-        self, n_packets: int, seed: int = 0, first_index: int = 0
+        self,
+        n_packets: int,
+        seed: int = 0,
+        first_index: int = 0,
+        draws: dict[int, PacketDraw] | None = None,
     ) -> list[ReceivedWaveform]:
         """Draw ``n_packets`` independent realisations with per-packet RNGs.
 
@@ -176,17 +236,32 @@ class Scenario:
         sequential :meth:`realize` calls, and any packet can be re-drawn in
         isolation.  ``first_index`` lets workers realise disjoint slices of
         one experiment's packet sequence.
+
+        ``draws`` shares packets between sibling scenarios: it maps a global
+        packet index to its :class:`PacketDraw`, and missing packets are
+        drawn and added to it.  Every scenario passing the same mapping must
+        have this one's :attr:`draw_key` and ``seed``; each then composes
+        the shared draws at its own levels.
         """
         if n_packets < 1:
             raise ValueError("n_packets must be at least 1")
         if first_index < 0:
             raise ValueError("first_index must be non-negative")
-        return [
-            self.realize(child_rng(seed, first_index + index)) for index in range(n_packets)
-        ]
+        shared = {} if draws is None else draws
+        received = []
+        for index in range(first_index, first_index + n_packets):
+            draw = shared.get(index)
+            if draw is None:
+                draw = shared[index] = self.draw(child_rng(seed, index))
+            received.append(self.compose(draw))
+        return received
 
     def realize(self, rng: int | np.random.Generator | None = None) -> ReceivedWaveform:
         """Draw one packet, channel, interference and noise realisation."""
+        return self.compose(self.draw(rng))
+
+    def draw(self, rng: int | np.random.Generator | None = None) -> PacketDraw:
+        """Make one packet's random draws, in the order :meth:`realize` has always made them."""
         rng = ensure_rng(rng)
         frame = self._transmitter.random_frame(self.payload_length, rng)
 
@@ -201,32 +276,48 @@ class Scenario:
 
         signal = np.zeros(n_samples, dtype=complex)
         signal[frame_start : frame_start + faded.size] = faded
-        reference_power = signal_power(faded)
+        interferers = tuple(
+            draw_interference(spec, n_samples=n_samples, frame_start=frame_start, rng=rng)
+            for spec in self.interferers
+        )
+        noise = standard_complex_noise(n_samples, rng)
+        for array in (frame.waveform, frame.data_points, taps, signal, noise):
+            array.flags.writeable = False
+        return PacketDraw(
+            tx_frame=frame,
+            channel_taps=taps,
+            signal=signal,
+            frame_start=frame_start,
+            reference_power=signal_power(faded),
+            interferers=interferers,
+            noise=noise,
+        )
 
-        realized: list[RealizedInterference] = []
-        interference = np.zeros(n_samples, dtype=complex)
-        for index, spec in enumerate(self.interferers):
-            component = realize_interference(
-                spec,
-                n_samples=n_samples,
-                reference_power=reference_power,
-                frame_start=frame_start,
-                rng=rng,
+    def compose(self, draw: PacketDraw) -> ReceivedWaveform:
+        """Scale one packet's draws to this scenario's SNR and interferer SIRs."""
+        if len(draw.interferers) != len(self.interferers):
+            raise ValueError(
+                f"the draw holds {len(draw.interferers)} interferer(s), "
+                f"the scenario {len(self.interferers)}"
             )
+        realized: list[RealizedInterference] = []
+        interference = np.zeros(draw.signal.size, dtype=complex)
+        for spec, drawn in zip(self.interferers, draw.interferers):
+            component = scale_interference(spec, drawn, draw.reference_power)
             interference += component.component
             realized.append(component)
 
-        noise_power = reference_power / db_to_linear(self.snr_db)
-        noise = complex_awgn(n_samples, noise_power, rng)
+        noise_power = draw.reference_power / db_to_linear(self.snr_db)
+        noise = np.sqrt(noise_power / 2.0) * draw.noise
 
-        composite = signal + interference + noise
+        composite = draw.signal + interference + noise
         return ReceivedWaveform(
             composite=composite,
-            signal=signal,
+            signal=draw.signal,
             interference=interference,
             noise=noise,
-            frame_start=frame_start,
-            tx_frame=frame,
-            channel_taps=taps,
+            frame_start=draw.frame_start,
+            tx_frame=draw.tx_frame,
+            channel_taps=draw.channel_taps,
             interferers=tuple(realized),
         )

@@ -134,12 +134,8 @@ class FixedSphereMlDecoder:
             radius=self.sphere_radius,
             max_candidates=self.config.max_candidates,
         )
-        # Columns are row-major (symbol, subcarrier).  A compact copy of the
-        # indices lets the sphere's full-width sort go.
-        indices, valid, points = (
-            np.ascontiguousarray(candidates.indices), candidates.valid, candidates.points
-        )
-        del candidates
+        # Columns are row-major (symbol, subcarrier).
+        indices, valid, points = candidates.indices, candidates.valid, candidates.points
         n_columns, k = indices.shape
         frame = np.transpose(observations, (2, 0, 1))  # (n_data, P, S) view
 

@@ -76,7 +76,8 @@ def select_sphere_candidates(
     nearest first, and marks those beyond ``radius`` invalid, so a row's
     in-sphere candidates are a prefix of it.  The nearest lattice point is
     always valid, even when it lies outside the sphere, so that decoding
-    never fails.
+    never fails.  ``indices`` is a compact ``(n, k)`` copy, so holding the
+    result never keeps the full ``(n, order)`` distance sort alive.
     """
     require_positive(radius, "radius")
     if max_candidates < 1:
@@ -85,7 +86,7 @@ def select_sphere_candidates(
     distances = np.abs(centers[:, None] - constellation.points[None, :])
     order = np.argsort(distances, axis=1)
     k = min(max_candidates, constellation.order)
-    indices = order[:, :k]
+    indices = np.ascontiguousarray(order[:, :k])
     sorted_distances = np.take_along_axis(distances, indices, axis=1)
     valid = sorted_distances <= radius
     valid[:, 0] = True  # the nearest point is always a candidate

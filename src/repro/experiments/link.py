@@ -12,17 +12,26 @@ symbols), and the forward-error-correction stage runs as one vectorised
 Viterbi sweep over every receiver's frames.  ``tests/test_fast_path.py``
 checks this path against a per-packet, per-symbol oracle: both consume
 identical per-packet child RNG streams and reach bit-identical decisions.
+
+``packet_success_rate`` also takes a group of *sibling* scenarios, ones
+that differ only in SNR and interferer SIRs (equal
+:attr:`Scenario.draw_key`), each with its own receivers.  Packet ``i``
+derives from the same child stream in every sibling, so the group draws
+each packet once (:meth:`Scenario.draw`), composes it for one sibling at a
+time and decodes every sibling's frames in one FEC call.  Each sibling's
+:class:`LinkResult` equals the one it gets alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
 from repro import obs
-from repro.channel.scenario import Scenario
+from repro.channel.scenario import PacketDraw, Scenario
 from repro.receiver.base import OfdmReceiverBase
 from repro.receiver.decode_chain import decode_coded_bits_batch
 
@@ -155,13 +164,27 @@ class LinkResult:
 PacketStats = LinkResult
 
 
+@overload
 def packet_success_rate(
     scenario: Scenario,
     receivers: Mapping[str, OfdmReceiverBase],
     n_packets: int,
     seed: int = 0,
     first_packet: int = 0,
-) -> dict[str, LinkResult]:
+) -> dict[str, LinkResult]: ...
+
+
+@overload
+def packet_success_rate(
+    scenario: Sequence[Scenario],
+    receivers: Sequence[Mapping[str, OfdmReceiverBase]],
+    n_packets: int,
+    seed: int = 0,
+    first_packet: int = 0,
+) -> list[dict[str, LinkResult]]: ...
+
+
+def packet_success_rate(scenario, receivers, n_packets, seed=0, first_packet=0):
     """Packet success rate of each receiver over ``n_packets`` realisations.
 
     Every receiver decodes exactly the same received waveforms, so the
@@ -173,41 +196,72 @@ def packet_success_rate(
     :class:`LinkResult`s reproduces the long run bit for bit — the counts
     depend only on which packet indices were simulated, never on how they
     were chunked into calls.
+
+    Given a sequence of sibling scenarios (equal :attr:`Scenario.draw_key`)
+    and one receiver mapping per scenario, returns one result mapping per
+    scenario, each equal to what the scenario gets alone: every packet is
+    drawn once and composed for each sibling in turn, and all siblings'
+    frames share one FEC call.
     """
+    single = isinstance(scenario, Scenario)
+    scenarios: list[Scenario] = [scenario] if single else list(scenario)
+    receiver_sets: list[Mapping[str, OfdmReceiverBase]] = (
+        [receivers] if single else list(receivers)
+    )
     if n_packets < 1:
         raise ValueError("n_packets must be at least 1")
     if first_packet < 0:
         raise ValueError(f"first_packet must be >= 0, got {first_packet}")
-    if not receivers:
+    if not scenarios or len(scenarios) != len(receiver_sets):
+        raise ValueError(
+            f"need one receiver mapping per scenario, got {len(receiver_sets)} "
+            f"for {len(scenarios)} scenario(s)"
+        )
+    if not all(receiver_sets):
         raise ValueError("at least one receiver is required")
-    spec = scenario.frame_spec
-    coded: dict[str, list[np.ndarray]] = {name: [] for name in receivers}
+    key = scenarios[0].draw_key
+    if any(member.draw_key != key for member in scenarios[1:]):
+        raise ValueError(
+            "grouped scenarios must differ only in SNR and interferer SIRs (equal draw_key)"
+        )
+    spec = scenarios[0].frame_spec
+    coded: list[dict[str, list[np.ndarray]]] = [
+        {name: [] for name in member} for member in receiver_sets
+    ]
     for start in range(0, n_packets, FAST_ENGINE_BATCH):
         count = min(FAST_ENGINE_BATCH, n_packets - start)
-        with obs.span("engine.realize", n_packets=count):
-            rxs = scenario.realize_batch(count, seed, first_index=first_packet + start)
-        for name, receiver in receivers.items():
-            with obs.span("engine.demodulate", receiver=name, n_packets=count):
-                coded[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
+        draws: dict[int, PacketDraw] = {}
+        for member, member_receivers, member_bits in zip(scenarios, receiver_sets, coded):
+            with obs.span("engine.realize", n_packets=count):
+                rxs = member.realize_batch(
+                    count, seed, first_index=first_packet + start, draws=draws
+                )
+            for name, receiver in member_receivers.items():
+                with obs.span("engine.demodulate", receiver=name, n_packets=count):
+                    member_bits[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
 
-    # Every receiver's frames share the frame spec: decode them in one FEC
-    # call and split the CRC outcomes back per receiver.
-    with obs.span("engine.fec", receivers=len(coded), n_packets=n_packets):
-        frames = decode_coded_bits_batch(
-            spec, np.concatenate([np.stack(bits) for bits in coded.values()])
-        )
-    stats: dict[str, LinkResult] = {}
-    for index, name in enumerate(coded):
-        outcomes = frames[index * n_packets : (index + 1) * n_packets]
-        successes = tuple(bool(frame.crc_ok) for frame in outcomes)
-        stats[name] = LinkResult(
-            receiver=name,
-            n_packets=n_packets,
-            n_success=sum(successes),
-            successes=successes,
-            first_packet=first_packet,
-        )
-    return stats
+    # Every frame shares the frame spec: decode them all in one FEC call and
+    # split the CRC outcomes back per scenario and receiver.
+    streams = [bits for member_bits in coded for bits in member_bits.values()]
+    with obs.span("engine.fec", receivers=len(streams), n_packets=n_packets):
+        frames = decode_coded_bits_batch(spec, np.concatenate([np.stack(bits) for bits in streams]))
+    results: list[dict[str, LinkResult]] = []
+    offset = 0
+    for member_bits in coded:
+        stats: dict[str, LinkResult] = {}
+        for name in member_bits:
+            outcomes = frames[offset : offset + n_packets]
+            offset += n_packets
+            successes = tuple(bool(frame.crc_ok) for frame in outcomes)
+            stats[name] = LinkResult(
+                receiver=name,
+                n_packets=n_packets,
+                n_success=sum(successes),
+                successes=successes,
+                first_packet=first_packet,
+            )
+        results.append(stats)
+    return results[0] if single else results
 
 
 def symbol_error_rate(

@@ -97,10 +97,17 @@ class ViterbiDecoder:
         that the library itself never selects.
     """
 
-    #: Memory bound (in elements) for the precomputed branch-cost table of
-    #: the optimised sweep, ``n_steps * 64`` per frame (~64 MiB of int32);
-    #: larger batches are decoded in independent, bit-identical slices.
+    #: Memory bound (in elements) for the branch decisions the optimised
+    #: sweep keeps for its traceback, ``n_steps * 64`` booleans per frame
+    #: (16 MiB); larger batches are decoded in independent, bit-identical
+    #: slices.
     MAX_BRANCH_ELEMENTS = 2**24
+
+    #: Trellis steps per block of the optimised sweep.  The step-major
+    #: branch-cost table is built one block at a time (``BLOCK_STEPS * 64``
+    #: int32 per frame, not ``n_steps * 64``), and the traceback tabulates
+    #: one block of predecessor indices at a time.
+    BLOCK_STEPS = 64
 
     def __init__(self, terminated: bool = True, reference: bool = False):
         self.terminated = terminated
@@ -176,17 +183,19 @@ class ViterbiDecoder:
         is four in-place ufunc calls over ``(batch, 2, 32)`` blocks: add the
         even and the odd predecessors' metrics to their branch costs, record
         which candidate is strictly smaller, keep the minimum.  The branch
-        costs of every step are built once, step-major and contiguous (see
-        :func:`_branch_table`), so each step reads one block.  Decisions are
-        bit-identical to :meth:`_run_reference`: each candidate is
-        ``metric + (cost_a + cost_b)``, and the odd predecessor survives only
-        when strictly smaller, as ``argmin`` picks the first of equal values.
+        costs are built step-major and contiguous one block of
+        :attr:`BLOCK_STEPS` steps at a time (see :func:`_branch_table`), so
+        each step reads one block and the table never spans the frame.
+        Decisions are bit-identical to :meth:`_run_reference`: each candidate
+        is ``metric + (cost_a + cost_b)``, and the odd predecessor survives
+        only when strictly smaller, as ``argmin`` picks the first of equal
+        values.
         """
         if self.reference:
             return self._run_reference(cost_a, cost_b)
         batch, n_steps = cost_a.shape[0], cost_a.shape[1]
-        # The branch table below costs n_steps * 64 elements per frame; bound
-        # it by sweeping large batches in independent slices (frames never
+        # The branch decisions cost n_steps * 64 elements per frame; bound
+        # them by sweeping large batches in independent slices (frames never
         # interact, so the split is exact).
         max_frames = max(1, self.MAX_BRANCH_ELEMENTS // max(n_steps * _N_STATES, 1))
         if batch > max_frames:
@@ -197,13 +206,9 @@ class ViterbiDecoder:
                 ]
             )
 
-        # The odd predecessor's costs are the same table with the input bit
-        # reversed.
-        branch = _branch_table(cost_a, cost_b)
-
         # Hard metrics are int32: 1e9 plus at most 2 per step stays exact and
         # far from overflow for any frame length.
-        metrics = np.full((batch, _N_STATES), 1e9, dtype=branch.dtype)
+        metrics = np.full((batch, _N_STATES), 1e9, dtype=np.result_type(cost_a, cost_b))
         metrics[:, 0] = 0
         # Predecessor metrics, broadcast over the new state's input bit.
         even = metrics.reshape(batch, _HALF, 2)[:, None, :, 0]
@@ -212,17 +217,24 @@ class ViterbiDecoder:
         from_even = np.empty_like(new_metrics)
         from_odd = np.empty_like(new_metrics)
         survivors = np.empty((n_steps, batch, 2, _HALF), dtype=bool)
-        for even_costs, odd_costs, odd_wins in zip(branch, branch[:, :, ::-1], survivors):
-            np.add(even, even_costs, out=from_even)
-            np.add(odd, odd_costs, out=from_odd)
-            np.less(from_odd, from_even, out=odd_wins)
-            np.minimum(from_even, from_odd, out=new_metrics)
+        for start in range(0, n_steps, self.BLOCK_STEPS):
+            block = slice(start, start + self.BLOCK_STEPS)
+            # The odd predecessor's costs are the same table with the input
+            # bit reversed.
+            branch = _branch_table(cost_a[:, block], cost_b[:, block])
+            for even_costs, odd_costs, odd_wins in zip(
+                branch, branch[:, :, ::-1], survivors[block]
+            ):
+                np.add(even, even_costs, out=from_even)
+                np.add(odd, odd_costs, out=from_odd)
+                np.less(from_odd, from_even, out=odd_wins)
+                np.minimum(from_even, from_odd, out=new_metrics)
 
         if self.terminated:
             final = np.zeros(batch, dtype=np.intp)
         else:
             final = np.argmin(metrics, axis=1)
-        return _traceback(survivors, final)
+        return _traceback(survivors, final, self.BLOCK_STEPS)
 
     def _run_reference(self, cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
         """Original (seed) trellis sweep, kept verbatim for verification."""
@@ -279,23 +291,33 @@ def _branch_table(cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
     return np.take(pair, _TRELLIS["even_code"], axis=2).reshape(n_steps, batch, 2, _HALF)
 
 
-def _traceback(survivors: np.ndarray, final: np.ndarray) -> np.ndarray:
+def _traceback(survivors: np.ndarray, final: np.ndarray, block_steps: int) -> np.ndarray:
     """Decoded bits of the surviving paths ending in the ``final`` states.
 
     ``survivors[step, frame]`` holds, per new state in ``(2, 32)`` layout,
     whether the odd predecessor survived.  Walking back, the predecessor of
     state ``s`` is ``2 * (s & 31) + choice``; the walk runs on the flat
-    ``(frame, state)`` index, with its ``2 * (s & 31)`` part tabulated.
+    ``(frame, state)`` index.  Each block of ``block_steps`` steps first
+    tabulates every state's predecessor index, ``2 * (s & 31)`` plus the
+    survivor bit, in one vectorised add, so the walk itself is one ``take``
+    per step.  The table holds the smallest unsigned type that indexes the
+    batch (``uint16`` up to 1024 frames), which keeps building it cheaper
+    than the ``take`` and add per step it replaces.
     """
     n_steps, batch = survivors.shape[0], survivors.shape[1]
     flat = survivors.reshape(n_steps, batch * _N_STATES)
     index = np.arange(batch * _N_STATES)
-    shifted = index - index % _N_STATES + 2 * (index % _HALF)
+    shifted = (index - index % _N_STATES + 2 * (index % _HALF)).astype(
+        np.min_scalar_type(batch * _N_STATES - 1)
+    )
     position = index[::_N_STATES] + final
-    path = np.empty((n_steps, batch), dtype=np.intp)
-    for step in range(n_steps - 1, -1, -1):
-        path[step] = position
-        np.add(shifted.take(position), flat[step].take(position), out=position)
+    path = np.empty((n_steps, batch), dtype=shifted.dtype)
+    for stop in range(n_steps, 0, -block_steps):
+        start = max(0, stop - block_steps)
+        predecessor = shifted + flat[start:stop]
+        for step in range(stop - start - 1, -1, -1):
+            path[start + step] = position
+            position = predecessor[step].take(position)
     # Each step's input bit is the top bit of the state it reached.
     return ((path.T % _N_STATES) // _HALF).astype(np.uint8)
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 import repro.campaigns.scheduler as scheduler_module
+import repro.experiments.sweeps as sweeps_module
 from repro.api import (
     CampaignExperiment,
     CampaignSpec,
@@ -32,7 +33,7 @@ from repro.campaigns.adaptive import next_total, normal_quantile
 from repro.campaigns.report import format_summary_csv, format_summary_markdown
 from repro.experiments.config import QUICK_PROFILE
 from repro.experiments.runner import main as runner_main
-from repro.experiments.store import CampaignManifest, ResultStore
+from repro.experiments.store import CampaignManifest, PointCache, ResultStore
 
 
 def _mini_psr_spec(name="mini-cci", sir_values=(5.0, 10.0, 15.0, 20.0, 25.0)):
@@ -44,6 +45,31 @@ def _mini_psr_spec(name="mini-cci", sir_values=(5.0, 10.0, 15.0, 20.0, 25.0)):
         scenario=ScenarioSpec(interferers=(InterfererSpec(kind="cci"),)),
         receivers=(ReceiverSpec("standard"), ReceiverSpec("cprecycle")),
         sweep=SweepSpec(axes=(SweepAxis("sir_db", values=tuple(sir_values)),)),
+        series_label="{receiver}",
+    )
+
+
+def _mini_mcs_spec(name="mini-mcs"):
+    """Five MCS at one co-channel SIR (5 grid cells).
+
+    Cells of different MCS share no packet draws, so each sampling round
+    dispatches one sweep task per cell: five tasks, one more than the
+    serial chunk size.
+    """
+    return ExperimentSpec(
+        name=name,
+        figure="Custom",
+        title="mini CCI MCS sweep",
+        scenario=ScenarioSpec(sir_db=15.0, interferers=(InterfererSpec(kind="cci"),)),
+        receivers=(ReceiverSpec("standard"), ReceiverSpec("cprecycle")),
+        sweep=SweepSpec(
+            axes=(
+                SweepAxis(
+                    "mcs_name",
+                    values=("bpsk-1/2", "qpsk-1/2", "qpsk-3/4", "16qam-1/2", "16qam-3/4"),
+                ),
+            )
+        ),
         series_label="{receiver}",
     )
 
@@ -366,23 +392,31 @@ class TestResume:
     def test_mid_round_interrupt_resumes_bit_identical(self, tmp_path, monkeypatch):
         """Kill the first sampling round mid-chunk; --resume must finish with
         counts bit-identical to an uninterrupted run."""
-        spec = _campaign([CampaignExperiment(spec=_mini_psr_spec())])
+        spec = _campaign([CampaignExperiment(spec=_mini_mcs_spec())])
         reference = run_campaign(spec, tmp_path / "uninterrupted")
 
-        real = scheduler_module.run_sweep_point_counts
+        real = sweeps_module.run_sweep_group
         calls = {"n": 0}
 
         @functools.wraps(real)
-        def interrupting(point):
+        def interrupting(group):
             calls["n"] += 1
             if calls["n"] == 5:  # the serial chunk size is 4: one chunk flushed
                 raise KeyboardInterrupt
-            return real(point)
+            return real(group)
 
-        monkeypatch.setattr(scheduler_module, "run_sweep_point_counts", interrupting)
+        monkeypatch.setattr(sweeps_module, "run_sweep_group", interrupting)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(spec, tmp_path / "interrupted")
-        monkeypatch.setattr(scheduler_module, "run_sweep_point_counts", real)
+        monkeypatch.setattr(sweeps_module, "run_sweep_group", real)
+
+        # The interrupt fired inside round 1: the first chunk's four cells
+        # reached the point cache, and no round was checkpointed.
+        assert calls["n"] == 5
+        (cache_file,) = (tmp_path / "interrupted" / ".cache").glob("*.json")
+        assert len(PointCache(cache_file)) == 4
+        manifest = CampaignManifest(tmp_path / "interrupted" / "manifest.json")
+        assert manifest.rounds_completed == 0
 
         resumed = run_campaign(spec, tmp_path / "interrupted", resume=True)
 

@@ -75,7 +75,7 @@ ROWS = (
     Row(
         name="seed-plus-index",
         module="repro.channel.scenario",
-        edits=(("child_rng(seed, first_index + index)", "child_rng(seed + first_index + index)"),),
+        edits=(("self.draw(child_rng(seed, index))", "self.draw(child_rng(seed + index))"),),
         rules=("RPR001",),
         tests=(
             "tests/test_api_experiments.py::TestBitIdentity::test_fig8_matches_legacy_path",
@@ -135,19 +135,16 @@ ROWS = (
         module="repro.channel.scenario",
         edits=(
             (
-                '__all__ = ["Scenario", "ReceivedWaveform"]\n',
-                '__all__ = ["Scenario", "ReceivedWaveform"]\n\n_REALIZE_CALLS = 0\n',
+                '__all__ = ["PacketDraw", "Scenario", "ReceivedWaveform"]\n',
+                '__all__ = ["PacketDraw", "Scenario", "ReceivedWaveform"]\n\n_REALIZE_CALLS = 0\n',
             ),
             (
-                "        return [\n"
-                "            self.realize(child_rng(seed, first_index + index))"
-                " for index in range(n_packets)\n",
+                "        shared = {} if draws is None else draws\n",
                 "        global _REALIZE_CALLS\n"
                 "        _REALIZE_CALLS += 1\n"
-                "        return [\n"
-                "            self.realize(child_rng(seed, _REALIZE_CALLS, first_index + index))\n"
-                "            for index in range(n_packets)\n",
+                "        shared = {} if draws is None else draws\n",
             ),
+            ("child_rng(seed, index)", "child_rng(seed, _REALIZE_CALLS, index)"),
         ),
         rules=("RPR008",),
         tests=(

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,8 +51,8 @@ from repro.experiments.parallel import (
     supervisor_stats,
 )
 from repro.experiments.runner import builtin_spec
-from repro.experiments.store import CACHE_ENV_VAR, CampaignManifest
-from repro.experiments.sweeps import execute_points, run_sweep_point
+from repro.experiments.store import CACHE_ENV_VAR, CampaignManifest, PointCache
+from repro.experiments.sweeps import MAX_GROUP_FRAMES, execute_points, run_sweep_point
 
 MICRO = ExperimentProfile(name="micro", n_packets=2, payload_length=30, n_sir_points=2)
 
@@ -355,13 +356,20 @@ class TestPoolScope:
 # Sweep-level bit-identity under faults                                       #
 # --------------------------------------------------------------------------- #
 def _mini_psr_points():
+    """Four co-channel points of four MCS.
+
+    Points of different MCS share no packet draws, so each runs as its own
+    sweep task and the fault ordinals below name real tasks.
+    """
     spec = ExperimentSpec(
         name="mini-cci",
         figure="Custom",
         title="mini CCI sweep",
-        scenario=ScenarioSpec(interferers=(InterfererSpec(kind="cci"),)),
+        scenario=ScenarioSpec(sir_db=15.0, interferers=(InterfererSpec(kind="cci"),)),
         receivers=(ReceiverSpec("standard"), ReceiverSpec("cprecycle")),
-        sweep=SweepSpec(axes=(SweepAxis("sir_db", values=(5.0, 10.0, 15.0, 20.0)),)),
+        sweep=SweepSpec(
+            axes=(SweepAxis("mcs_name", values=("bpsk-1/2", "qpsk-1/2", "qpsk-3/4", "16qam-1/2")),)
+        ),
         series_label="{receiver}",
     ).resolve(MICRO)
     points, _ = expand_psr_points(spec)
@@ -398,6 +406,8 @@ class TestSweepBitIdentityUnderFaults:
         )
         faulted = execute_points(run_sweep_point, points, n_workers=workers)
         assert faulted == clean
+        stats = supervisor_stats()
+        assert stats.retries + stats.pool_respawns >= 2  # both faults fired
 
     def test_fig4_bit_identical_under_task_exception(self, tmp_path, monkeypatch):
         clean = run_experiment_spec(builtin_spec("fig4"), MICRO)
@@ -410,12 +420,16 @@ class TestSweepBitIdentityUnderFaults:
 
     def test_fig13_simulated_bit_identical_under_worker_kill(self, tmp_path, monkeypatch):
         spec = _tiny_fig13_simulated_spec()
-        clean = run_experiment_spec(spec, MICRO, n_workers=2)
+        # 32 frames per link point (2 receivers): two points per sibling
+        # group, so the sweep's five points make three tasks and task 1
+        # exists.
+        profile = replace(MICRO, n_packets=MAX_GROUP_FRAMES // 4)
+        clean = run_experiment_spec(spec, profile, n_workers=2)
         monkeypatch.setenv(
             FAULTS_ENV_VAR,
             json.dumps({"tasks": {"1": "kill"}, "state_dir": str(tmp_path / "faults")}),
         )
-        assert run_experiment_spec(spec, MICRO, n_workers=2) == clean
+        assert run_experiment_spec(spec, profile, n_workers=2) == clean
         assert supervisor_stats().pool_respawns == 1
 
     def test_corrupt_point_cache_quarantined_and_recomputed(self, tmp_path, monkeypatch):
@@ -435,13 +449,23 @@ class TestSweepBitIdentityUnderFaults:
 # Campaign crash/resume                                                       #
 # --------------------------------------------------------------------------- #
 def _mini_campaign():
+    # Cells of different MCS share no packet draws, so every sampling round
+    # dispatches one sweep task per cell: five, one more than the serial
+    # chunk size, and the fault ordinals name real tasks.
     experiment = ExperimentSpec(
         name="mini-cci",
         figure="Custom",
         title="mini CCI sweep",
-        scenario=ScenarioSpec(interferers=(InterfererSpec(kind="cci"),)),
+        scenario=ScenarioSpec(sir_db=15.0, interferers=(InterfererSpec(kind="cci"),)),
         receivers=(ReceiverSpec("standard"), ReceiverSpec("cprecycle")),
-        sweep=SweepSpec(axes=(SweepAxis("sir_db", values=(5.0, 10.0, 15.0, 20.0, 25.0)),)),
+        sweep=SweepSpec(
+            axes=(
+                SweepAxis(
+                    "mcs_name",
+                    values=("bpsk-1/2", "qpsk-1/2", "qpsk-3/4", "16qam-1/2", "16qam-3/4"),
+                ),
+            )
+        ),
         series_label="{receiver}",
     )
     return CampaignSpec(
@@ -512,16 +536,17 @@ class TestCampaignCrashRecovery:
             "import functools, os, signal, sys\n"
             "sys.path.insert(0, sys.argv[3])\n"
             "import repro.campaigns.scheduler as sched\n"
+            "import repro.experiments.sweeps as sweeps\n"
             "from repro.api import CampaignSpec\n"
-            "real = sched.run_sweep_point_counts\n"
+            "real = sweeps.run_sweep_group\n"
             "calls = {'n': 0}\n"
             "@functools.wraps(real)\n"
-            "def killing(point):\n"
+            "def killing(group):\n"
             "    calls['n'] += 1\n"
             "    if calls['n'] == 5:  # serial chunk size is 4: one chunk flushed\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return real(point)\n"
-            "sched.run_sweep_point_counts = killing\n"
+            "    return real(group)\n"
+            "sweeps.run_sweep_group = killing\n"
             "spec = CampaignSpec.from_json(open(sys.argv[1]).read())\n"
             "sched.run_campaign(spec, sys.argv[2])\n"
         )
@@ -538,8 +563,11 @@ class TestCampaignCrashRecovery:
             text=True,
         )
         assert process.returncode == -signal.SIGKILL, process.stderr
-        # The killed run checkpointed part of round 1 in the point cache.
-        assert (workspace / ".cache").is_dir()
+        # The kill fired inside round 1: the first chunk's four cells reached
+        # the point cache, and no round was checkpointed.
+        (cache_file,) = (workspace / ".cache").glob("*.json")
+        assert len(PointCache(cache_file)) == 4
+        assert CampaignManifest(workspace / "manifest.json").rounds_completed == 0
 
         resumed = run_campaign(spec, workspace, resume=True, n_workers=resume_workers)
 
