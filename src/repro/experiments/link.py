@@ -230,7 +230,8 @@ def packet_success_rate(scenario, receivers, n_packets, seed=0, first_packet=0):
     ]
     for start in range(0, n_packets, FAST_ENGINE_BATCH):
         count = min(FAST_ENGINE_BATCH, n_packets - start)
-        draws: dict[int, PacketDraw] = {}
+        # A lone scenario keeps no draws past its own realisation.
+        draws: dict[int, PacketDraw] | None = {} if len(scenarios) > 1 else None
         for member, member_receivers, member_bits in zip(scenarios, receiver_sets, coded):
             with obs.span("engine.realize", n_packets=count):
                 rxs = member.realize_batch(
@@ -239,6 +240,8 @@ def packet_success_rate(scenario, receivers, n_packets, seed=0, first_packet=0):
             for name, receiver in member_receivers.items():
                 with obs.span("engine.demodulate", receiver=name, n_packets=count):
                     member_bits[name].extend(d.coded_bits for d in receiver.demodulate_batch(rxs))
+            # Free this scenario's waveforms before the next one is composed.
+            del rxs
 
     # Every frame shares the frame spec: decode them all in one FEC call and
     # split the CRC outcomes back per scenario and receiver.
