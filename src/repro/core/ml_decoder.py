@@ -90,8 +90,11 @@ class FixedSphereMlDecoder:
            layout (one candidate per column; with ``m = 1`` that is the
            decision).
         2. Every other in-sphere candidate whose bound is not below that
-           score is scored exactly, in chunks of an eighth of the KDE's
-           ``max_chunk_elements`` kernel evaluations.  Only ``bound <
+           score is scored exactly, in pair layout (``(pairs, P, 1)``
+           observations, one candidate each).  A chunk gathers at most an
+           eighth of the KDE's ``max_chunk_elements`` observation values,
+           ``pairs * P``, in the frame array's own memory order; the
+           kernel's blocks bound its kernel evaluations.  Only ``bound <
            score`` prunes, so a NaN never does.
 
         A pruned candidate's score is at most its bound, so strictly below
@@ -157,14 +160,14 @@ class FixedSphereMlDecoder:
         # The bounds' memory now holds the exact scores; pruned slots keep -inf.
         scores.fill(-np.inf)
         scores[columns, best] = exact
-        # Chunks of an eighth of the kernel's budget keep each chunk's
-        # observation gather and density slab below one work buffer.
-        chunk = max(1, model.kde.max_chunk_elements // (8 * n_segments * model.kde.n_samples))
+        # Each chunk's observation gather stays below an eighth of the
+        # kernel's budget; the kernel blocks the evaluations itself.
+        chunk = max(1, model.kde.max_chunk_elements // (8 * n_segments))
         for start in range(0, pairs.size, chunk):
             chunk_pairs = pairs[start : start + chunk]
             symbols, subcarriers = np.divmod(chunk_pairs // k, n_data)
             scores.reshape(-1)[chunk_pairs] = model.candidate_log_likelihood(
-                frame[subcarriers, :, symbols][:, :, None],  # (rows, P, 1), any memory order
+                observations[:, symbols, subcarriers].T[:, :, None],  # (rows, P, 1)
                 points.reshape(-1)[chunk_pairs, None, None],
                 subcarriers=subcarriers,
             ).reshape(-1)

@@ -29,8 +29,8 @@ from repro.channel.scenario import ReceivedWaveform
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
 from repro.core.ml_decoder import FixedSphereMlDecoder
-from repro.receiver.base import Demodulated, OfdmReceiverBase
-from repro.receiver.frontend import FrontEnd, FrontEndOutput
+from repro.receiver.base import Demodulated, OfdmReceiverBase, demodulated_batch
+from repro.receiver.frontend import FrontEnd, FrontEndOutput, front_end_batches
 
 __all__ = ["CPRecycleReceiver"]
 
@@ -78,50 +78,42 @@ class CPRecycleReceiver(OfdmReceiverBase):
 
     # ------------------------------------------------------------------ #
     def demodulate_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[Demodulated]:
-        """Packet-batched demodulation: one KDE fit and one ML sweep per group.
+        """Packet-batched demodulation: one KDE fit and one ML sweep per front-end batch.
 
-        Packets whose front ends produced the same observation shape (same
-        segment count, symbol count, subcarrier count and constellation) are
-        concatenated along the subcarrier axis and decoded as one oversized
-        frame: the per-subcarrier densities of a packet are independent of
-        every other subcarrier, so stacking the subcarrier axes of ``B``
-        packets yields exactly the same per-row candidate selection,
-        bandwidths and likelihoods as ``B`` separate decodes — verified bit
-        for bit by the fast-path equivalence tests.
+        The packets of a :class:`~repro.receiver.frontend.FrontEndBatch`
+        share their frame format and segment count, and their observations
+        sit side by side on the subcarrier axis of one view of the batch's
+        data (:meth:`~repro.receiver.frontend.FrontEndBatch.observations`,
+        no copy), which is decoded as one oversized frame: the
+        per-subcarrier densities of a packet are independent of every other
+        subcarrier, so stacking the subcarrier axes of ``B`` packets yields
+        exactly the same per-row candidate selection, bandwidths and
+        likelihoods as ``B`` separate decodes — verified bit for bit by the
+        fast-path equivalence tests.
         """
         rxs = list(rxs)
         if len(rxs) <= 1:
             return [self.demodulate(rx) for rx in rxs]
-        # The pooled model below spans every packet of a group; no single
+        # The pooled model below spans every packet of a batch; no single
         # per-frame model exists, so do not leave a stale one behind.
         self._last_model = None
         with obs.span("engine.frontend", n_packets=len(rxs)):
             fronts = self.front_end.process_batch(rxs)
-        groups: dict[tuple, list[int]] = {}
-        for index, front in enumerate(fronts):
-            key = (front.data.shape, front.spec.mcs.name)
-            groups.setdefault(key, []).append(index)
 
-        results: list[Demodulated | None] = [None] * len(rxs)
-        for indices in groups.values():
-            group_fronts = [fronts[i] for i in indices]
-            constellation = group_fronts[0].spec.mcs.constellation
-            n_data = group_fronts[0].data.shape[2]
-            stacked_obs = np.concatenate([front.data for front in group_fronts], axis=2)
+        results: list[Demodulated] = [None] * len(rxs)  # type: ignore[list-item]
+        for indices, batch in front_end_batches(fronts):
+            members = [fronts[i] for i in indices]
             with obs.span("engine.kde_ml", n_packets=len(indices)):
                 stacked_deviations = np.concatenate(
-                    [InterferenceModel.deviations_from_front_end(f) for f in group_fronts],
-                    axis=0,
+                    [InterferenceModel.deviations_from_front_end(f) for f in members], axis=0
                 )
                 model = InterferenceModel(stacked_deviations, self.config)
-                decoder = FixedSphereMlDecoder(constellation, self.config)
-                decisions = decoder.decode_frame(stacked_obs, model)
-            for position, i in enumerate(indices):
-                packet_decisions = np.ascontiguousarray(
-                    decisions[:, position * n_data : (position + 1) * n_data]
-                )
-                coded_bits = constellation.indices_to_bits(packet_decisions.reshape(-1))
-                results[i] = Demodulated(
-                    decisions=packet_decisions, coded_bits=coded_bits, front_end=fronts[i]
-                )
-        return results  # type: ignore[return-value]
+                decoder = FixedSphereMlDecoder(batch.spec.mcs.constellation, self.config)
+                decisions = decoder.decode_frame(batch.observations(), model)
+            n_symbols, n_data = decisions.shape[0], batch.data.shape[1]
+            per_packet = decisions.reshape(n_symbols, len(indices), n_data).transpose(1, 0, 2)
+            for index, demodulated in zip(
+                indices, demodulated_batch(members, np.ascontiguousarray(per_packet))
+            ):
+                results[index] = demodulated
+        return results

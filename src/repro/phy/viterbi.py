@@ -4,8 +4,11 @@ The decoder is fully vectorised over a *batch* of equal-length codewords so
 that packet-error-rate experiments can decode dozens of packets per numpy
 trellis sweep.  Both hard decisions (with optional erasure masks produced by
 depuncturing) and soft decisions (log-likelihood ratios) are supported.
-Hard-decision path metrics are exact ``int32`` sums of Hamming costs; soft
-metrics are ``float64``.
+Path metrics are held state-major, ``(64 states, frames)``, so every ufunc
+of a trellis step runs over contiguous runs of frames.  Hard-decision
+metrics are exact ``uint8`` sums of Hamming costs, renormalised at every
+block start (see :meth:`ViterbiDecoder._run` for the bound); soft metrics
+are ``float64`` and never renormalised.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ def _build_trellis() -> dict[str, np.ndarray]:
 
 
 _TRELLIS = _build_trellis()
+#: Coded-pair index of every (predecessor parity, input bit, j) transition:
+#: the odd predecessor of new state ``(b, j)`` emits what the even
+#: predecessor of ``(1 - b, j)`` emits.
+_BRANCH_CODES = np.concatenate([_TRELLIS["even_code"], np.roll(_TRELLIS["even_code"], _HALF)])
 
 
 class ViterbiDecoder:
@@ -105,8 +112,10 @@ class ViterbiDecoder:
 
     #: Trellis steps per block of the optimised sweep.  The step-major
     #: branch-cost table is built one block at a time (``BLOCK_STEPS * 64``
-    #: int32 per frame, not ``n_steps * 64``), and the traceback tabulates
-    #: one block of predecessor indices at a time.
+    #: costs per frame, not ``n_steps * 64``), hard metrics are renormalised
+    #: at every block start, and the traceback tabulates one block of
+    #: predecessor indices at a time.  The ``uint8`` bound of :meth:`_run`
+    #: needs ``6 <= BLOCK_STEPS <= 121``.
     BLOCK_STEPS = 64
 
     def __init__(self, terminated: bool = True, reference: bool = False):
@@ -147,11 +156,12 @@ class ViterbiDecoder:
             raise ValueError("coded_bits must have shape (batch, 2*n) with even columns")
         with obs.span("engine.viterbi", batch=int(coded.shape[0]), soft=False):
             known = _known_mask(known_mask, coded.shape)
+            if coded.size and coded.max() > 1:
+                raise ValueError("coded_bits must hold only 0 and 1")
             # Branch costs per position: 0 when erased, 0/1 Hamming otherwise,
-            # summed exactly in int32.
-            received = coded.astype(np.int32)
-            cost_a = _bit_costs(received[:, 0::2], known[:, 0::2])
-            cost_b = _bit_costs(received[:, 1::2], known[:, 1::2])
+            # summed exactly in uint8.
+            cost_a = _bit_costs(coded[:, 0::2], known[:, 0::2])
+            cost_b = _bit_costs(coded[:, 1::2], known[:, 1::2])
             return self._run(cost_a, cost_b)
 
     def decode_soft_batch(self, llrs: np.ndarray) -> np.ndarray:
@@ -175,21 +185,35 @@ class ViterbiDecoder:
 
         ``cost_a``/``cost_b`` have shape ``(batch, n_steps, 2)`` where the last
         axis indexes the hypothesised coded bit value (0 or 1).  Path metrics
-        take the costs' dtype: exact ``int32`` for hard decisions, ``float64``
-        for soft ones.
+        take the costs' dtype: ``uint8`` for hard decisions, ``float64`` for
+        soft ones.
 
-        New state ``b*32 + j`` is reached only from states ``2j`` and
-        ``2j + 1``, so with the metrics viewed as ``(batch, 32, 2)`` each step
-        is four in-place ufunc calls over ``(batch, 2, 32)`` blocks: add the
-        even and the odd predecessors' metrics to their branch costs, record
-        which candidate is strictly smaller, keep the minimum.  The branch
-        costs are built step-major and contiguous one block of
-        :attr:`BLOCK_STEPS` steps at a time (see :func:`_branch_table`), so
-        each step reads one block and the table never spans the frame.
+        Metrics are state-major, ``(64, batch)``.  New state ``b*32 + j`` is
+        reached only from states ``2j`` and ``2j + 1``, so with the metrics
+        viewed as ``(2 predecessors, 1, 32, batch)`` each step is three
+        in-place ufunc calls whose innermost axis is the frames: add both
+        predecessors' metrics to their branch costs in one ``(2, 2, 32,
+        batch)`` block, record which candidate is strictly smaller, keep the
+        minimum.  The branch costs are built step-major and contiguous one
+        block of :attr:`BLOCK_STEPS` steps at a time into one reused buffer
+        (see :func:`_branch_table`), so each step reads one contiguous block
+        and the table never spans the frame.
         Decisions are bit-identical to :meth:`_run_reference`: each candidate
         is ``metric + (cost_a + cost_b)``, and the odd predecessor survives
         only when strictly smaller, as ``argmin`` picks the first of equal
         values.
+
+        Hard metrics fit ``uint8`` exactly.  A step costs 0, 1 or 2, and any
+        state reaches any other within ``K - 1 = 6`` steps, so after 6 steps
+        no metric exceeds its frame's minimum by more than 12.  Subtracting
+        each frame's minimum at every block start (a shift of all of a
+        frame's metrics, which changes no comparison and no ``argmin``)
+        keeps every metric at or below ``12 + 2 * BLOCK_STEPS`` = 140.  The
+        unreachable start states begin at ``U = 255 - 2 * BLOCK_STEPS``: any
+        ``12 < U <= 255 - 2 * BLOCK_STEPS`` works, because within the first
+        6 steps every path from state 0 costs at most 12 and so loses no
+        comparison to a path from an unreachable state, exactly as with the
+        reference's ``1e9``, and after 6 steps no such path survives.
         """
         if self.reference:
             return self._run_reference(cost_a, cost_b)
@@ -206,34 +230,38 @@ class ViterbiDecoder:
                 ]
             )
 
-        # Hard metrics are int32: 1e9 plus at most 2 per step stays exact and
-        # far from overflow for any frame length.
-        metrics = np.full((batch, _N_STATES), 1e9, dtype=np.result_type(cost_a, cost_b))
-        metrics[:, 0] = 0
-        # Predecessor metrics, broadcast over the new state's input bit.
-        even = metrics.reshape(batch, _HALF, 2)[:, None, :, 0]
-        odd = metrics.reshape(batch, _HALF, 2)[:, None, :, 1]
-        new_metrics = metrics.reshape(batch, 2, _HALF)
-        from_even = np.empty_like(new_metrics)
-        from_odd = np.empty_like(new_metrics)
-        survivors = np.empty((n_steps, batch, 2, _HALF), dtype=bool)
+        dtype = np.result_type(cost_a, cost_b)
+        hard = dtype == np.uint8
+        # Step-major costs, (n_steps, 2, batch), read block by block.
+        cost_a = np.ascontiguousarray(cost_a.transpose(1, 2, 0))
+        cost_b = np.ascontiguousarray(cost_b.transpose(1, 2, 0))
+        unreached = np.iinfo(np.uint8).max - 2 * self.BLOCK_STEPS if hard else 1e9
+        if hard and not (self.BLOCK_STEPS >= 6 and unreached > 12):
+            raise ValueError(f"BLOCK_STEPS must lie in [6, 121], got {self.BLOCK_STEPS}")
+        metrics = np.full((_N_STATES, batch), unreached, dtype=dtype)
+        metrics[0] = 0
+        # The (even, odd) predecessor metrics of every new state, (2, 1, 32,
+        # batch), broadcast over the new state's input bit.
+        predecessors = metrics.reshape(_HALF, 2, batch).transpose(1, 0, 2)[:, None]
+        new_metrics = metrics.reshape(2, _HALF, batch)
+        candidates = np.empty((2, *new_metrics.shape), dtype=dtype)
+        from_even, from_odd = candidates
+        survivors = np.empty((n_steps, 2, _HALF, batch), dtype=bool)
+        table = np.empty((min(n_steps, self.BLOCK_STEPS), *candidates.shape), dtype=dtype)
         for start in range(0, n_steps, self.BLOCK_STEPS):
+            if hard:
+                metrics -= metrics.min(axis=0)
             block = slice(start, start + self.BLOCK_STEPS)
-            # The odd predecessor's costs are the same table with the input
-            # bit reversed.
-            branch = _branch_table(cost_a[:, block], cost_b[:, block])
-            for even_costs, odd_costs, odd_wins in zip(
-                branch, branch[:, :, ::-1], survivors[block]
-            ):
-                np.add(even, even_costs, out=from_even)
-                np.add(odd, odd_costs, out=from_odd)
+            branch = _branch_table(cost_a[block], cost_b[block], table)
+            for costs, odd_wins in zip(branch, survivors[block]):
+                np.add(predecessors, costs, out=candidates)
                 np.less(from_odd, from_even, out=odd_wins)
                 np.minimum(from_even, from_odd, out=new_metrics)
 
         if self.terminated:
             final = np.zeros(batch, dtype=np.intp)
         else:
-            final = np.argmin(metrics, axis=1)
+            final = np.argmin(metrics, axis=0)
         return _traceback(survivors, final, self.BLOCK_STEPS)
 
     def _run_reference(self, cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
@@ -273,53 +301,60 @@ class ViterbiDecoder:
         return decoded
 
 
-def _branch_table(cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
-    """Branch cost from the even predecessor of every (step, frame, new state).
+def _branch_table(cost_a: np.ndarray, cost_b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Branch cost from both predecessors of every (step, new state, frame).
 
-    Returns a C-contiguous ``(n_steps, batch, 2 input bits, 32)`` table from
-    the ``(batch, n_steps, 2)`` costs of the two coded bits.  The sums of
-    every coded pair are laid out step-major first, and ``np.take`` keeps
-    that order (fancy indexing would not), so each trellis step reads one
-    contiguous block instead of one cache line per element.
+    Returns a C-contiguous ``(n_steps, 2 predecessors, 2 input bits, 32,
+    batch)`` table from the step-major ``(n_steps, 2, batch)`` costs of the
+    two coded bits (the middle axis is the hypothesised bit value): entry
+    ``[t, p, b, j]`` is the cost of reaching new state ``b*32 + j`` from
+    state ``2j + p``.  The sums of every coded pair keep the frames
+    innermost, and ``np.take`` keeps that order (fancy indexing would not),
+    so each trellis step reads one contiguous block whose rows are runs of
+    frames.  The table is written to the leading ``n_steps`` rows of
+    ``out``, a C-contiguous buffer of that shape that the sweep reuses for
+    every block.
     """
-    batch, n_steps = cost_a.shape[0], cost_a.shape[1]
-    pair = np.add(
-        cost_a.transpose(1, 0, 2)[:, :, :, None],
-        cost_b.transpose(1, 0, 2)[:, :, None, :],
-        order="C",
-    ).reshape(n_steps, batch, 4)
-    return np.take(pair, _TRELLIS["even_code"], axis=2).reshape(n_steps, batch, 2, _HALF)
+    n_steps, batch = cost_a.shape[0], cost_a.shape[2]
+    pair = np.add(cost_a[:, :, None, :], cost_b[:, None, :, :], order="C").reshape(
+        n_steps, 4, batch
+    )
+    table = out[:n_steps]
+    np.take(pair, _BRANCH_CODES, axis=1, out=table.reshape(n_steps, _BRANCH_CODES.size, batch), mode="clip")
+    return table
 
 
 def _traceback(survivors: np.ndarray, final: np.ndarray, block_steps: int) -> np.ndarray:
     """Decoded bits of the surviving paths ending in the ``final`` states.
 
-    ``survivors[step, frame]`` holds, per new state in ``(2, 32)`` layout,
+    ``survivors[step]`` holds, per new state in ``(2, 32, batch)`` layout,
     whether the odd predecessor survived.  Walking back, the predecessor of
     state ``s`` is ``2 * (s & 31) + choice``; the walk runs on the flat
-    ``(frame, state)`` index.  Each block of ``block_steps`` steps first
-    tabulates every state's predecessor index, ``2 * (s & 31)`` plus the
-    survivor bit, in one vectorised add, so the walk itself is one ``take``
-    per step.  The table holds the smallest unsigned type that indexes the
-    batch (``uint16`` up to 1024 frames), which keeps building it cheaper
-    than the ``take`` and add per step it replaces.
+    state-major index ``state * batch + frame``.  Each block of
+    ``block_steps`` steps first tabulates every state's predecessor index,
+    ``2 * (s & 31) * batch + frame`` plus ``batch`` times the survivor bit,
+    in three vectorised passes, so the walk itself is one ``take`` per step.
+    The table holds the smallest unsigned type that indexes the batch
+    (``uint16`` up to 1024 frames), which keeps building it cheaper than the
+    ``take`` and add per step it replaces.
     """
-    n_steps, batch = survivors.shape[0], survivors.shape[1]
-    flat = survivors.reshape(n_steps, batch * _N_STATES)
-    index = np.arange(batch * _N_STATES)
-    shifted = (index - index % _N_STATES + 2 * (index % _HALF)).astype(
-        np.min_scalar_type(batch * _N_STATES - 1)
-    )
-    position = index[::_N_STATES] + final
-    path = np.empty((n_steps, batch), dtype=shifted.dtype)
+    n_steps, batch = survivors.shape[0], survivors.shape[-1]
+    flat = survivors.reshape(n_steps, _N_STATES * batch)
+    dtype = np.min_scalar_type(max(_N_STATES * batch - 1, 0))
+    state, frame = np.divmod(np.arange(_N_STATES * batch), batch)
+    from_even = (2 * (state % _HALF) * batch + frame).astype(dtype)
+    position = (final * batch + np.arange(batch)).astype(dtype)
+    path = np.empty((n_steps, batch), dtype=dtype)
     for stop in range(n_steps, 0, -block_steps):
         start = max(0, stop - block_steps)
-        predecessor = shifted + flat[start:stop]
+        predecessor = flat[start:stop].astype(dtype)
+        predecessor *= dtype.type(batch)
+        predecessor += from_even
         for step in range(stop - start - 1, -1, -1):
             path[start + step] = position
             position = predecessor[step].take(position)
     # Each step's input bit is the top bit of the state it reached.
-    return ((path.T % _N_STATES) // _HALF).astype(np.uint8)
+    return np.ascontiguousarray((path >= _HALF * batch).T, dtype=np.uint8)
 
 
 def _known_mask(known_mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -339,7 +374,7 @@ def _known_mask(known_mask: np.ndarray | None, shape: tuple[int, ...]) -> np.nda
 
 
 def _bit_costs(received: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Hamming cost of hypothesising coded bit 0 or 1 at each position."""
+    """``uint8`` Hamming cost of hypothesising coded bit 0 or 1 at each position."""
     cost0 = known * received            # received 1 while hypothesising 0
     cost1 = known * (1 - received)      # received 0 while hypothesising 1
     return np.stack([cost0, cost1], axis=-1)

@@ -10,6 +10,10 @@ Every receiver strategy in this library follows the same two-stage structure:
 
 The link engine decodes packets in batches: it calls ``demodulate_batch``
 on a batch of packets and then runs the FEC stage across the whole batch.
+``demodulate_batch`` runs the front end once over the batch, decides each
+:class:`~repro.receiver.frontend.FrontEndBatch` through ``decide_batch``
+(per packet unless a strategy vectorises it) and maps the decisions of a
+whole front-end batch to coded bits in one pass.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 
 from repro.channel.scenario import ReceivedWaveform
 from repro.receiver.decode_chain import DecodedFrame, decode_coded_bits
-from repro.receiver.frontend import FrontEnd, FrontEndOutput
+from repro.receiver.frontend import FrontEnd, FrontEndBatch, FrontEndOutput, front_end_batches
 
-__all__ = ["OfdmReceiverBase", "Demodulated", "ReceiverOutput"]
+__all__ = ["OfdmReceiverBase", "Demodulated", "ReceiverOutput", "demodulated_batch"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,18 @@ class OfdmReceiverBase:
         """
         raise NotImplementedError
 
+    def decide_batch(
+        self, batch: FrontEndBatch, fronts: Sequence[FrontEndOutput], rxs: Sequence[ReceivedWaveform]
+    ) -> np.ndarray:
+        """Decisions of every packet of a front-end batch, ``(B, n_data_symbols, n_data)``.
+
+        ``fronts`` and ``rxs`` are the batch's packets in batch order.  The
+        base implementation calls :meth:`decide` packet by packet; a
+        strategy whose decision is elementwise may decide the whole batch
+        at once, bit-identically.
+        """
+        return np.stack([self.decide(front, rx) for front, rx in zip(fronts, rxs)])
+
     # ------------------------------------------------------------------ #
     # Shared pipeline                                                     #
     # ------------------------------------------------------------------ #
@@ -92,23 +108,22 @@ class OfdmReceiverBase:
     def demodulate_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[Demodulated]:
         """Demodulate a batch of packets, preserving order.
 
-        The base implementation runs the front end and the decision stage
-        packet by packet, so every receiver supports the batched link-engine
-        entry point; receivers with a vectorisable decision stage (CPRecycle)
+        The front end runs once over the batch, and each front-end batch is
+        decided by :meth:`decide_batch` and mapped to coded bits in one
+        pass, so every receiver supports the batched link-engine entry
+        point; receivers with a vectorisable decision stage (CPRecycle)
         override this to run KDE training and the ML decision across the
         whole batch.  Any override must stay bit-identical to the sequential
         loop.
         """
         rxs = list(rxs)
         fronts = self.front_end.process_batch(rxs)
-        results = []
-        for rx, front in zip(rxs, fronts):
-            decisions = self.decide(front, rx)
-            constellation = rx.spec.mcs.constellation
-            coded_bits = constellation.indices_to_bits(decisions.reshape(-1))
-            results.append(
-                Demodulated(decisions=decisions, coded_bits=coded_bits, front_end=front)
-            )
+        results: list[Demodulated] = [None] * len(rxs)  # type: ignore[list-item]
+        for indices, batch in front_end_batches(fronts):
+            members = [fronts[i] for i in indices]
+            decisions = self.decide_batch(batch, members, [rxs[i] for i in indices])
+            for index, demodulated in zip(indices, demodulated_batch(members, decisions)):
+                results[index] = demodulated
         return results
 
     def receive(self, rx: ReceivedWaveform) -> ReceiverOutput:
@@ -116,3 +131,20 @@ class OfdmReceiverBase:
         demodulated = self.demodulate(rx)
         frame = decode_coded_bits(rx.spec, demodulated.coded_bits)
         return ReceiverOutput(frame=frame, demodulated=demodulated)
+
+
+def demodulated_batch(
+    fronts: Sequence[FrontEndOutput], decisions: np.ndarray
+) -> list[Demodulated]:
+    """The :class:`Demodulated` packets of a front-end batch's ``(B, S, n_data)`` decisions.
+
+    The lattice indices of every packet are mapped to coded bits in one
+    pass; packet ``b``'s bits are row ``b`` of the result, exactly what
+    mapping its own decisions gives.
+    """
+    constellation = fronts[0].spec.mcs.constellation
+    bits = constellation.indices_to_bits(decisions.reshape(-1)).reshape(len(fronts), -1)
+    return [
+        Demodulated(decisions=packet_decisions, coded_bits=packet_bits, front_end=front)
+        for front, packet_decisions, packet_bits in zip(fronts, decisions, bits)
+    ]

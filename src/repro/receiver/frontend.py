@@ -1,7 +1,7 @@
 """Receiver front end shared by every decoding strategy.
 
-The front end turns a received sample buffer into equalised frequency-domain
-observations of the frame's data subcarriers:
+The front end turns received sample buffers into equalised frequency-domain
+observations of each frame's data subcarriers:
 
 1. frame timing (genie by default, real synchronisation optionally),
 2. determination of the number of usable FFT segments ``P``,
@@ -16,6 +16,12 @@ symbol-decision stage, exactly as in the paper.  Each of them reads only the
 data subcarriers (the decisions of Eqs. 3 and 5, the KDE training
 deviations), so those are the only bins the front end scales, phase-corrects
 and equalises.
+
+The unit of work is a batch of packets: packets that share a frame format
+and a segment count form a :class:`FrontEndBatch`, whose stages each run as
+one numpy pass over the whole batch (the FFT and the channel estimate in
+chunks of whole packets, which bound the memory they hold).  Every packet's
+:class:`FrontEndOutput` holds views into its batch's arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +38,18 @@ from repro.phy.subcarriers import OfdmAllocation
 from repro.receiver.channel_est import estimate_channel_best_segment, estimate_channel_ls
 from repro.receiver.equalizer import apply_common_phase, equalize, estimate_common_phase
 from repro.receiver.isi_free import detect_isi_free_samples
-from repro.receiver.segments import extract_segments, reference_segment_index, segment_offsets
+from repro.receiver.segments import (
+    extract_segments,
+    phase_ramps,
+    reference_segment_index,
+    scale_spectra,
+    segment_offsets,
+    segment_windows,
+)
 from repro.receiver.sync import synchronize
 from repro.utils.validation import require_positive_int
 
-__all__ = ["FrontEnd", "FrontEndOutput"]
+__all__ = ["FrontEnd", "FrontEndBatch", "FrontEndOutput", "front_end_batches"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,10 @@ class FrontEndOutput:
         receiver's window).
     frame_start:
         Buffer index used as the frame start.
+    batch:
+        The :class:`FrontEndBatch` whose arrays ``preamble``, ``data`` and
+        ``channel_estimate`` view (``None`` for
+        :meth:`FrontEnd.process_reference` outputs).
     """
 
     spec: FrameSpec
@@ -67,6 +84,7 @@ class FrontEndOutput:
     channel_estimate: np.ndarray = field(repr=False)
     segment_offsets: np.ndarray
     frame_start: int
+    batch: "FrontEndBatch | None" = field(default=None, repr=False, compare=False)
 
     @property
     def allocation(self) -> OfdmAllocation:
@@ -86,6 +104,77 @@ class FrontEndOutput:
     def reference_data(self) -> np.ndarray:
         """Standard-receiver view of the data symbols, ``(n_symbols, n_data)``."""
         return self.data[self.reference_index]
+
+
+@dataclass(frozen=True)
+class FrontEndBatch:
+    """Packets of one frame format and segment count, front-ended together.
+
+    Each array holds every packet of the batch, packets outermost, in the
+    memory order the per-packet views of :class:`FrontEndOutput` need:
+    packet ``b``'s ``data`` is ``data[b].transpose(1, 2, 0)``, shape ``(P,
+    n_data_symbols, n_data)`` with the subcarriers outermost in memory, as
+    the full-grid pipeline lays out its data bins.
+
+    Attributes
+    ----------
+    data:
+        Equalised data symbols, ``(B, n_data, P, n_data_symbols)``.
+    preamble:
+        Equalised training symbols, ``(B, n_data, P, n_preamble_symbols)``.
+    channel_estimate:
+        Channel estimates on the data subcarriers, ``(B, n_data)``.
+    frame_starts:
+        Buffer index used as each packet's frame start.
+    """
+
+    spec: FrameSpec
+    data: np.ndarray = field(repr=False)
+    preamble: np.ndarray = field(repr=False)
+    channel_estimate: np.ndarray = field(repr=False)
+    segment_offsets: np.ndarray
+    frame_starts: tuple[int, ...]
+
+    def observations(self) -> np.ndarray:
+        """Every packet's data side by side on the subcarrier axis, ``(P, S, B * n_data)``.
+
+        A view, equal in bits and strides to concatenating the packets'
+        ``data`` along their last axis.
+        """
+        return self.data.reshape(-1, *self.data.shape[2:]).transpose(1, 2, 0)
+
+    def outputs(self) -> list[FrontEndOutput]:
+        """One :class:`FrontEndOutput` per packet, viewing this batch's arrays."""
+        return [
+            FrontEndOutput(
+                spec=self.spec,
+                preamble=preamble.transpose(1, 2, 0),
+                data=data.transpose(1, 2, 0),
+                channel_estimate=channel,
+                segment_offsets=self.segment_offsets,
+                frame_start=frame_start,
+                batch=self,
+            )
+            for preamble, data, channel, frame_start in zip(
+                self.preamble, self.data, self.channel_estimate, self.frame_starts
+            )
+        ]
+
+
+def front_end_batches(
+    fronts: Sequence[FrontEndOutput],
+) -> list[tuple[list[int], FrontEndBatch]]:
+    """The batches behind the outputs of one :meth:`FrontEnd.process_batch` call.
+
+    Returns each batch once, in order of first appearance, with the
+    positions of its packets in ``fronts`` (in batch order).
+    """
+    groups: dict[int, tuple[list[int], FrontEndBatch]] = {}
+    for index, front in enumerate(fronts):
+        if front.batch is None:
+            raise ValueError("front end outputs must come from FrontEnd.process_batch")
+        groups.setdefault(id(front.batch), ([], front.batch))[0].append(index)
+    return list(groups.values())
 
 
 class FrontEnd:
@@ -148,57 +237,147 @@ class FrontEnd:
         self.pilot_phase_tracking = pilot_phase_tracking
         self.channel_estimator = channel_estimator
 
+    #: (Packet, segment) rows per FFT chunk.  A chunk transforms whole
+    #: packets, at most this many segments of them (a packet with more
+    #: segments is split into equal segment ranges), so no spectrum buffer is
+    #: larger than one P = 40 packet's, and ``process_batch`` on P = 40
+    #: packets peaks below a per-packet loop.
+    FFT_CHUNK_SEGMENTS = 32
+
     # ------------------------------------------------------------------ #
     def process(self, rx: ReceivedWaveform) -> FrontEndOutput:
-        """Run the front end on one received waveform.
+        """Run the front end on one received waveform: a batch of one.
 
-        The FFT output keeps only the occupied bins; the channel is estimated
-        on them, and only the data bins are equalised and returned.  Every
-        array equals the data bins of :meth:`process_reference` bit for bit
-        and in memory order.
+        See :meth:`process_batch`.
         """
-        spec = rx.spec
-        allocation = spec.allocation
-        occupied = allocation.occupied_bin_array()
-        frame_start, offsets = self._windows(rx)
-
-        # The data symbols follow the training symbols back to back, so one
-        # extraction covers the frame.
-        n_preamble = spec.n_preamble_symbols
-        spectra = extract_segments(
-            rx.composite, allocation, n_preamble + spec.n_data_symbols,
-            frame_start + spec.preamble_start, offsets=offsets, bins=occupied,
-        )
-        preamble, data = spectra[:, :n_preamble], spectra[:, n_preamble:]
-        channel = self._estimate_channel(preamble, spec.preamble_frequency[:, occupied])
-        # Occupied bins are sorted, so searchsorted finds each bin's position.
-        data_at = np.searchsorted(occupied, allocation.data_bin_array())
-        data_channel = channel[data_at]
-        # Indexing and in-place arithmetic give every array the memory order
-        # the full-grid pipeline gives its data bins (see extract_segments).
-        data_eq = data[:, :, data_at]
-        data_eq /= data_channel
-        preamble_eq = preamble[:, :, data_at]
-        preamble_eq /= data_channel
-
-        if self.pilot_phase_tracking and allocation.n_pilot_subcarriers:
-            pilot_at = np.searchsorted(occupied, allocation.pilot_bin_array())
-            pilots = data[reference_segment_index(offsets.size)][:, pilot_at] / channel[pilot_at]
-            phase = estimate_common_phase(pilots, np.arange(pilot_at.size), spec.data_pilot_values)
-            data_eq *= np.exp(-1j * phase)[None, :, None]
-
-        return FrontEndOutput(
-            spec=spec,
-            preamble=preamble_eq,
-            data=data_eq,
-            channel_estimate=data_channel,
-            segment_offsets=offsets,
-            frame_start=frame_start,
-        )
+        return self._process([rx])[0]
 
     def process_batch(self, rxs: Sequence[ReceivedWaveform]) -> list[FrontEndOutput]:
-        """Run :meth:`process` over a batch of packets, preserving order."""
-        return [self.process(rx) for rx in rxs]
+        """Run the front end over a batch of packets, preserving order.
+
+        Packets that share a frame format and a segment count form one
+        :class:`FrontEndBatch`: their windows are transformed in chunks of
+        whole packets (see :attr:`FFT_CHUNK_SEGMENTS`), the channel is
+        estimated once per chunk from the training symbols' occupied bins,
+        and scaling, the phase ramp and equalisation of the data bins run
+        once over the batch.  Every array of every output equals the data
+        bins of :meth:`process_reference` bit for bit and in memory order.
+        """
+        return self._process(list(rxs))
+
+    def _process(self, rxs: list[ReceivedWaveform]) -> list[FrontEndOutput]:
+        # process() does not go through process_batch(), so that a one-packet
+        # call is never timed as a batch by whoever wraps process_batch.
+        windows = [self._windows(rx) for rx in rxs]
+        # Packets of one realisation batch share their frame spec object.
+        groups: dict[tuple[int, int], list[int]] = {}
+        for index, (rx, (_, n_segments)) in enumerate(zip(rxs, windows)):
+            groups.setdefault((id(rx.spec), n_segments), []).append(index)
+        fronts: list[FrontEndOutput] = [None] * len(rxs)  # type: ignore[list-item]
+        for indices in groups.values():
+            batch = self._batch(
+                [rxs[i] for i in indices], [windows[i][0] for i in indices], windows[indices[0]][1]
+            )
+            for index, front in zip(indices, batch.outputs()):
+                fronts[index] = front
+        return fronts
+
+    def _batch(
+        self, rxs: list[ReceivedWaveform], frame_starts: list[int], n_segments: int
+    ) -> FrontEndBatch:
+        """The front end of packets sharing one frame spec and segment count.
+
+        Chunk by chunk, the FFT output's kept bins go straight to their
+        place: the training symbols' occupied bins to the chunk's channel
+        estimate, and the data bins of every symbol into the batch's ``(B,
+        n_data, P, symbols)`` arrays.  Scaling, the Eq. 2 ramp and
+        equalisation of those arrays then run once over the batch: they are
+        elementwise, so the batch's layout gives the bits of the per-packet
+        order.
+        """
+        spec = rxs[0].spec
+        allocation = spec.allocation
+        fft_size = allocation.fft_size
+        occupied = allocation.occupied_bin_array()
+        data_bins = allocation.data_bin_array()
+        offsets = segment_offsets(allocation.cp_length, n_segments)
+        delays = tuple((allocation.cp_length - offsets).tolist())
+        n_preamble, n_symbols = spec.n_preamble_symbols, spec.n_data_symbols
+        n_all, n_packets = n_preamble + n_symbols, len(rxs)
+        tracking = self.pilot_phase_tracking and allocation.n_pilot_subcarriers > 0
+
+        # The data symbols follow the training symbols back to back, so one
+        # span of samples per packet covers every window of the frame.
+        span = (n_all - 1) * allocation.symbol_length + n_segments - 1 + fft_size
+        firsts = [start + spec.preamble_start + int(offsets[0]) for start in frame_starts]
+        for rx, first in zip(rxs, firsts):
+            if first < 0 or first + span > rx.composite.size:
+                raise ValueError(
+                    f"sample buffer of length {rx.composite.size} cannot hold the frame's "
+                    f"{n_all} symbols starting at {first - int(offsets[0])}"
+                )
+        preamble_eq = np.empty((n_packets, data_bins.size, n_segments, n_preamble), dtype=complex)
+        data = np.empty((n_packets, data_bins.size, n_segments, n_symbols), dtype=complex)
+        kept = ((slice(0, n_preamble), preamble_eq), (slice(n_preamble, None), data))
+        channel = np.empty((n_packets, occupied.size), dtype=complex)
+        known = spec.preamble_frequency[:, occupied]
+        occupied_ramps = phase_ramps(fft_size, delays, tuple(occupied.tolist()))[:, None, :]
+        if tracking:
+            pilot_bins = allocation.pilot_bin_array()
+            pilots = np.empty((n_packets, n_symbols, pilot_bins.size), dtype=complex)
+        n_parts = -(-n_segments // self.FFT_CHUNK_SEGMENTS)
+        part_size = -(-n_segments // n_parts)
+        per_chunk = min(max(1, self.FFT_CHUNK_SEGMENTS // n_segments), n_packets)
+        for start in range(0, n_packets, per_chunk):
+            chunk = slice(start, start + per_chunk)
+            samples = np.stack(
+                [rx.composite[first : first + span] for rx, first in zip(rxs[chunk], firsts[chunk])]
+            )
+            windows = segment_windows(samples, allocation, n_all, n_segments)
+            preamble = np.empty((len(samples), n_segments, n_preamble, occupied.size), dtype=complex)
+            work = np.empty(len(samples) * part_size * n_all * fft_size, dtype=complex)
+            for rows in (slice(j, j + part_size) for j in range(0, n_segments, part_size)):
+                part = windows[:, rows]
+                spectra = np.fft.fft(part, axis=-1, out=work[: part.size].reshape(part.shape))
+                preamble[:, rows] = spectra[:, :, :n_preamble, occupied]
+                for symbols, array in kept:
+                    array[chunk, :, rows] = spectra[:, :, symbols, data_bins].transpose(0, 3, 1, 2)
+                if tracking and rows.stop >= n_segments:
+                    # The standard receiver's window is the last segment.
+                    pilots[chunk] = spectra[:, -1, n_preamble:][..., pilot_bins]
+            # Freed before the estimate, which reads every segment of the chunk.
+            del work, spectra
+            scale_spectra(preamble, fft_size)
+            preamble *= occupied_ramps
+            channel[chunk] = self._estimate_channel(preamble, known)
+
+        # Occupied bins are sorted, so searchsorted finds each bin's position.
+        data_channel = channel[:, np.searchsorted(occupied, data_bins)]
+        data_ramps = phase_ramps(fft_size, delays, tuple(data_bins.tolist())).T[:, :, None]
+        for _, array in kept:
+            scale_spectra(array, fft_size)
+            array *= data_ramps
+            array /= data_channel[:, :, None, None]
+        if tracking:
+            scale_spectra(pilots, fft_size)
+            pilots *= phase_ramps(fft_size, delays, tuple(pilot_bins.tolist()))[-1]
+            pilots /= channel[:, None, np.searchsorted(occupied, pilot_bins)]
+            phase = np.stack(
+                [
+                    estimate_common_phase(packet, np.arange(pilot_bins.size), spec.data_pilot_values)
+                    for packet in pilots
+                ]
+            )
+            data *= np.exp(-1j * phase)[:, None, None, :]
+
+        return FrontEndBatch(
+            spec=spec,
+            data=data,
+            preamble=preamble_eq,
+            channel_estimate=data_channel,
+            segment_offsets=offsets,
+            frame_starts=tuple(frame_starts),
+        )
 
     def process_reference(self, rx: ReceivedWaveform) -> FrontEndOutput:
         """Full-grid front end, the test oracle of :meth:`process`.
@@ -210,7 +389,8 @@ class FrontEnd:
         spec = rx.spec
         allocation = spec.allocation
         occupied = allocation.occupied_bin_array()
-        frame_start, offsets = self._windows(rx)
+        frame_start, n_segments = self._windows(rx)
+        offsets = segment_offsets(allocation.cp_length, n_segments)
 
         preamble_segments = extract_segments(
             rx.composite, allocation, spec.n_preamble_symbols, frame_start + spec.preamble_start,
@@ -244,8 +424,8 @@ class FrontEnd:
         )
 
     # ------------------------------------------------------------------ #
-    def _windows(self, rx: ReceivedWaveform) -> tuple[int, np.ndarray]:
-        """Frame start and the FFT window offsets of the ``P`` segments."""
+    def _windows(self, rx: ReceivedWaveform) -> tuple[int, int]:
+        """Frame start and the number ``P`` of FFT segments."""
         allocation = rx.allocation
         if self.use_genie_sync:
             frame_start = rx.frame_start
@@ -259,13 +439,12 @@ class FrontEnd:
             data_start = frame_start + rx.spec.data_start
             starts = symbol_start_indices(allocation, rx.spec.n_data_symbols, data_start)
             requested = detect_isi_free_samples(rx.composite, allocation, starts)
-        n_segments = max(min(requested, self.max_segments, allocation.cp_length), 1)
-        return frame_start, segment_offsets(allocation.cp_length, n_segments)
+        return frame_start, max(min(requested, self.max_segments, allocation.cp_length), 1)
 
     def _estimate_channel(self, preamble: np.ndarray, known: np.ndarray) -> np.ndarray:
-        """Channel estimate from ``(P, Np, n_bins)`` training spectra and known values."""
-        n_segments, n_preamble = preamble.shape[:2]
+        """Channel estimate from ``(..., P, Np, n_bins)`` training spectra and known values."""
+        n_segments, n_preamble = preamble.shape[-3:-1]
         if self.channel_estimator == "best-segment" and n_segments > 1 and n_preamble > 1:
             return estimate_channel_best_segment(preamble, known)
-        return estimate_channel_ls(preamble[reference_segment_index(n_segments)], known)
+        return estimate_channel_ls(preamble[..., reference_segment_index(n_segments), :, :], known)
 

@@ -22,6 +22,8 @@ from repro.phy.subcarriers import OfdmAllocation
 __all__ = [
     "segment_offsets",
     "segment_phase_ramp",
+    "segment_windows",
+    "scale_spectra",
     "extract_segments",
     "reference_segment_index",
 ]
@@ -64,7 +66,7 @@ def segment_phase_ramp(allocation: OfdmAllocation, offset: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _phase_ramps(fft_size: int, delays: tuple[int, ...], bins: tuple[int, ...]) -> np.ndarray:
+def phase_ramps(fft_size: int, delays: tuple[int, ...], bins: tuple[int, ...]) -> np.ndarray:
     """``exp(2i pi f d / F)`` for every delay ``d`` and bin ``f``: shape ``(delays, bins)``.
 
     Every packet of a link simulation shares its geometry, so the ramps are
@@ -74,6 +76,40 @@ def _phase_ramps(fft_size: int, delays: tuple[int, ...], bins: tuple[int, ...]) 
     ramps = np.exp((2j * np.pi * np.array(bins))[None, :] * np.array(delays)[:, None] / fft_size)
     ramps.flags.writeable = False
     return ramps
+
+
+def segment_windows(
+    buffers: np.ndarray, allocation: OfdmAllocation, n_symbols: int, n_segments: int
+) -> np.ndarray:
+    """FFT windows of ``(B, n)`` sample buffers as one read-only strided view.
+
+    Buffer ``b``'s first window starts at its index 0, and window ``(j, s)``
+    starts ``j + s * symbol_length`` samples later, so the view has shape
+    ``(B, n_segments, n_symbols, fft_size)`` and nothing is gathered or
+    copied before the FFT.  The caller checks that each buffer holds
+    ``(n_symbols - 1) * symbol_length + n_segments - 1 + fft_size``
+    samples.
+    """
+    step = buffers.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        buffers,
+        shape=(buffers.shape[0], n_segments, n_symbols, allocation.fft_size),
+        strides=(buffers.strides[0], step, allocation.symbol_length * step, step),
+        writeable=False,
+    )
+
+
+def scale_spectra(spectra: np.ndarray, fft_size: int) -> None:
+    """Scale raw FFT output by ``1 / sqrt(fft_size)`` in place (a unitary DFT).
+
+    Multiplies the float64 view by the reciprocal.  numpy's complex division
+    multiplies by the reciprocal of the divisor as well, so this gives the
+    bits of ``spectra /= np.sqrt(fft_size)`` for every finite nonzero
+    component; only the sign of an exactly-zero component can differ.
+    ``spectra`` must be ``complex128`` with a contiguous last axis.
+    """
+    floats = spectra.view(np.float64)
+    floats *= 1.0 / np.sqrt(fft_size)
 
 
 def extract_segments(
@@ -139,26 +175,19 @@ def extract_segments(
             f"sample buffer of length {samples.size} cannot hold {n_symbols} symbols "
             f"starting at {start}"
         )
-    # Window (j, s) starts j + s * symbol_length samples after the first one,
-    # so all windows are one strided view of the buffer: nothing is gathered
-    # or copied before the FFT.  The result stays C-ordered (numpy would
-    # follow the view's strides): later reductions sum in memory order, so
-    # the memory order of an array is part of what it computes.
-    step = samples.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
-        samples[first:],
-        shape=(offsets.size, n_symbols, fft_size),
-        strides=(step, symbol_length * step, step),
-        writeable=False,
-    )
+    # All windows are one strided view of the buffer.  The result stays
+    # C-ordered (numpy would follow the view's strides): later reductions
+    # sum in memory order, so the memory order of an array is part of what
+    # it computes.
+    windows = segment_windows(samples[first:][None], allocation, n_symbols, offsets.size)[0]
     spectra = np.fft.fft(windows, axis=-1, out=np.empty(windows.shape, dtype=complex))
     if bins is None:
         bins = np.arange(fft_size)
     else:
         bins = np.asarray(bins, dtype=int)
         spectra = np.take(spectra, bins, axis=-1)
-    spectra /= np.sqrt(fft_size)
+    scale_spectra(spectra, fft_size)
     if correct_phase:
         delays = allocation.cp_length - offsets
-        spectra *= _phase_ramps(fft_size, tuple(delays.tolist()), tuple(bins.tolist()))[:, None, :]
+        spectra *= phase_ramps(fft_size, tuple(delays.tolist()), tuple(bins.tolist()))[:, None, :]
     return spectra

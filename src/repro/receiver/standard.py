@@ -2,16 +2,21 @@
 
 This is the paper's baseline ("Without CPRecycle"): the FFT window starts
 right after the cyclic prefix (the last segment) and each data subcarrier is
-demapped independently to the nearest constellation point.
+demapped independently to the nearest constellation point.  The decision is
+elementwise, so a link batch is decided in one pass over its front-end
+batch.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.channel.scenario import ReceivedWaveform
 from repro.receiver.base import OfdmReceiverBase
-from repro.receiver.frontend import FrontEnd, FrontEndOutput
+from repro.receiver.frontend import FrontEnd, FrontEndBatch, FrontEndOutput
+from repro.receiver.segments import reference_segment_index
 
 __all__ = ["StandardOfdmReceiver"]
 
@@ -32,3 +37,10 @@ class StandardOfdmReceiver(OfdmReceiverBase):
         constellation = front.spec.mcs.constellation
         reference = front.reference_data()
         return constellation.nearest_indices(reference)
+
+    def decide_batch(
+        self, batch: FrontEndBatch, fronts: Sequence[FrontEndOutput], rxs: Sequence[ReceivedWaveform]
+    ) -> np.ndarray:
+        """Nearest-point decisions of the whole batch in one pass (they are elementwise)."""
+        reference = batch.data[:, :, reference_segment_index(batch.data.shape[2])]
+        return batch.spec.mcs.constellation.nearest_indices(reference.transpose(0, 2, 1))

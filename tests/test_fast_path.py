@@ -35,7 +35,7 @@ from repro.receiver.decode_chain import (
     decode_coded_bits_batch,
     decode_coded_bits_batch_reference,
 )
-from repro.receiver.frontend import FrontEnd
+from repro.receiver.frontend import FrontEnd, front_end_batches
 from repro.receiver.standard import StandardOfdmReceiver
 from repro.utils.rng import child_rng
 
@@ -673,6 +673,38 @@ class TestRealizeAndFrontEndBatch:
         front_end = FrontEnd(max_segments=4, use_genie_sync=False)
         assert_front_end_matches_reference(front_end, scenario.realize_batch(3, seed=4))
 
+    @pytest.mark.parametrize("pilot_phase_tracking", [False, True])
+    def test_batch_of_mixed_window_geometries_matches_full_grid_reference(
+        self, pilot_phase_tracking
+    ):
+        # Two multipath channels leave 27 and 15 ISI-free samples, so the
+        # interleaved batch holds two window geometries (P = 27 and 15); each
+        # packet must come back in its own place from its own front-end batch.
+        allocation = aci_scenario("qpsk-1/2", -10.0, payload_length=40).allocation
+        batches = [
+            Scenario(
+                allocation,
+                payload_length=40,
+                snr_db=30.0,
+                channel=ExponentialMultipathChannel(spread, allocation.sample_rate_hz),
+            ).realize_batch(3, seed=5)
+            for spread in (50e-9, 100e-9)
+        ]
+        rxs = [rx for pair in zip(*batches) for rx in pair]
+        front_end = FrontEnd(
+            max_segments=allocation.cp_length, pilot_phase_tracking=pilot_phase_tracking
+        )
+        assert_front_end_matches_reference(front_end, rxs)
+        fronts = front_end.process_batch(rxs)
+        assert [front.n_segments for front in fronts] == [27, 15] * 3
+        assert [indices for indices, _ in front_end_batches(fronts)] == [[0, 2, 4], [1, 3, 5]]
+
+    @pytest.mark.parametrize("segments", [1, 40])
+    def test_one_packet_batch_matches_full_grid_reference(self, segments):
+        scenario = aci_scenario("16qam-1/2", -15.0, payload_length=60)
+        front_end = FrontEnd(n_segments=segments, max_segments=40)
+        assert_front_end_matches_reference(front_end, scenario.realize_batch(1, seed=7))
+
     def test_detected_isi_free_count_matches_full_grid_reference(self):
         allocation = aci_scenario("qpsk-1/2", -10.0, payload_length=40).allocation
         channel = ExponentialMultipathChannel(50e-9, allocation.sample_rate_hz)
@@ -868,21 +900,28 @@ class TestChainEquivalence:
         assert np.array_equal(whole, sliced)
         assert np.array_equal(sliced, ViterbiDecoder(reference=True).decode_batch(coded))
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_viterbi_branch_table_is_step_major_and_contiguous(self, dtype):
-        # Each trellis step reads one (batch, 2, 32) block of the table, so
-        # the step axis must be outermost in memory, not just in shape.
+        # Each trellis step reads one (2, 2, 32, batch) block of the table,
+        # frames innermost, so the step axis must be outermost in memory,
+        # not just in shape.
         rng = np.random.default_rng(3)
         batch, n_steps = 5, 11
-        cost_a = rng.integers(-2, 3, size=(batch, n_steps, 2)).astype(dtype)
-        cost_b = rng.integers(-2, 3, size=(batch, n_steps, 2)).astype(dtype)
-        table = _branch_table(cost_a, cost_b)
-        assert table.shape == (n_steps, batch, 2, 32)
-        assert table.flags.c_contiguous
-        # New state s is reached from its even predecessor emitting the coded
-        # pair (exp_a[s, 0], exp_b[s, 0]).
-        expected = cost_a[:, :, _TRELLIS["exp_a"][:, 0]] + cost_b[:, :, _TRELLIS["exp_b"][:, 0]]
-        assert np.array_equal(table, expected.transpose(1, 0, 2).reshape(n_steps, batch, 2, 32))
+        low = 0 if dtype == np.uint8 else -2
+        cost_a = rng.integers(low, 3, size=(n_steps, 2, batch)).astype(dtype)
+        cost_b = rng.integers(low, 3, size=(n_steps, 2, batch)).astype(dtype)
+        # Built into the leading rows of a longer, reused buffer.
+        buffer = np.empty((n_steps + 3, 2, 2, 32, batch), dtype=dtype)
+        table = _branch_table(cost_a, cost_b, buffer)
+        assert table.shape == (n_steps, 2, 2, 32, batch)
+        assert table.dtype == dtype and table.flags.c_contiguous
+        assert np.shares_memory(table, buffer)
+        # Entry [t, p, b, j] is the cost of reaching new state s = 32b + j
+        # from its predecessor 2j + p, which emits the coded pair
+        # (exp_a[s, p], exp_b[s, p]).
+        expected = cost_a[:, _TRELLIS["exp_a"]] + cost_b[:, _TRELLIS["exp_b"]]  # (t, s, p, f)
+        expected = expected.transpose(0, 2, 1, 3).reshape(n_steps, 2, 2, 32, batch)
+        assert np.array_equal(table, expected)
 
     def test_viterbi_soft_paths_agree(self):
         rng = np.random.default_rng(1)
