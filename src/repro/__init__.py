@@ -25,7 +25,6 @@ Quick start::
 """
 
 from repro.channel import (
-    Impairments,
     InterfererSpec,
     ReceivedWaveform,
     Scenario,
@@ -53,7 +52,6 @@ __all__ = [
     "CPRecycleConfig",
     "CPRecycleReceiver",
     "FrontEnd",
-    "Impairments",
     "InterfererSpec",
     "NaiveSegmentReceiver",
     "OfdmAllocation",

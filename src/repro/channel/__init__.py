@@ -1,13 +1,10 @@
-"""Channel substrate: noise, multipath, impairments, interference, scenarios."""
+"""Channel substrate: noise, multipath, interference, scenarios."""
 
-from repro.channel.awgn import add_awgn, awgn_for_snr, complex_awgn
-from repro.channel.impairments import Impairments
 from repro.channel.interference import (
     InterfererSpec,
     RealizedInterference,
     adjacent_channel_interferer,
     co_channel_interferer,
-    realize_interference,
 )
 from repro.channel.multipath import (
     ChannelModel,
@@ -23,18 +20,13 @@ __all__ = [
     "ChannelModel",
     "ExponentialMultipathChannel",
     "FlatChannel",
-    "Impairments",
     "InterfererSpec",
     "RealizedInterference",
     "ReceivedWaveform",
     "Scenario",
     "StaticTapChannel",
-    "add_awgn",
     "adjacent_channel_interferer",
     "apply_channel",
-    "awgn_for_snr",
     "co_channel_interferer",
-    "complex_awgn",
-    "realize_interference",
     "rms_delay_spread",
 ]

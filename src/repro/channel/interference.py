@@ -42,7 +42,6 @@ __all__ = [
     "adjacent_channel_interferer",
     "co_channel_interferer",
     "draw_interference",
-    "realize_interference",
     "scale_interference",
 ]
 
@@ -200,38 +199,20 @@ def co_channel_interferer(
 # --------------------------------------------------------------------------- #
 # Realisation                                                                 #
 # --------------------------------------------------------------------------- #
-def realize_interference(
-    spec: InterfererSpec,
-    n_samples: int,
-    reference_power: float,
-    frame_start: int,
-    rng: int | np.random.Generator | None = None,
-) -> RealizedInterference:
-    """Generate the interference component over a receive buffer.
-
-    Parameters
-    ----------
-    n_samples:
-        Length of the receive buffer the interference must cover.
-    reference_power:
-        Mean power of the (post-channel) desired signal; the component is
-        scaled so the resulting per-interferer SIR equals ``spec.sir_db``.
-    frame_start:
-        Buffer index of the sender's frame start; the timing offset is defined
-        relative to the sender's symbol boundaries.
-    """
-    return scale_interference(
-        spec, draw_interference(spec, n_samples, frame_start, rng), reference_power
-    )
-
-
 def draw_interference(
     spec: InterfererSpec,
     n_samples: int,
     frame_start: int,
     rng: int | np.random.Generator | None = None,
 ) -> InterfererDraw:
-    """Make the random draws of :func:`realize_interference`, none scaled by the SIR."""
+    """Make the random draws of one interferer over a receive buffer.
+
+    ``n_samples`` is the length of the receive buffer the interference must
+    cover, and ``frame_start`` the buffer index of the sender's frame start:
+    the timing offset is defined relative to the sender's symbol
+    boundaries.  None of the draws depends on the SIR;
+    :func:`scale_interference` scales the drawn component to it.
+    """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = ensure_rng(rng)

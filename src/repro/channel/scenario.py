@@ -8,9 +8,9 @@ receiver would see and the individual components (genie information used by
 the Oracle baseline and by the interference-analysis figures).
 
 A realisation is ``compose(draw(rng))``.  :meth:`Scenario.draw` makes every
-random draw of a packet (frame, channel taps, impairments, the interferers'
-raw streams, the noise before scaling); none of them depends on the SNR or
-on an interferer's SIR.  :meth:`Scenario.compose` scales those draws to the
+random draw of a packet (frame, channel taps, the interferers' raw streams,
+the noise before scaling); none of them depends on the SNR or on an
+interferer's SIR.  :meth:`Scenario.compose` scales those draws to the
 scenario's levels.  Scenarios with equal :attr:`Scenario.draw_key` differ at
 most in SNR and SIRs, so they can share one :class:`PacketDraw` per packet
 (the ``draws`` argument of :meth:`Scenario.realize_batch`) and still get
@@ -25,7 +25,6 @@ from typing import Any
 import numpy as np
 
 from repro.channel.awgn import standard_complex_noise
-from repro.channel.impairments import Impairments
 from repro.channel.interference import (
     InterfererDraw,
     InterfererSpec,
@@ -71,11 +70,6 @@ class ReceivedWaveform:
     def allocation(self) -> OfdmAllocation:
         """Subcarrier allocation of the desired transmission."""
         return self.spec.allocation
-
-    @property
-    def preamble_start(self) -> int:
-        """Buffer index of the first training symbol."""
-        return self.frame_start + self.spec.preamble_start
 
     @property
     def data_start(self) -> int:
@@ -154,15 +148,11 @@ class Scenario:
         Zero or more :class:`InterfererSpec`.
     channel:
         Propagation channel of the desired link.
-    impairments:
-        Optional front-end impairments applied to the desired signal.
     n_preamble_symbols:
         Number of training symbols (the paper's ``Np``).
     pad_symbols:
-        Idle symbol durations inserted before and after the frame (gives sync
-        algorithms room and lets interference cover the whole frame).
-    include_stf:
-        Prepend a short training field (only needed for real packet detection).
+        Idle symbol durations inserted before and after the frame, so that
+        interference covers the whole frame.
     """
 
     def __init__(
@@ -173,10 +163,8 @@ class Scenario:
         snr_db: float = 30.0,
         interferers: tuple[InterfererSpec, ...] | list[InterfererSpec] = (),
         channel: ChannelModel | None = None,
-        impairments: Impairments | None = None,
         n_preamble_symbols: int = 2,
         pad_symbols: int = 2,
-        include_stf: bool = False,
     ):
         self.allocation = allocation
         self.mcs_name = mcs_name
@@ -184,15 +172,10 @@ class Scenario:
         self.snr_db = snr_db
         self.interferers = tuple(interferers)
         self.channel = channel if channel is not None else FlatChannel()
-        self.impairments = impairments if impairments is not None else Impairments()
         self.n_preamble_symbols = n_preamble_symbols
         self.pad_symbols = pad_symbols
-        self.include_stf = include_stf
         self._transmitter = OfdmTransmitter(
-            allocation,
-            mcs_name=mcs_name,
-            n_preamble_symbols=n_preamble_symbols,
-            include_stf=include_stf,
+            allocation, mcs_name=mcs_name, n_preamble_symbols=n_preamble_symbols
         )
 
     # ------------------------------------------------------------------ #
@@ -214,10 +197,8 @@ class Scenario:
             self.mcs_name,
             self.payload_length,
             self.channel,
-            self.impairments,
             self.n_preamble_symbols,
             self.pad_symbols,
-            self.include_stf,
             tuple(replace(spec, sir_db=0.0) for spec in self.interferers),
         )
 
@@ -267,8 +248,6 @@ class Scenario:
 
         taps = self.channel.sample_taps(rng)
         faded = apply_channel(frame.waveform, taps)
-        if not self.impairments.is_ideal:
-            faded = self.impairments.apply(faded, self.allocation.sample_rate_hz, rng)
 
         pad = self.pad_symbols * self.allocation.symbol_length
         n_samples = pad + faded.size + pad

@@ -156,24 +156,6 @@ class InterferenceModel:
         """Total deviation samples per subcarrier (``P * Np``)."""
         return self.n_segments * self.n_preambles
 
-    def update(self, new_deviations: np.ndarray) -> "InterferenceModel":
-        """Return a new model that also incorporates ``new_deviations``.
-
-        ``new_deviations`` must have shape ``(n_subcarriers, n_segments, k)``;
-        the paper recomputes the densities every time a fresh preamble is
-        received, and this helper supports that streaming use.
-        """
-        new_deviations = np.asarray(new_deviations, dtype=complex)
-        if new_deviations.ndim == 2:
-            new_deviations = new_deviations[:, :, None]
-        if new_deviations.shape[:2] != self.deviations.shape[:2]:
-            raise ValueError(
-                f"expected deviations shaped ({self.n_subcarriers}, {self.n_segments}, k), "
-                f"got {new_deviations.shape}"
-            )
-        merged = np.concatenate([self.deviations, new_deviations], axis=2)
-        return InterferenceModel(merged, self.config)
-
     @functools.cached_property
     def _kernel_banks(self) -> tuple[np.ndarray, np.ndarray]:
         """The densities' constants as :func:`_segment_summed_log_density` reads them.

@@ -35,7 +35,7 @@ def interference_power_per_segment(
     interference).
     """
     component = rx.interference_plus_noise() if include_noise else rx.interference
-    start = rx.data_start if data_start else rx.preamble_start
+    start = rx.data_start if data_start else rx.frame_start
     n_symbols = rx.spec.n_data_symbols if data_start else rx.spec.n_preamble_symbols
     spectra = extract_segments(
         component,

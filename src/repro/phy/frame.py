@@ -39,6 +39,8 @@ TAIL_BITS = convolutional.CONSTRAINT_LENGTH - 1
 class FrameSpec:
     """Static description of one frame format.
 
+    A frame is its training symbols followed by its data symbols.
+
     Parameters
     ----------
     allocation:
@@ -54,9 +56,6 @@ class FrameSpec:
         Initial state of the 802.11 scrambler.
     preamble_seed:
         Seed of the pseudo-random training sequence for non-802.11 grids.
-    include_stf:
-        Whether a short-training-field waveform precedes the training symbols
-        (needed only when receivers perform real packet detection).
     """
 
     allocation: OfdmAllocation
@@ -65,7 +64,6 @@ class FrameSpec:
     n_preamble_symbols: int = 2
     scrambler_seed: int = DEFAULT_SCRAMBLER_SEED
     preamble_seed: int = 7
-    include_stf: bool = False
 
     def __post_init__(self) -> None:
         if self.payload_length < 1:
@@ -122,22 +120,9 @@ class FrameSpec:
     # Frame geometry (sample offsets)                                    #
     # ------------------------------------------------------------------ #
     @property
-    def stf_length(self) -> int:
-        """Length in samples of the short training field (0 when disabled)."""
-        if not self.include_stf:
-            return 0
-        # Two symbol durations worth of short repetitions, as in 802.11.
-        return 2 * self.allocation.symbol_length
-
-    @property
-    def preamble_start(self) -> int:
-        """Sample offset of the first training symbol within the frame."""
-        return self.stf_length
-
-    @property
     def data_start(self) -> int:
         """Sample offset of the first data symbol within the frame."""
-        return self.preamble_start + self.n_preamble_symbols * self.allocation.symbol_length
+        return self.n_preamble_symbols * self.allocation.symbol_length
 
     @property
     def n_samples(self) -> int:

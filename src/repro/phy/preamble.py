@@ -1,12 +1,10 @@
 """Preamble (training symbol) generation.
 
 Every frame starts with ``n_preamble_symbols`` training OFDM symbols whose
-frequency-domain content is known to the receiver.  They serve three
+frequency-domain content is known to the receiver.  They serve two
 purposes, exactly as in the paper:
 
-* packet detection and timing synchronisation (together with the optional
-  short training field),
-* least-squares channel estimation, and
+* channel estimation, and
 * training of the CPRecycle per-subcarrier interference model (the paper uses
   the 802.11 long training field, and notes that more preambles improve the
   model; the count is configurable here).
@@ -27,13 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "dot11_ltf_sequence",
-    "dot11_stf_sequence",
-    "dot11_stf_waveform",
-    "preamble_frequency_symbols",
-    "generic_stf_waveform",
-]
+__all__ = ["dot11_ltf_sequence", "preamble_frequency_symbols"]
 
 from repro.phy.subcarriers import OfdmAllocation
 
@@ -47,12 +39,6 @@ _LTF_MINUS26_TO_26 = np.array(
     dtype=float,
 )
 
-# L-STF occupies every fourth subcarrier of the 802.11 grid.
-_STF_BINS_SIGNED = (-24, -20, -16, -12, -8, -4, 4, 8, 12, 16, 20, 24)
-_STF_VALUES = np.sqrt(13.0 / 6.0) * np.array(
-    [1 + 1j, -1 - 1j, 1 + 1j, -1 - 1j, -1 - 1j, 1 + 1j, -1 - 1j, -1 - 1j, 1 + 1j, 1 + 1j, 1 + 1j, 1 + 1j]
-)
-
 
 def dot11_ltf_sequence(fft_size: int = 64) -> np.ndarray:
     """Frequency-domain L-LTF sequence on a 64-bin grid (FFT bin order)."""
@@ -62,42 +48,6 @@ def dot11_ltf_sequence(fft_size: int = 64) -> np.ndarray:
     for offset, value in zip(range(-26, 27), _LTF_MINUS26_TO_26):
         grid[offset % fft_size] = value
     return grid
-
-
-def dot11_stf_sequence(fft_size: int = 64) -> np.ndarray:
-    """Frequency-domain L-STF sequence on a 64-bin grid (FFT bin order)."""
-    if fft_size != 64:
-        raise ValueError("the 802.11 L-STF is defined on a 64-bin grid")
-    grid = np.zeros(fft_size, dtype=complex)
-    for signed_bin, value in zip(_STF_BINS_SIGNED, _STF_VALUES):
-        grid[signed_bin % fft_size] = value
-    return grid
-
-
-def dot11_stf_waveform(n_repetitions: int = 10) -> np.ndarray:
-    """Time-domain L-STF: ``n_repetitions`` copies of the 16-sample pattern."""
-    freq = dot11_stf_sequence()
-    symbol = np.fft.ifft(freq) * np.sqrt(64)
-    short = symbol[:16]
-    return np.tile(short, n_repetitions)
-
-
-def generic_stf_waveform(allocation: OfdmAllocation, n_repetitions: int = 8, seed: int = 17) -> np.ndarray:
-    """A short-training-style periodic waveform for arbitrary allocations.
-
-    Energy is placed on every fourth occupied bin so the time-domain signal is
-    periodic with period ``fft_size // 4`` — the same property packet
-    detectors rely on with the genuine 802.11 STF.
-    """
-    rng = np.random.default_rng(seed)
-    grid = np.zeros(allocation.fft_size, dtype=complex)
-    occupied = allocation.occupied_bin_array()
-    chosen = occupied[::4] if occupied.size >= 4 else occupied
-    values = (1 + 1j) * (1.0 - 2.0 * rng.integers(0, 2, size=chosen.size))
-    grid[chosen] = values / np.sqrt(2.0)
-    symbol = np.fft.ifft(grid) * np.sqrt(allocation.fft_size)
-    period = allocation.fft_size // 4
-    return np.tile(symbol[:period], n_repetitions)
 
 
 def preamble_frequency_symbols(

@@ -10,7 +10,6 @@ from repro.phy.frame import FrameSpec, encode_data_field, prepare_data_bits
 from repro.phy.mcs import get_mcs
 from repro.phy.ofdm import apply_edge_window, assemble_frequency_symbols, ofdm_modulate
 from repro.phy.pilots import pilot_values
-from repro.phy.preamble import dot11_stf_waveform, generic_stf_waveform
 from repro.phy.subcarriers import OfdmAllocation
 from repro.utils.bits import random_bits, random_bytes
 from repro.utils.rng import ensure_rng
@@ -66,7 +65,6 @@ class OfdmTransmitter:
         n_preamble_symbols: int = 2,
         scrambler_seed: int | None = None,
         preamble_seed: int = 7,
-        include_stf: bool = False,
         edge_window_length: int = 0,
     ):
         self.allocation = allocation
@@ -74,7 +72,6 @@ class OfdmTransmitter:
         self.n_preamble_symbols = n_preamble_symbols
         self.scrambler_seed = scrambler_seed
         self.preamble_seed = preamble_seed
-        self.include_stf = include_stf
         if edge_window_length < 0:
             raise ValueError("edge_window_length must be non-negative")
         self.edge_window_length = edge_window_length
@@ -94,7 +91,6 @@ class OfdmTransmitter:
                 payload_length=payload_length,
                 n_preamble_symbols=self.n_preamble_symbols,
                 preamble_seed=self.preamble_seed,
-                include_stf=self.include_stf,
                 **kwargs,
             )
             self._specs[payload_length] = spec
@@ -117,13 +113,7 @@ class OfdmTransmitter:
 
         preamble_grid = spec.preamble_frequency
         frame_grid = np.concatenate([preamble_grid, data_grid], axis=0)
-        body = ofdm_modulate(self.allocation, frame_grid)
-
-        if self.include_stf:
-            stf = self._stf_waveform(spec)
-            waveform = np.concatenate([stf, body])
-        else:
-            waveform = body
+        waveform = ofdm_modulate(self.allocation, frame_grid)
         return TxFrame(
             waveform=waveform, spec=spec, payload=payload, psdu=psdu, data_points=points
         )
@@ -167,17 +157,3 @@ class OfdmTransmitter:
         if self.edge_window_length:
             stream = apply_edge_window(stream, self.allocation, self.edge_window_length)
         return stream
-
-    # ------------------------------------------------------------------ #
-    def _stf_waveform(self, spec: FrameSpec) -> np.ndarray:
-        """Short training field sized to two OFDM symbol durations."""
-        if self.allocation.fft_size == 64 and self.allocation.name.startswith("802.11"):
-            stf = dot11_stf_waveform()
-        else:
-            period = self.allocation.fft_size // 4
-            reps = int(np.ceil(2 * self.allocation.symbol_length / period))
-            stf = generic_stf_waveform(self.allocation, n_repetitions=reps)
-        target = spec.stf_length
-        if stf.size < target:
-            stf = np.resize(stf, target)
-        return stf[:target]

@@ -1,11 +1,10 @@
-"""Receiver substrate: synchronisation, front end, decode chain, baselines."""
+"""Receiver substrate: front end, decode chain, standard baseline."""
 
 from repro.receiver.base import Demodulated, OfdmReceiverBase, ReceiverOutput
-from repro.receiver.channel_est import estimate_channel_ls, smooth_channel_estimate
+from repro.receiver.channel_est import estimate_channel_ls
 from repro.receiver.decode_chain import DecodedFrame, decode_coded_bits, decode_coded_bits_batch
-from repro.receiver.equalizer import apply_common_phase, equalize, estimate_common_phase
+from repro.receiver.equalizer import equalize
 from repro.receiver.frontend import FrontEnd, FrontEndOutput
-from repro.receiver.isi_free import cp_correlation_profile, detect_isi_free_samples
 from repro.receiver.segments import (
     extract_segments,
     reference_segment_index,
@@ -13,7 +12,6 @@ from repro.receiver.segments import (
     segment_phase_ramp,
 )
 from repro.receiver.standard import StandardOfdmReceiver
-from repro.receiver.sync import SyncResult, detect_packet, estimate_cfo, fine_timing, synchronize
 
 __all__ = [
     "DecodedFrame",
@@ -23,22 +21,12 @@ __all__ = [
     "OfdmReceiverBase",
     "ReceiverOutput",
     "StandardOfdmReceiver",
-    "SyncResult",
-    "apply_common_phase",
-    "cp_correlation_profile",
     "decode_coded_bits",
     "decode_coded_bits_batch",
-    "detect_isi_free_samples",
-    "detect_packet",
     "equalize",
     "estimate_channel_ls",
-    "estimate_cfo",
-    "estimate_common_phase",
     "extract_segments",
-    "fine_timing",
     "reference_segment_index",
     "segment_offsets",
     "segment_phase_ramp",
-    "smooth_channel_estimate",
-    "synchronize",
 ]

@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "estimate_channel_ls",
-    "estimate_channel_best_segment",
-    "smooth_channel_estimate",
-]
+__all__ = ["estimate_channel_ls", "estimate_channel_best_segment"]
 
 
 def estimate_channel_ls(received_preamble: np.ndarray, known_preamble: np.ndarray) -> np.ndarray:
@@ -101,26 +97,3 @@ def estimate_channel_best_segment(
     estimate = np.take_along_axis(means, best[..., None, :], axis=-2)[..., 0, :]
     estimate[np.abs(estimate) < 1e-12] = 1e-12
     return estimate
-
-
-def smooth_channel_estimate(
-    estimate: np.ndarray, occupied_bins: np.ndarray, window: int = 3
-) -> np.ndarray:
-    """Moving-average smoothing of a channel estimate across occupied bins.
-
-    Adjacent subcarriers of an indoor channel are strongly correlated, so a
-    short moving average reduces the noise in the least-squares estimate
-    without noticeably biasing it.  ``window`` must be odd.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be a positive odd integer")
-    if window == 1:
-        return estimate.copy()
-    occupied = np.asarray(occupied_bins, dtype=int)
-    values = estimate[occupied]
-    kernel = np.ones(window) / window
-    padded = np.concatenate([values[: window // 2][::-1], values, values[-(window // 2):][::-1]])
-    smoothed_vals = np.convolve(padded, kernel, mode="valid")
-    smoothed = estimate.copy()
-    smoothed[occupied] = smoothed_vals
-    return smoothed

@@ -1,10 +1,10 @@
-"""Frequency-domain equalisation and pilot-based phase tracking."""
+"""Frequency-domain zero-forcing equalisation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["equalize", "estimate_common_phase", "apply_common_phase"]
+__all__ = ["equalize"]
 
 
 def equalize(spectra: np.ndarray, channel_estimate: np.ndarray) -> np.ndarray:
@@ -21,44 +21,3 @@ def equalize(spectra: np.ndarray, channel_estimate: np.ndarray) -> np.ndarray:
             f"FFT size {spectra.shape[-1]}"
         )
     return spectra / channel_estimate
-
-
-def estimate_common_phase(
-    equalized: np.ndarray, pilot_bins: np.ndarray, pilot_values: np.ndarray
-) -> np.ndarray:
-    """Common phase error per OFDM symbol estimated from the pilots.
-
-    Parameters
-    ----------
-    equalized:
-        Equalised symbols of shape ``(n_symbols, fft_size)``.
-    pilot_bins:
-        Pilot bin indices.
-    pilot_values:
-        Known pilot values of shape ``(n_symbols, n_pilots)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Phase (radians) per symbol; zero when the allocation has no pilots.
-    """
-    equalized = np.atleast_2d(equalized)
-    pilot_bins = np.asarray(pilot_bins, dtype=int)
-    if pilot_bins.size == 0:
-        return np.zeros(equalized.shape[0])
-    pilots = equalized[:, pilot_bins]
-    reference = np.asarray(pilot_values, dtype=complex)
-    if reference.shape != pilots.shape:
-        raise ValueError(
-            f"pilot_values shape {reference.shape} does not match received pilots {pilots.shape}"
-        )
-    return np.angle(np.sum(pilots * np.conj(reference), axis=1))
-
-
-def apply_common_phase(equalized: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Remove a per-symbol common phase error."""
-    equalized = np.atleast_2d(equalized)
-    phase = np.asarray(phase)
-    if phase.shape[0] != equalized.shape[0]:
-        raise ValueError("one phase value per symbol is required")
-    return equalized * np.exp(-1j * phase)[:, None]

@@ -3,12 +3,14 @@
 The front end turns received sample buffers into equalised frequency-domain
 observations of each frame's data subcarriers:
 
-1. frame timing (genie by default, real synchronisation optionally),
-2. determination of the number of usable FFT segments ``P``,
+1. frame timing, taken from the scenario (genie sync: the paper evaluates
+   decoding, not acquisition),
+2. the number of usable FFT segments ``P``, from the genie count of ISI-free
+   cyclic prefix samples unless fixed,
 3. per-segment FFT of the training and data symbols, keeping only the
    occupied bins, with the phase ramp of Proposition 3.1 corrected,
 4. channel estimation from the training symbols' occupied bins,
-5. zero-forcing equalisation and optional pilot-based common-phase tracking.
+5. zero-forcing equalisation.
 
 All downstream receivers — standard, naive, oracle and CPRecycle — consume
 the resulting :class:`FrontEndOutput`, so their comparison isolates the
@@ -33,11 +35,9 @@ import numpy as np
 
 from repro.channel.scenario import ReceivedWaveform
 from repro.phy.frame import FrameSpec
-from repro.phy.ofdm import symbol_start_indices
 from repro.phy.subcarriers import OfdmAllocation
 from repro.receiver.channel_est import estimate_channel_best_segment, estimate_channel_ls
-from repro.receiver.equalizer import apply_common_phase, equalize, estimate_common_phase
-from repro.receiver.isi_free import detect_isi_free_samples
+from repro.receiver.equalizer import equalize
 from repro.receiver.segments import (
     extract_segments,
     phase_ramps,
@@ -46,7 +46,6 @@ from repro.receiver.segments import (
     segment_offsets,
     segment_windows,
 )
-from repro.receiver.sync import synchronize
 from repro.utils.validation import require_positive_int
 
 __all__ = ["FrontEnd", "FrontEndBatch", "FrontEndOutput", "front_end_batches"]
@@ -180,25 +179,18 @@ def front_end_batches(
 class FrontEnd:
     """Configurable shared receiver front end.
 
+    The frame start is the scenario's (the paper evaluates decoding, not
+    sync), and so is the count of ISI-free cyclic prefix samples, which
+    follows from the known channel.
+
     Parameters
     ----------
     n_segments:
         Number of FFT segments to extract.  ``None`` uses every ISI-free
-        cyclic prefix sample (genie knowledge of the channel delay spread, or
-        the correlation detector when ``use_genie_isi_free`` is False), capped
-        at ``max_segments``.
+        cyclic prefix sample, capped at ``max_segments``.
     max_segments:
         Upper bound on ``P`` — the paper's knob for trading computation
         against interference-mitigation capability (Fig. 14).
-    use_genie_sync:
-        Take the frame start index from the scenario instead of running
-        acquisition.  Default True (the paper evaluates decoding, not sync).
-    use_genie_isi_free:
-        Take the ISI-free sample count from the known channel instead of the
-        correlation-based detector.
-    pilot_phase_tracking:
-        Estimate and remove a per-symbol common phase error from the pilots.
-        Off by default; enable when simulating CFO or phase noise.
     channel_estimator:
         ``"ls-reference"`` — least squares from the training symbols at the
         standard FFT window (what a conventional receiver does, and the only
@@ -217,9 +209,6 @@ class FrontEnd:
         self,
         n_segments: int | None = None,
         max_segments: int = 16,
-        use_genie_sync: bool = True,
-        use_genie_isi_free: bool = True,
-        pilot_phase_tracking: bool = False,
         channel_estimator: str = "best-segment",
     ):
         if n_segments is not None:
@@ -232,9 +221,6 @@ class FrontEnd:
             )
         self.n_segments = n_segments
         self.max_segments = max_segments
-        self.use_genie_sync = use_genie_sync
-        self.use_genie_isi_free = use_genie_isi_free
-        self.pilot_phase_tracking = pilot_phase_tracking
         self.channel_estimator = channel_estimator
 
     #: (Packet, segment) rows per FFT chunk.  A chunk transforms whole
@@ -304,12 +290,11 @@ class FrontEnd:
         delays = tuple((allocation.cp_length - offsets).tolist())
         n_preamble, n_symbols = spec.n_preamble_symbols, spec.n_data_symbols
         n_all, n_packets = n_preamble + n_symbols, len(rxs)
-        tracking = self.pilot_phase_tracking and allocation.n_pilot_subcarriers > 0
 
         # The data symbols follow the training symbols back to back, so one
         # span of samples per packet covers every window of the frame.
         span = (n_all - 1) * allocation.symbol_length + n_segments - 1 + fft_size
-        firsts = [start + spec.preamble_start + int(offsets[0]) for start in frame_starts]
+        firsts = [start + int(offsets[0]) for start in frame_starts]
         for rx, first in zip(rxs, firsts):
             if first < 0 or first + span > rx.composite.size:
                 raise ValueError(
@@ -322,9 +307,6 @@ class FrontEnd:
         channel = np.empty((n_packets, occupied.size), dtype=complex)
         known = spec.preamble_frequency[:, occupied]
         occupied_ramps = phase_ramps(fft_size, delays, tuple(occupied.tolist()))[:, None, :]
-        if tracking:
-            pilot_bins = allocation.pilot_bin_array()
-            pilots = np.empty((n_packets, n_symbols, pilot_bins.size), dtype=complex)
         n_parts = -(-n_segments // self.FFT_CHUNK_SEGMENTS)
         part_size = -(-n_segments // n_parts)
         per_chunk = min(max(1, self.FFT_CHUNK_SEGMENTS // n_segments), n_packets)
@@ -342,9 +324,6 @@ class FrontEnd:
                 preamble[:, rows] = spectra[:, :, :n_preamble, occupied]
                 for symbols, array in kept:
                     array[chunk, :, rows] = spectra[:, :, symbols, data_bins].transpose(0, 3, 1, 2)
-                if tracking and rows.stop >= n_segments:
-                    # The standard receiver's window is the last segment.
-                    pilots[chunk] = spectra[:, -1, n_preamble:][..., pilot_bins]
             # Freed before the estimate, which reads every segment of the chunk.
             del work, spectra
             scale_spectra(preamble, fft_size)
@@ -358,17 +337,6 @@ class FrontEnd:
             scale_spectra(array, fft_size)
             array *= data_ramps
             array /= data_channel[:, :, None, None]
-        if tracking:
-            scale_spectra(pilots, fft_size)
-            pilots *= phase_ramps(fft_size, delays, tuple(pilot_bins.tolist()))[-1]
-            pilots /= channel[:, None, np.searchsorted(occupied, pilot_bins)]
-            phase = np.stack(
-                [
-                    estimate_common_phase(packet, np.arange(pilot_bins.size), spec.data_pilot_values)
-                    for packet in pilots
-                ]
-            )
-            data *= np.exp(-1j * phase)[:, None, None, :]
 
         return FrontEndBatch(
             spec=spec,
@@ -393,8 +361,7 @@ class FrontEnd:
         offsets = segment_offsets(allocation.cp_length, n_segments)
 
         preamble_segments = extract_segments(
-            rx.composite, allocation, spec.n_preamble_symbols, frame_start + spec.preamble_start,
-            offsets=offsets,
+            rx.composite, allocation, spec.n_preamble_symbols, frame_start, offsets=offsets
         )
         data_segments = extract_segments(
             rx.composite, allocation, spec.n_data_symbols, frame_start + spec.data_start,
@@ -406,14 +373,6 @@ class FrontEnd:
         )
         preamble_eq = equalize(preamble_segments, channel)
         data_eq = equalize(data_segments, channel)
-
-        if self.pilot_phase_tracking and allocation.n_pilot_subcarriers:
-            reference_data = data_eq[reference_segment_index(offsets.size)]
-            phase = estimate_common_phase(
-                reference_data, allocation.pilot_bin_array(), spec.data_pilot_values
-            )
-            data_eq = np.stack([apply_common_phase(seg, phase) for seg in data_eq])
-
         return FrontEndOutput(
             spec=spec,
             preamble=preamble_eq,
@@ -426,20 +385,8 @@ class FrontEnd:
     # ------------------------------------------------------------------ #
     def _windows(self, rx: ReceivedWaveform) -> tuple[int, int]:
         """Frame start and the number ``P`` of FFT segments."""
-        allocation = rx.allocation
-        if self.use_genie_sync:
-            frame_start = rx.frame_start
-        else:
-            frame_start = synchronize(rx.composite, rx.spec).frame_start
-        if self.n_segments is not None:
-            requested = self.n_segments
-        elif self.use_genie_isi_free:
-            requested = rx.isi_free_cp_samples
-        else:
-            data_start = frame_start + rx.spec.data_start
-            starts = symbol_start_indices(allocation, rx.spec.n_data_symbols, data_start)
-            requested = detect_isi_free_samples(rx.composite, allocation, starts)
-        return frame_start, max(min(requested, self.max_segments, allocation.cp_length), 1)
+        requested = rx.isi_free_cp_samples if self.n_segments is None else self.n_segments
+        return rx.frame_start, max(min(requested, self.max_segments, rx.allocation.cp_length), 1)
 
     def _estimate_channel(self, preamble: np.ndarray, known: np.ndarray) -> np.ndarray:
         """Channel estimate from ``(..., P, Np, n_bins)`` training spectra and known values."""

@@ -1,51 +1,18 @@
 """Utility layer: DSP helpers, bit manipulation, RNG management, validation."""
 
-from repro.utils.bits import (
-    bit_error_rate,
-    bit_errors,
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    int_to_bits,
-    pad_bits,
-    random_bits,
-    random_bytes,
-    xor_bits,
-)
-from repro.utils.dsp import (
-    add_at,
-    db_to_linear,
-    frequency_shift,
-    linear_to_db,
-    normalize_power,
-    papr_db,
-    rms,
-    scale_for_target_ratio_db,
-    signal_power,
-)
+from repro.utils.bits import bits_to_bytes, bytes_to_bits, random_bits, random_bytes
+from repro.utils.dsp import db_to_linear, linear_to_db, signal_power
 from repro.utils.rng import child_rng, ensure_rng, spawn_rngs
 
 __all__ = [
-    "add_at",
-    "bit_error_rate",
-    "bit_errors",
     "bits_to_bytes",
-    "bits_to_int",
     "bytes_to_bits",
     "child_rng",
     "db_to_linear",
     "ensure_rng",
-    "frequency_shift",
-    "int_to_bits",
     "linear_to_db",
-    "normalize_power",
-    "pad_bits",
-    "papr_db",
     "random_bits",
     "random_bytes",
-    "rms",
-    "scale_for_target_ratio_db",
     "signal_power",
     "spawn_rngs",
-    "xor_bits",
 ]

@@ -10,18 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "bytes_to_bits",
-    "bits_to_bytes",
-    "int_to_bits",
-    "bits_to_int",
-    "random_bits",
-    "random_bytes",
-    "bit_errors",
-    "bit_error_rate",
-    "xor_bits",
-    "pad_bits",
-]
+__all__ = ["bytes_to_bits", "bits_to_bytes", "random_bits", "random_bytes"]
 
 
 def bytes_to_bits(data: bytes | bytearray | np.ndarray) -> np.ndarray:
@@ -42,29 +31,6 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def int_to_bits(value: int, width: int, lsb_first: bool = True) -> np.ndarray:
-    """Represent ``value`` as ``width`` bits."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    bits = np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-    if not lsb_first:
-        bits = bits[::-1]
-    return bits
-
-
-def bits_to_int(bits: np.ndarray, lsb_first: bool = True) -> int:
-    """Inverse of :func:`int_to_bits`."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if not lsb_first:
-        bits = bits[::-1]
-    value = 0
-    for i, bit in enumerate(bits):
-        value |= int(bit) << i
-    return value
-
-
 def random_bits(count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random bit vector of length ``count``."""
     return rng.integers(0, 2, size=count, dtype=np.uint8)
@@ -73,35 +39,3 @@ def random_bits(count: int, rng: np.random.Generator) -> np.ndarray:
 def random_bytes(count: int, rng: np.random.Generator) -> bytes:
     """Uniform random byte string of length ``count``."""
     return rng.integers(0, 256, size=count, dtype=np.uint8).tobytes()
-
-
-def bit_errors(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of positions where two equal-length bit vectors differ."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
-
-
-def bit_error_rate(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of differing positions between two equal-length bit vectors."""
-    a = np.asarray(a)
-    if a.size == 0:
-        raise ValueError("cannot compute a bit error rate over zero bits")
-    return bit_errors(a, b) / a.size
-
-
-def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise XOR of two bit vectors."""
-    return (np.asarray(a, dtype=np.uint8) ^ np.asarray(b, dtype=np.uint8)).astype(np.uint8)
-
-
-def pad_bits(bits: np.ndarray, multiple: int, value: int = 0) -> np.ndarray:
-    """Pad a bit vector with ``value`` up to the next multiple of ``multiple``."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    remainder = bits.size % multiple
-    if remainder == 0:
-        return bits.copy()
-    pad = np.full(multiple - remainder, value, dtype=np.uint8)
-    return np.concatenate([bits, pad])

@@ -1,28 +1,15 @@
 """Low-level DSP helpers shared across the library.
 
 The helpers here are deliberately small and free of state: dB/linear
-conversions, signal power measurement, SNR/SIR calibration and frequency
-shifting.  Everything operates on numpy arrays of complex baseband samples.
+conversions and signal power measurement on numpy arrays of complex
+baseband samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "db_to_linear",
-    "linear_to_db",
-    "db_to_power_ratio",
-    "power_ratio_to_db",
-    "signal_power",
-    "normalize_power",
-    "scale_to_power",
-    "scale_for_target_ratio_db",
-    "frequency_shift",
-    "rms",
-    "papr_db",
-    "add_at",
-]
+__all__ = ["db_to_linear", "linear_to_db", "signal_power"]
 
 
 def db_to_linear(value_db: float | np.ndarray) -> float | np.ndarray:
@@ -41,11 +28,6 @@ def linear_to_db(value: float | np.ndarray, floor: float = 1e-30) -> float | np.
     return 10.0 * np.log10(value)
 
 
-# Aliases with more explicit names, used where readability matters.
-db_to_power_ratio = db_to_linear
-power_ratio_to_db = linear_to_db
-
-
 def signal_power(samples: np.ndarray) -> float:
     """Mean power (average of |x|^2) of a sample vector.
 
@@ -56,72 +38,3 @@ def signal_power(samples: np.ndarray) -> float:
     if samples.size == 0:
         raise ValueError("cannot compute the power of an empty signal")
     return float(np.mean(np.abs(samples) ** 2))
-
-
-def rms(samples: np.ndarray) -> float:
-    """Root-mean-square amplitude of a sample vector."""
-    return float(np.sqrt(signal_power(samples)))
-
-
-def papr_db(samples: np.ndarray) -> float:
-    """Peak-to-average power ratio of a waveform, in dB."""
-    samples = np.asarray(samples)
-    peak = float(np.max(np.abs(samples) ** 2))
-    return float(linear_to_db(peak / signal_power(samples)))
-
-
-def normalize_power(samples: np.ndarray, target_power: float = 1.0) -> np.ndarray:
-    """Return a copy of ``samples`` scaled to the given mean power."""
-    power = signal_power(samples)
-    if power == 0.0:
-        raise ValueError("cannot normalise an all-zero signal")
-    return samples * np.sqrt(target_power / power)
-
-
-def scale_to_power(samples: np.ndarray, target_power: float) -> np.ndarray:
-    """Alias of :func:`normalize_power` with an explicit target."""
-    return normalize_power(samples, target_power)
-
-
-def scale_for_target_ratio_db(
-    reference: np.ndarray, other: np.ndarray, ratio_db: float
-) -> np.ndarray:
-    """Scale ``other`` so that ``power(reference) / power(other)`` equals ``ratio_db``.
-
-    This is the primitive used to calibrate SNR (reference = signal,
-    other = noise) and SIR (reference = signal, other = interference).
-    """
-    p_ref = signal_power(reference)
-    p_other = signal_power(other)
-    if p_other == 0.0:
-        raise ValueError("cannot scale an all-zero signal to a target power ratio")
-    target_other_power = p_ref / db_to_linear(ratio_db)
-    return other * np.sqrt(target_other_power / p_other)
-
-
-def frequency_shift(
-    samples: np.ndarray, frequency_hz: float, sample_rate_hz: float, phase0: float = 0.0
-) -> np.ndarray:
-    """Mix a complex baseband signal by ``frequency_hz``.
-
-    Positive frequencies shift the spectrum towards higher frequencies.
-    """
-    samples = np.asarray(samples)
-    n = np.arange(samples.shape[-1])
-    rotator = np.exp(1j * (2.0 * np.pi * frequency_hz / sample_rate_hz * n + phase0))
-    return samples * rotator
-
-
-def add_at(buffer: np.ndarray, offset: int, samples: np.ndarray) -> np.ndarray:
-    """Add ``samples`` into ``buffer`` starting at ``offset`` (in place).
-
-    Samples that would fall outside the buffer are ignored, which makes the
-    helper convenient for laying interference bursts over a frame of interest.
-    The (possibly unmodified) buffer is returned for chaining.
-    """
-    if offset >= buffer.shape[0] or offset + samples.shape[0] <= 0:
-        return buffer
-    start = max(offset, 0)
-    stop = min(offset + samples.shape[0], buffer.shape[0])
-    buffer[start:stop] += samples[start - offset : stop - offset]
-    return buffer

@@ -16,10 +16,7 @@ __all__ = [
     "require_non_negative_int",
     "require_positive",
     "require_non_negative",
-    "require_in_range",
-    "require_power_of_two",
     "require_unique_indices",
-    "require_probability",
 ]
 
 
@@ -50,24 +47,6 @@ def require_non_negative(value: float, name: str) -> float:
     value = float(value)
     if not (value >= 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return value
-
-
-def require_in_range(value: float, name: str, low: float, high: float) -> float:
-    value = float(value)
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
-
-
-def require_probability(value: float, name: str) -> float:
-    return require_in_range(value, name, 0.0, 1.0)
-
-
-def require_power_of_two(value: int, name: str) -> int:
-    value = require_positive_int(value, name)
-    if value & (value - 1) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value}")
     return value
 
 

@@ -1,39 +1,31 @@
-"""Unit tests for noise, multipath, impairments and standards data."""
+"""Unit tests for noise, multipath and standards data."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel import awgn, multipath
-from repro.channel.impairments import Impairments, apply_cfo, apply_iq_imbalance, apply_phase_noise
 from repro.standards.dot11 import DOT11_CP_TABLE, cp_overhead_fraction, isi_free_samples, table1_rows
 from repro.utils.dsp import signal_power
 
 
 class TestAwgn:
     def test_power_calibration(self):
-        noise = awgn.complex_awgn(200_000, power=0.25, rng=0)
-        assert signal_power(noise) == pytest.approx(0.25, rel=0.02)
-
-    def test_snr_calibration(self):
-        signal = np.ones(100_000, dtype=complex)
-        noise = awgn.awgn_for_snr(signal, snr_db=10.0, rng=1)
-        measured = 10 * np.log10(signal_power(signal) / signal_power(noise))
-        assert measured == pytest.approx(10.0, abs=0.1)
-
-    def test_add_awgn_shape(self):
-        signal = np.zeros(64, dtype=complex) + 1.0
-        assert awgn.add_awgn(signal, 20.0, rng=0).shape == signal.shape
+        # Standard normal real and imaginary parts: mean power 2.
+        noise = awgn.standard_complex_noise(200_000, rng=0)
+        assert signal_power(noise) == pytest.approx(2.0, rel=0.02)
 
     def test_zero_samples(self):
-        assert awgn.complex_awgn(0, 1.0, rng=0).size == 0
+        assert awgn.standard_complex_noise(0, rng=0).size == 0
 
-    def test_negative_power_rejected(self):
+    def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            awgn.complex_awgn(10, -1.0, rng=0)
+            awgn.standard_complex_noise(-1, rng=0)
 
     def test_deterministic_given_seed(self):
-        assert np.allclose(awgn.complex_awgn(16, 1.0, rng=3), awgn.complex_awgn(16, 1.0, rng=3))
+        assert np.array_equal(
+            awgn.standard_complex_noise(16, rng=3), awgn.standard_complex_noise(16, rng=3)
+        )
 
 
 class TestMultipath:
@@ -83,46 +75,6 @@ class TestMultipath:
     def test_unit_energy_property(self, seed):
         channel = multipath.ExponentialMultipathChannel(50e-9, 20e6)
         assert np.sum(np.abs(channel.sample_taps(seed)) ** 2) == pytest.approx(1.0)
-
-
-class TestImpairments:
-    def test_cfo_rotates_phase(self):
-        x = np.ones(1000, dtype=complex)
-        out = apply_cfo(x, 1000.0, 1e6)
-        assert np.abs(out[0] - 1.0) < 1e-9
-        assert np.angle(out[500]) == pytest.approx(2 * np.pi * 1000.0 * 500 / 1e6, rel=1e-6)
-
-    def test_zero_cfo_identity(self):
-        x = np.arange(10, dtype=complex)
-        assert np.allclose(apply_cfo(x, 0.0, 1e6), x)
-
-    def test_phase_noise_preserves_magnitude(self):
-        x = np.ones(500, dtype=complex)
-        out = apply_phase_noise(x, 100.0, 20e6, rng=0)
-        assert np.allclose(np.abs(out), 1.0)
-
-    def test_phase_noise_negative_linewidth_rejected(self):
-        with pytest.raises(ValueError):
-            apply_phase_noise(np.ones(4, dtype=complex), -1.0, 1e6)
-
-    def test_iq_imbalance_creates_image(self):
-        n = 1024
-        tone = np.exp(2j * np.pi * 32 * np.arange(n) / n)
-        out = apply_iq_imbalance(tone, amplitude_imbalance_db=1.0, phase_imbalance_deg=2.0)
-        spectrum = np.abs(np.fft.fft(out))
-        assert spectrum[n - 32] > 0.01 * spectrum[32]
-
-    def test_ideal_bundle_is_identity(self):
-        imp = Impairments()
-        assert imp.is_ideal
-        x = np.arange(32, dtype=complex)
-        assert np.allclose(imp.apply(x, 20e6, rng=0), x)
-
-    def test_non_ideal_bundle(self):
-        imp = Impairments(cfo_hz=500.0, phase_noise_linewidth_hz=10.0)
-        assert not imp.is_ideal
-        out = imp.apply(np.ones(256, dtype=complex), 20e6, rng=0)
-        assert out.shape == (256,)
 
 
 class TestStandardsData:

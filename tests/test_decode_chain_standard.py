@@ -94,12 +94,3 @@ class TestStandardReceiverEndToEnd:
         demod = StandardOfdmReceiver().demodulate(rx)
         assert demod.decisions.shape == (rx.spec.n_data_symbols, 48)
         assert demod.coded_bits.size == rx.spec.n_coded_bits
-
-    def test_real_sync_end_to_end(self):
-        scenario = Scenario(dot11g_allocation(), mcs_name="qpsk-1/2", payload_length=40,
-                            snr_db=25.0, include_stf=True)
-        from repro.receiver.frontend import FrontEnd
-
-        receiver = StandardOfdmReceiver(front_end=FrontEnd(n_segments=1, use_genie_sync=False))
-        successes = sum(receiver.receive(scenario.realize(seed)).success for seed in range(4))
-        assert successes >= 3

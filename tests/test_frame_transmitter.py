@@ -6,12 +6,7 @@ import pytest
 from repro.experiments.config import aci_scenario
 from repro.phy import frame as frame_module
 from repro.phy.frame import SERVICE_BITS, TAIL_BITS, FrameSpec, encode_data_field, prepare_data_bits
-from repro.phy.preamble import (
-    dot11_ltf_sequence,
-    dot11_stf_waveform,
-    generic_stf_waveform,
-    preamble_frequency_symbols,
-)
+from repro.phy.preamble import dot11_ltf_sequence, preamble_frequency_symbols
 from repro.phy.subcarriers import dot11g_allocation, wideband_allocation
 from repro.phy.transmitter import OfdmTransmitter
 
@@ -21,17 +16,6 @@ class TestPreamble:
         ltf = dot11_ltf_sequence()
         assert np.count_nonzero(ltf) == 52
         assert set(np.unique(ltf[ltf != 0].real)) <= {-1.0, 1.0}
-
-    def test_stf_waveform_is_periodic_16(self):
-        stf = dot11_stf_waveform()
-        assert stf.size == 160
-        assert np.allclose(stf[:16], stf[16:32], atol=1e-12)
-
-    def test_generic_stf_periodic(self):
-        alloc = wideband_allocation()
-        stf = generic_stf_waveform(alloc, n_repetitions=4)
-        period = alloc.fft_size // 4
-        assert np.allclose(stf[:period], stf[period : 2 * period], atol=1e-12)
 
     def test_dot11_preamble_uses_ltf(self):
         alloc = dot11g_allocation()
@@ -65,14 +49,8 @@ class TestFrameSpec:
 
     def test_geometry(self):
         spec = FrameSpec(dot11g_allocation(), "qpsk-1/2", payload_length=20)
-        assert spec.preamble_start == 0
         assert spec.data_start == 2 * 80
         assert spec.n_samples == spec.data_start + spec.n_data_symbols * 80
-
-    def test_geometry_with_stf(self):
-        spec = FrameSpec(dot11g_allocation(), "qpsk-1/2", payload_length=20, include_stf=True)
-        assert spec.stf_length == 160
-        assert spec.preamble_start == 160
 
     def test_psdu_roundtrip(self):
         spec = FrameSpec(dot11g_allocation(), "qpsk-1/2", payload_length=10)
@@ -131,13 +109,6 @@ class TestTransmitter:
         in_band_power = np.mean(np.abs(spectrum[alloc.occupied_bin_array()]) ** 2)
         out_band_power = np.mean(np.abs(spectrum[out_of_band]) ** 2)
         assert out_band_power < 1e-20 * in_band_power
-
-    def test_stf_prepended_when_requested(self):
-        tx = OfdmTransmitter(dot11g_allocation(), include_stf=True)
-        frame = tx.random_frame(20, 0)
-        assert frame.spec.include_stf
-        assert frame.n_samples == frame.spec.n_samples
-        assert np.allclose(frame.waveform[:16], frame.waveform[16:32], atol=1e-12)
 
     def test_edge_window_stream_same_length(self):
         alloc = wideband_allocation()

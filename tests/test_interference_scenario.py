@@ -6,7 +6,8 @@ import pytest
 from repro.channel.interference import (
     adjacent_channel_interferer,
     co_channel_interferer,
-    realize_interference,
+    draw_interference,
+    scale_interference,
 )
 from repro.channel.multipath import ExponentialMultipathChannel
 from repro.channel.scenario import Scenario
@@ -46,34 +47,36 @@ class TestInterfererSpecs:
 
 
 class TestRealizeInterference:
+    """An interferer's realisation: :func:`draw_interference`, then :func:`scale_interference`."""
+
     def test_sir_calibration(self):
         spec = adjacent_channel_interferer(WB, sir_db=-20.0)
-        realized = realize_interference(spec, n_samples=4000, reference_power=0.5, frame_start=100, rng=0)
+        drawn = draw_interference(spec, n_samples=4000, frame_start=100, rng=0)
+        realized = scale_interference(spec, drawn, reference_power=0.5)
         measured = 10 * np.log10(0.5 / signal_power(realized.component))
         assert measured == pytest.approx(-20.0, abs=0.5)
 
     def test_component_length(self):
         spec = co_channel_interferer(dot11g_allocation(), sir_db=0.0)
-        realized = realize_interference(spec, n_samples=1234, reference_power=1.0, frame_start=0, rng=0)
-        assert realized.component.size == 1234
+        drawn = draw_interference(spec, n_samples=1234, frame_start=0, rng=0)
+        assert drawn.stream.size == 1234
+        assert scale_interference(spec, drawn, reference_power=1.0).component.size == 1234
 
     def test_timing_offset_default_exceeds_cp(self):
         spec = adjacent_channel_interferer(WB, sir_db=0.0)
-        offsets = {
-            realize_interference(spec, 2000, 1.0, 0, rng=seed).timing_offset for seed in range(20)
-        }
+        offsets = {draw_interference(spec, 2000, 0, rng=seed).timing_offset for seed in range(20)}
         assert all(offset > WB.cp_length for offset in offsets)
 
     def test_explicit_timing_offset_respected(self):
         spec = adjacent_channel_interferer(WB, sir_db=0.0, timing_offset=55)
-        realized = realize_interference(spec, 2000, 1.0, 0, rng=3)
+        realized = scale_interference(spec, draw_interference(spec, 2000, 0, rng=3), 1.0)
         assert realized.timing_offset == 55
 
     def test_aligned_aci_is_orthogonal(self):
         # With a zero timing offset the interferer stays orthogonal: no energy
         # appears on the sender's subcarriers in a symbol-aligned FFT.
         spec = adjacent_channel_interferer(WB, sir_db=0.0, timing_offset=0)
-        realized = realize_interference(spec, 4000, 1.0, frame_start=0, rng=1)
+        realized = scale_interference(spec, draw_interference(spec, 4000, frame_start=0, rng=1), 1.0)
         window = realized.component[WB.cp_length : WB.cp_length + WB.fft_size]
         spectrum = np.fft.fft(window) / np.sqrt(WB.fft_size)
         sender_power = np.sum(np.abs(spectrum[WB.occupied_bin_array()]) ** 2)
@@ -83,9 +86,9 @@ class TestRealizeInterference:
     def test_invalid_parameters(self):
         spec = co_channel_interferer(dot11g_allocation(), sir_db=0.0)
         with pytest.raises(ValueError):
-            realize_interference(spec, 0, 1.0, 0)
+            draw_interference(spec, 0, 0)
         with pytest.raises(ValueError):
-            realize_interference(spec, 100, 0.0, 0)
+            scale_interference(spec, draw_interference(spec, 100, 0, rng=0), 0.0)
 
 
 class TestScenario:
@@ -113,7 +116,6 @@ class TestScenario:
         scenario = Scenario(dot11g_allocation(), payload_length=30, snr_db=30.0, pad_symbols=3)
         rx = scenario.realize(0)
         assert rx.frame_start == 3 * 80
-        assert rx.preamble_start == rx.frame_start
         assert rx.data_start == rx.frame_start + 2 * 80
 
     def test_isi_free_samples_with_multipath(self):

@@ -148,17 +148,6 @@ class TestInterferenceModel:
         large = clean.log_likelihood(np.full((6, 1, 4), 1.0 + 0j))
         assert np.all(small > large)
 
-    def test_update_appends_samples(self):
-        model = InterferenceModel(self._deviations())
-        updated = model.update(self._deviations(seed=1)[:, :, :1])
-        assert updated.n_preambles == 3
-        assert model.n_preambles == 2  # original untouched
-
-    def test_update_shape_mismatch(self):
-        model = InterferenceModel(self._deviations())
-        with pytest.raises(ValueError):
-            model.update(np.zeros((3, 4, 1), dtype=complex))
-
     def test_segment_count_mismatch_in_likelihood(self):
         model = InterferenceModel(self._deviations())
         with pytest.raises(ValueError):

@@ -1,23 +1,16 @@
-"""Unit tests for segments, channel estimation, equalisation, sync and ISI detection."""
+"""Unit tests for segments, channel estimation, equalisation and the front end."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.channel.multipath import ExponentialMultipathChannel, StaticTapChannel
+from repro.channel.multipath import StaticTapChannel
 from repro.channel.scenario import Scenario
-from repro.phy.ofdm import symbol_start_indices
-from repro.phy.subcarriers import dot11g_allocation, wideband_allocation
-from repro.receiver.channel_est import (
-    estimate_channel_best_segment,
-    estimate_channel_ls,
-    smooth_channel_estimate,
-)
-from repro.receiver.equalizer import apply_common_phase, equalize, estimate_common_phase
+from repro.phy.subcarriers import dot11g_allocation
+from repro.receiver.channel_est import estimate_channel_best_segment, estimate_channel_ls
+from repro.receiver.equalizer import equalize
 from repro.receiver.frontend import FrontEnd
-from repro.receiver.isi_free import cp_correlation_profile, detect_isi_free_samples
 from repro.receiver.segments import extract_segments, segment_offsets, segment_phase_ramp
-from repro.receiver.sync import detect_packet, synchronize
 
 
 class TestSegments:
@@ -110,7 +103,7 @@ class TestChannelEstimation:
         rx = scenario.realize(seed)
         occupied = alloc.occupied_bin_array()
         spectra = extract_segments(
-            rx.composite, alloc, rx.spec.n_preamble_symbols, rx.preamble_start,
+            rx.composite, alloc, rx.spec.n_preamble_symbols, rx.frame_start,
             n_segments=rx.isi_free_cp_samples, bins=occupied,
         )
         known = rx.spec.preamble_frequency[:, occupied]
@@ -143,18 +136,6 @@ class TestChannelEstimation:
         with pytest.raises(ValueError):
             estimate_channel_ls(np.ones((1, 8)), known)
 
-    def test_smoothing_reduces_noise(self):
-        rng = np.random.default_rng(0)
-        occupied = np.arange(1, 61)
-        true = np.ones(64, dtype=complex)
-        noisy = true + 0.3 * (rng.normal(size=64) + 1j * rng.normal(size=64))
-        smoothed = smooth_channel_estimate(noisy, occupied, window=5)
-        assert np.std(smoothed[occupied] - 1.0) < np.std(noisy[occupied] - 1.0)
-
-    def test_smoothing_window_validation(self):
-        with pytest.raises(ValueError):
-            smooth_channel_estimate(np.ones(8, dtype=complex), np.arange(8), window=4)
-
 
 class TestEqualizer:
     def test_equalize_inverts_channel(self):
@@ -165,76 +146,6 @@ class TestEqualizer:
     def test_equalize_shape_mismatch(self):
         with pytest.raises(ValueError):
             equalize(np.ones((2, 8)), np.ones(4))
-
-    def test_common_phase_estimation_and_correction(self):
-        pilot_bins = np.array([1, 3, 5, 7])
-        pilot_values = np.ones((4, 4))
-        phase_true = np.array([0.1, -0.2, 0.3, 0.0])
-        symbols = np.ones((4, 8), dtype=complex) * np.exp(1j * phase_true)[:, None]
-        estimated = estimate_common_phase(symbols, pilot_bins, pilot_values)
-        assert np.allclose(estimated, phase_true, atol=1e-9)
-        corrected = apply_common_phase(symbols, estimated)
-        assert np.allclose(np.angle(corrected[:, 1]), 0.0, atol=1e-9)
-
-    def test_no_pilots_returns_zero_phase(self):
-        assert np.allclose(estimate_common_phase(np.ones((3, 8)), np.array([], dtype=int),
-                                                 np.zeros((3, 0))), 0.0)
-
-
-class TestSyncAndIsiFree:
-    def test_packet_detection_on_stf_frame(self):
-        alloc = dot11g_allocation()
-        scenario = Scenario(alloc, payload_length=30, snr_db=20.0, include_stf=True)
-        rx = scenario.realize(0)
-        detected, index, _ = detect_packet(rx.composite, period=16)
-        assert detected
-        assert abs(index - rx.frame_start) < 80
-
-    def test_synchronize_finds_frame_start(self):
-        alloc = dot11g_allocation()
-        scenario = Scenario(alloc, payload_length=30, snr_db=25.0, include_stf=True)
-        rx = scenario.realize(3)
-        result = synchronize(rx.composite, rx.spec)
-        assert abs(result.frame_start - rx.frame_start) <= 1
-
-    def test_no_packet_no_detection(self):
-        rng = np.random.default_rng(0)
-        noise = rng.normal(size=2000) + 1j * rng.normal(size=2000)
-        detected, _, _ = detect_packet(noise, period=16)
-        assert not detected
-
-    def test_cp_correlation_profile_flat_channel(self):
-        alloc = dot11g_allocation()
-        scenario = Scenario(alloc, payload_length=80, snr_db=30.0)
-        rx = scenario.realize(0)
-        starts = symbol_start_indices(alloc, rx.spec.n_data_symbols, rx.data_start)
-        profile = cp_correlation_profile(rx.composite, alloc, starts)
-        assert profile.shape == (16,)
-        assert profile.min() > 0.8
-
-    def test_isi_free_detection_flat_channel(self):
-        alloc = dot11g_allocation()
-        scenario = Scenario(alloc, payload_length=80, snr_db=30.0)
-        rx = scenario.realize(1)
-        starts = symbol_start_indices(alloc, rx.spec.n_data_symbols, rx.data_start)
-        assert detect_isi_free_samples(rx.composite, alloc, starts) == 16
-
-    def test_isi_free_detection_with_multipath(self):
-        alloc = wideband_allocation()
-        channel = ExponentialMultipathChannel(150e-9, alloc.sample_rate_hz)
-        scenario = Scenario(alloc, payload_length=120, snr_db=30.0, channel=channel)
-        rx = scenario.realize(5)
-        starts = symbol_start_indices(alloc, rx.spec.n_data_symbols, rx.data_start)
-        detected = detect_isi_free_samples(rx.composite, alloc, starts)
-        # The threshold detector must never report fewer usable segments than
-        # the genie count minus a small margin, and never more than the CP.
-        assert 1 <= detected <= alloc.cp_length
-        assert detected >= rx.isi_free_cp_samples - 4
-
-    def test_threshold_validation(self):
-        alloc = dot11g_allocation()
-        with pytest.raises(ValueError):
-            detect_isi_free_samples(np.zeros(1000, dtype=complex), alloc, np.array([0]), threshold=1.5)
 
 
 class TestFrontEnd:
@@ -274,16 +185,3 @@ class TestFrontEnd:
         reference = front.reference_data()
         deviations = np.abs(reference - rx.tx_frame.data_points)
         assert deviations.max() < 0.05
-
-    def test_non_genie_sync_matches_genie(self):
-        alloc = dot11g_allocation()
-        rx = Scenario(alloc, payload_length=40, snr_db=25.0, include_stf=True).realize(4)
-        genie = FrontEnd(max_segments=4, use_genie_sync=True).process(rx)
-        blind = FrontEnd(max_segments=4, use_genie_sync=False).process(rx)
-        assert abs(blind.frame_start - genie.frame_start) <= 1
-
-    def test_detected_isi_free_segments(self):
-        alloc = dot11g_allocation()
-        rx = Scenario(alloc, payload_length=60, snr_db=30.0).realize(5)
-        front = FrontEnd(use_genie_isi_free=False, max_segments=16).process(rx)
-        assert 1 <= front.n_segments <= 16

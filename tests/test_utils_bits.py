@@ -25,40 +25,7 @@ class TestBytesBits:
             bits.bits_to_bytes(np.zeros(7, dtype=np.uint8))
 
 
-class TestIntBits:
-    @given(st.integers(min_value=0, max_value=2**16 - 1))
-    def test_roundtrip(self, value):
-        assert bits.bits_to_int(bits.int_to_bits(value, 16)) == value
-
-    def test_msb_first_option(self):
-        out = bits.int_to_bits(4, 4, lsb_first=False)
-        assert list(out) == [0, 1, 0, 0]
-        assert bits.bits_to_int(out, lsb_first=False) == 4
-
-    def test_overflow_raises(self):
-        with pytest.raises(ValueError):
-            bits.int_to_bits(16, 4)
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            bits.int_to_bits(-1, 4)
-
-
 class TestErrorsAndHelpers:
-    def test_bit_errors(self):
-        a = np.array([0, 1, 1, 0], dtype=np.uint8)
-        b = np.array([0, 0, 1, 1], dtype=np.uint8)
-        assert bits.bit_errors(a, b) == 2
-        assert bits.bit_error_rate(a, b) == pytest.approx(0.5)
-
-    def test_bit_errors_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bits.bit_errors(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-
-    def test_bit_error_rate_empty_raises(self):
-        with pytest.raises(ValueError):
-            bits.bit_error_rate(np.array([]), np.array([]))
-
     def test_random_bits_deterministic_per_seed(self):
         a = bits.random_bits(100, np.random.default_rng(3))
         b = bits.random_bits(100, np.random.default_rng(3))
@@ -67,22 +34,3 @@ class TestErrorsAndHelpers:
 
     def test_random_bytes_length(self):
         assert len(bits.random_bytes(33, np.random.default_rng(0))) == 33
-
-    def test_xor_bits_self_is_zero(self):
-        a = bits.random_bits(64, np.random.default_rng(1))
-        assert not np.any(bits.xor_bits(a, a))
-
-    def test_pad_bits(self):
-        out = bits.pad_bits(np.ones(5, dtype=np.uint8), 8)
-        assert out.size == 8
-        assert list(out[5:]) == [0, 0, 0]
-
-    def test_pad_bits_already_aligned(self):
-        data = np.ones(8, dtype=np.uint8)
-        assert np.array_equal(bits.pad_bits(data, 8), data)
-
-    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=16))
-    def test_pad_bits_property(self, length, multiple):
-        out = bits.pad_bits(np.ones(length, dtype=np.uint8), multiple)
-        assert out.size % multiple == 0
-        assert out.size >= length

@@ -37,81 +37,3 @@ class TestPower:
     def test_signal_power_empty_raises(self):
         with pytest.raises(ValueError):
             dsp.signal_power(np.array([]))
-
-    def test_rms(self):
-        assert dsp.rms(np.full(10, 3.0)) == pytest.approx(3.0)
-
-    def test_papr_constant_signal_is_zero_db(self):
-        assert dsp.papr_db(np.ones(64)) == pytest.approx(0.0)
-
-    def test_normalize_power(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=256) + 1j * rng.normal(size=256)
-        y = dsp.normalize_power(x, target_power=2.5)
-        assert dsp.signal_power(y) == pytest.approx(2.5)
-
-    def test_normalize_zero_signal_raises(self):
-        with pytest.raises(ValueError):
-            dsp.normalize_power(np.zeros(8))
-
-
-class TestRatioScaling:
-    def test_scale_for_target_ratio(self):
-        rng = np.random.default_rng(1)
-        sig = rng.normal(size=1000)
-        other = rng.normal(size=1000)
-        scaled = dsp.scale_for_target_ratio_db(sig, other, 13.0)
-        ratio = dsp.signal_power(sig) / dsp.signal_power(scaled)
-        assert dsp.linear_to_db(ratio) == pytest.approx(13.0, abs=1e-9)
-
-    def test_scale_zero_other_raises(self):
-        with pytest.raises(ValueError):
-            dsp.scale_for_target_ratio_db(np.ones(4), np.zeros(4), 0.0)
-
-    @given(st.floats(min_value=-40.0, max_value=40.0))
-    def test_scale_property(self, ratio_db):
-        sig = np.ones(128)
-        other = np.full(128, 0.3 + 0.1j)
-        scaled = dsp.scale_for_target_ratio_db(sig, other, ratio_db)
-        measured = dsp.linear_to_db(dsp.signal_power(sig) / dsp.signal_power(scaled))
-        assert measured == pytest.approx(ratio_db, abs=1e-6)
-
-
-class TestFrequencyShift:
-    def test_shift_moves_tone(self):
-        fs = 1e6
-        n = 1024
-        t = np.arange(n)
-        tone = np.exp(2j * np.pi * 100e3 * t / fs)
-        shifted = dsp.frequency_shift(tone, 50e3, fs)
-        spectrum = np.abs(np.fft.fft(shifted))
-        peak_bin = np.argmax(spectrum)
-        expected_bin = round(150e3 / fs * n)
-        assert peak_bin == expected_bin
-
-    def test_zero_shift_is_identity(self):
-        x = np.arange(16, dtype=complex)
-        assert np.allclose(dsp.frequency_shift(x, 0.0, 1e6), x)
-
-
-class TestAddAt:
-    def test_add_inside(self):
-        buf = np.zeros(10, dtype=complex)
-        dsp.add_at(buf, 3, np.ones(4))
-        assert np.allclose(buf[3:7], 1.0)
-        assert np.allclose(buf[:3], 0.0)
-
-    def test_add_overhanging_end(self):
-        buf = np.zeros(5, dtype=complex)
-        dsp.add_at(buf, 3, np.ones(4))
-        assert np.allclose(buf, [0, 0, 0, 1, 1])
-
-    def test_add_before_start(self):
-        buf = np.zeros(5, dtype=complex)
-        dsp.add_at(buf, -2, np.ones(4))
-        assert np.allclose(buf, [1, 1, 0, 0, 0])
-
-    def test_add_fully_outside_is_noop(self):
-        buf = np.zeros(5, dtype=complex)
-        dsp.add_at(buf, 10, np.ones(3))
-        assert np.allclose(buf, 0.0)

@@ -58,21 +58,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             validation.require_positive(0.0, "x")
 
-    def test_require_in_range(self):
-        assert validation.require_in_range(0.5, "x", 0, 1) == 0.5
-        with pytest.raises(ValueError):
-            validation.require_in_range(2.0, "x", 0, 1)
-
-    def test_require_probability(self):
-        assert validation.require_probability(1.0, "p") == 1.0
-        with pytest.raises(ValueError):
-            validation.require_probability(1.5, "p")
-
-    def test_require_power_of_two(self):
-        assert validation.require_power_of_two(64, "n") == 64
-        with pytest.raises(ValueError):
-            validation.require_power_of_two(48, "n")
-
     def test_require_unique_indices(self):
         out = validation.require_unique_indices([1, 2, 3], "bins", 10)
         assert list(out) == [1, 2, 3]
