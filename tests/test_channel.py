@@ -27,6 +27,22 @@ class TestAwgn:
             awgn.standard_complex_noise(16, rng=3), awgn.standard_complex_noise(16, rng=3)
         )
 
+    def test_parts_are_independent_standard_normals(self):
+        noise = awgn.standard_complex_noise(200_000, rng=1)
+        for part in (noise.real, noise.imag):
+            assert np.mean(part) == pytest.approx(0.0, abs=0.01)
+            assert np.var(part) == pytest.approx(1.0, rel=0.02)
+        assert np.corrcoef(noise.real, noise.imag)[0, 1] == pytest.approx(0.0, abs=0.01)
+
+    def test_draws_real_parts_then_imaginary_parts_from_a_generator(self):
+        # A scenario's later draws follow the noise on the same generator, so
+        # the draw order is part of every packet's realisation.
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        noise = awgn.standard_complex_noise(5, rng)
+        assert noise.real.tobytes() == twin.standard_normal(5).tobytes()
+        assert noise.imag.tobytes() == twin.standard_normal(5).tobytes()
+        assert rng.standard_normal() == twin.standard_normal()
+
 
 class TestMultipath:
     def test_flat_channel_single_tap(self):
@@ -38,6 +54,20 @@ class TestMultipath:
         taps = multipath.StaticTapChannel(taps=(1.0, 0.5j)).sample_taps(0)
         assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0)
 
+    def test_flat_channel_keeps_its_gain(self):
+        channel = multipath.FlatChannel(gain=0.5j)
+        assert channel.sample_taps(3).tolist() == [0.5j]
+        assert channel.max_taps == 1
+
+    def test_static_taps_ignore_the_rng(self):
+        channel = multipath.StaticTapChannel(taps=(1.0, 0.5j, -0.25))
+        assert np.array_equal(channel.sample_taps(0), channel.sample_taps(1))
+        assert channel.max_taps == 3
+
+    def test_static_taps_without_energy_rejected(self):
+        with pytest.raises(ValueError, match="no energy"):
+            multipath.StaticTapChannel(taps=(0.0, 0.0)).sample_taps(0)
+
     def test_exponential_channel_unit_energy(self):
         channel = multipath.ExponentialMultipathChannel(100e-9, 50e6)
         taps = channel.sample_taps(0)
@@ -47,6 +77,24 @@ class TestMultipath:
     def test_zero_delay_spread_is_single_tap(self):
         channel = multipath.ExponentialMultipathChannel(0.0, 20e6)
         assert channel.n_taps == 1
+
+    def test_taps_cover_five_delay_spreads(self):
+        # 100 ns at 50 MHz is 5 samples: ceil(5 * 5) + 1 taps.
+        channel = multipath.ExponentialMultipathChannel(100e-9, 50e6)
+        assert channel.n_taps == channel.max_taps == 26
+
+    @pytest.mark.parametrize("delay_spread_s, sample_rate_hz", [(-1e-9, 20e6), (50e-9, 0.0)])
+    def test_exponential_channel_argument_checks(self, delay_spread_s, sample_rate_hz):
+        with pytest.raises(ValueError):
+            multipath.ExponentialMultipathChannel(delay_spread_s, sample_rate_hz)
+
+    def test_rms_delay_spread_of_two_equal_taps(self):
+        # Mean delay 0.5 samples, every tap 0.5 samples from it.
+        assert multipath.rms_delay_spread(np.array([1.0, 1.0j]), 10.0) == pytest.approx(0.05)
+
+    def test_rms_delay_spread_without_energy_rejected(self):
+        with pytest.raises(ValueError, match="no energy"):
+            multipath.rms_delay_spread(np.zeros(3), 20e6)
 
     def test_delay_spread_roughly_matches_profile(self):
         channel = multipath.ExponentialMultipathChannel(200e-9, 50e6)
@@ -100,3 +148,24 @@ class TestStandardsData:
     def test_isi_free_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             isi_free_samples(DOT11_CP_TABLE[0], -0.1)
+
+    @pytest.mark.parametrize("spec", DOT11_CP_TABLE, ids=lambda spec: f"{spec.bandwidth_mhz}MHz")
+    def test_every_width_keeps_the_4_us_symbol(self, spec):
+        # The sample rate scales with the width, so the symbol (and, in real
+        # time, the guard interval) keeps its 802.11a duration.
+        assert spec.sample_rate_mhz == spec.bandwidth_mhz
+        assert spec.symbol_duration_us == pytest.approx(4.0)
+        assert spec.cp_duration_us == pytest.approx(spec.cp_size / 20.0)
+
+    def test_short_guard_interval(self):
+        wide = DOT11_CP_TABLE[1]
+        assert wide.short_cp_duration_us == pytest.approx(0.8)
+        assert cp_overhead_fraction(wide, short=True) == pytest.approx(16 / 144)
+        assert isi_free_samples(wide, 0.0, short=True) == 16
+        assert isi_free_samples(wide, 0.1, short=True) == 12
+
+    def test_short_guard_interval_falls_back_to_the_long_one(self):
+        legacy = DOT11_CP_TABLE[0]
+        assert legacy.short_cp_duration_us is None
+        assert cp_overhead_fraction(legacy, short=True) == cp_overhead_fraction(legacy)
+        assert isi_free_samples(legacy, 0.1, short=True) == isi_free_samples(legacy, 0.1)

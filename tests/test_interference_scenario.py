@@ -1,5 +1,7 @@
 """Unit tests for interference generation and scenario composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.channel.interference import (
     draw_interference,
     scale_interference,
 )
-from repro.channel.multipath import ExponentialMultipathChannel
+from repro.channel.multipath import ExponentialMultipathChannel, StaticTapChannel
 from repro.channel.scenario import Scenario
 from repro.phy.subcarriers import dot11g_allocation, wideband_allocation
 from repro.utils.dsp import signal_power
@@ -83,6 +85,23 @@ class TestRealizeInterference:
         total_power = np.sum(np.abs(spectrum) ** 2)
         assert sender_power < 1e-10 * total_power
 
+    def test_draw_is_read_only_and_scaled_without_redrawing(self):
+        spec = adjacent_channel_interferer(WB, sir_db=-10.0)
+        drawn = draw_interference(spec, n_samples=3000, frame_start=50, rng=2)
+        assert not drawn.stream.flags.writeable
+        assert not drawn.channel_taps.flags.writeable
+        assert drawn.power == signal_power(drawn.stream)
+        weak = scale_interference(replace(spec, sir_db=10.0), drawn, reference_power=2.0)
+        strong = scale_interference(spec, drawn, reference_power=2.0)
+        # 20 dB apart: the components differ by an amplitude factor of 10.
+        assert np.allclose(strong.component, 10.0 * weak.component)
+        assert strong.power == pytest.approx(2.0 * 10.0)
+        assert weak.power == pytest.approx(2.0 / 10.0)
+
+    def test_timing_offset_wraps_to_one_symbol(self):
+        spec = adjacent_channel_interferer(WB, sir_db=0.0, timing_offset=WB.symbol_length + 7)
+        assert draw_interference(spec, 1000, frame_start=0, rng=0).timing_offset == 7
+
     def test_invalid_parameters(self):
         spec = co_channel_interferer(dot11g_allocation(), sir_db=0.0)
         with pytest.raises(ValueError):
@@ -105,6 +124,54 @@ class TestScenario:
         rx = scenario.realize(1)
         assert rx.sir_db == pytest.approx(-5.0, abs=1.5)
         assert rx.snr_db == pytest.approx(15.0, abs=1.5)
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 10.0, 30.0])
+    def test_compose_scales_the_noise_draw_to_the_snr(self, snr_db):
+        scenario = Scenario(WB, payload_length=100, snr_db=snr_db)
+        draw = scenario.draw(4)
+        rx = scenario.compose(draw)
+        noise_power = draw.reference_power / 10.0 ** (snr_db / 10.0)
+        assert rx.noise.tobytes() == (np.sqrt(noise_power / 2.0) * draw.noise).tobytes()
+        assert rx.snr_db == pytest.approx(snr_db, abs=0.5)
+
+    def test_compose_rejects_a_draw_with_other_interferers(self):
+        clean = Scenario(WB, payload_length=40, snr_db=20.0)
+        interfered = Scenario(WB, payload_length=40, snr_db=20.0,
+                              interferers=[adjacent_channel_interferer(WB, sir_db=0.0)])
+        with pytest.raises(ValueError, match="interferer"):
+            interfered.compose(clean.draw(0))
+
+    def test_draw_key_ignores_only_the_levels(self):
+        def scenario(snr_db=20.0, sir_db=-10.0, payload_length=40):
+            return Scenario(WB, payload_length=payload_length, snr_db=snr_db,
+                            interferers=[adjacent_channel_interferer(WB, sir_db=sir_db)])
+
+        key = scenario().draw_key
+        assert scenario(snr_db=5.0).draw_key == key
+        assert scenario(sir_db=-30.0).draw_key == key
+        assert scenario(payload_length=41).draw_key != key
+
+    def test_packet_draw_is_read_only(self):
+        draw = Scenario(dot11g_allocation(), payload_length=30).draw(0)
+        for array in (draw.signal, draw.noise, draw.channel_taps, draw.tx_frame.waveform):
+            assert not array.flags.writeable
+
+    def test_realize_batch_needs_a_packet(self):
+        with pytest.raises(ValueError, match="n_packets"):
+            Scenario(dot11g_allocation(), payload_length=30).realize_batch(0)
+
+    def test_interference_plus_noise_is_the_composite_minus_the_signal(self):
+        scenario = Scenario(WB, payload_length=40, snr_db=10.0,
+                            interferers=[adjacent_channel_interferer(WB, sir_db=-10.0)])
+        rx = scenario.realize(3)
+        assert np.array_equal(rx.interference_plus_noise(), rx.interference + rx.noise)
+        assert np.allclose(rx.interference_plus_noise(), rx.composite - rx.signal)
+
+    def test_channel_delay_sets_the_isi_free_count(self):
+        channel = StaticTapChannel(taps=(1.0, 0.5, 0.25))
+        rx = Scenario(dot11g_allocation(), payload_length=30, channel=channel).realize(0)
+        assert rx.channel_delay_samples == 2
+        assert rx.isi_free_cp_samples == 16 - 2
 
     def test_no_interferers_gives_zero_interference(self):
         scenario = Scenario(dot11g_allocation(), payload_length=30, snr_db=30.0)
