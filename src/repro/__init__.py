@@ -19,7 +19,7 @@ Quick start::
         allocation, mcs_name="qpsk-1/2", payload_length=100, snr_db=25,
         interferers=[co_channel_interferer(allocation, sir_db=5.0)],
     )
-    rx = scenario.realize(seed=0)
+    rx = scenario.realize(0)
     print(StandardOfdmReceiver().receive(rx).success)
     print(CPRecycleReceiver().receive(rx).success)
 """

@@ -46,7 +46,6 @@ from repro.api.registry import (
     available_analyses,
     available_receivers,
     available_topologies,
-    build_deployment,
     build_receiver,
     register_analysis,
     register_receiver,
@@ -89,7 +88,6 @@ __all__ = [
     "available_receivers",
     "available_topologies",
     "axis_placeholder",
-    "build_deployment",
     "build_receiver",
     "expand_psr_points",
     "series_from_outcomes",

@@ -12,8 +12,8 @@ shared by several experiments simulate once per campaign.
 
 Like every other spec in :mod:`repro.api`, a campaign is plain data: frozen
 dataclasses of primitives with eager validation (malformed campaigns fail at
-construction, naming the offending field) and an exact, schema-versioned
-JSON round-trip (:meth:`CampaignSpec.to_json` / :meth:`CampaignSpec.from_json`)
+construction, naming the offending field) and the specs' one schema-versioned
+JSON codec (:meth:`CampaignSpec.to_json` / :meth:`CampaignSpec.from_json`),
 so campaigns are runnable from the command line::
 
     cprecycle-experiments campaign --spec my-campaign.json --resume
@@ -35,8 +35,7 @@ Example::
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.api.specs import (
@@ -44,9 +43,10 @@ from repro.api.specs import (
     ExperimentSpec,
     SpecError,
     _NAME_PATTERN,
-    _check_legacy_engine,
-    _from_payload,
+    _decode_spec,
+    _decode_specs,
     _set,
+    _SpecCodec,
 )
 
 __all__ = [
@@ -64,7 +64,7 @@ _DEPLOYMENT_ANALYSIS = "fig13-neighbor-cdf-simulated"
 
 
 @dataclass(frozen=True)
-class PrecisionSpec:
+class PrecisionSpec(_SpecCodec, path="precision"):
     """Per-metric sampling target of an adaptive campaign.
 
     Every packet-success-rate cell keeps simulating packets (in geometric
@@ -112,16 +112,9 @@ class PrecisionSpec:
         ceiling = self.max_packets if self.max_packets is not None else fixed_n_packets
         return min(self.min_packets, ceiling), ceiling
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "precision") -> "PrecisionSpec":
-        return cls(**_from_payload(cls, payload, path))
-
 
 @dataclass(frozen=True)
-class CampaignExperiment:
+class CampaignExperiment(_SpecCodec, path="experiment"):
     """One experiment of a campaign: exactly one of three sources.
 
     * ``builtin`` — a builtin experiment name (``fig11``,
@@ -146,12 +139,10 @@ class CampaignExperiment:
     n_realizations: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.spec, dict):
-            _set(self, "spec", ExperimentSpec.from_dict(self.spec))
-        if isinstance(self.deployment, dict):
-            _set(self, "deployment", DeploymentSpec.from_dict(self.deployment))
-        if isinstance(self.precision, dict):
-            _set(self, "precision", PrecisionSpec.from_dict(self.precision, "experiment precision"))
+        # The inline spec payload carries its own schema version.
+        _decode_spec(self, "spec", ExperimentSpec, "experiment spec")
+        _decode_spec(self, "deployment", DeploymentSpec, "deployment")
+        _decode_spec(self, "precision", PrecisionSpec, "experiment precision")
         sources = [
             source
             for source, value in (
@@ -236,27 +227,11 @@ class CampaignExperiment:
             spec = replace(spec, name=self.resolved_name)
         return spec
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "builtin": self.builtin,
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "deployment": None if self.deployment is None else self.deployment.to_dict(),
-            "name": self.name,
-            "precision": None if self.precision is None else self.precision.to_dict(),
-            "n_realizations": self.n_realizations,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "experiment") -> "CampaignExperiment":
-        data = dict(_from_payload(cls, payload, path))
-        if isinstance(data.get("spec"), dict):
-            # The inline spec payload carries its own schema version.
-            data["spec"] = ExperimentSpec.from_dict(data["spec"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(
+    _SpecCodec, path="campaign spec", schema_version=CAMPAIGN_SCHEMA_VERSION
+):
     """One complete, serialisable campaign.
 
     ``experiments`` lists the member experiments (see
@@ -269,12 +244,12 @@ class CampaignSpec:
     """
 
     name: str
+    title: str = ""
     experiments: tuple[CampaignExperiment, ...] = ()
     precision: PrecisionSpec = field(default_factory=PrecisionSpec)
     profile: str | None = None
     n_workers: int | None = None
     seed: int | None = None
-    title: str = ""
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -285,29 +260,11 @@ class CampaignSpec:
                 f"campaign name {self.name!r} must start with a letter/digit and "
                 "contain only letters, digits, '.', '_' or '-'"
             )
-        if isinstance(self.precision, dict):
-            _set(self, "precision", PrecisionSpec.from_dict(self.precision))
-        if not isinstance(self.precision, PrecisionSpec):
-            raise SpecError(
-                f"campaign precision must be a PrecisionSpec, got {type(self.precision).__name__}"
-            )
-        if self.experiments is None:
-            _set(self, "experiments", ())
-        experiments = tuple(
-            CampaignExperiment.from_dict(item, f"experiments[{i}]")
-            if isinstance(item, dict)
-            else item
-            for i, item in enumerate(self.experiments)
-        )
-        if not experiments:
+        _decode_spec(self, "precision", PrecisionSpec, "precision")
+        _decode_specs(self, "experiments", CampaignExperiment, "experiments")
+        if not self.experiments:
             raise SpecError("a campaign needs at least one experiment")
-        for i, item in enumerate(experiments):
-            if not isinstance(item, CampaignExperiment):
-                raise SpecError(
-                    f"experiments[{i}] must be a CampaignExperiment, got {type(item).__name__}"
-                )
-        _set(self, "experiments", experiments)
-        names = [entry.resolved_name for entry in experiments]
+        names = [entry.resolved_name for entry in self.experiments]
         if len(set(names)) != len(names):
             raise SpecError(
                 f"campaign experiment names must be unique (they key artifacts), got {names}"
@@ -331,52 +288,3 @@ class CampaignSpec:
     def precision_for(self, entry: CampaignExperiment) -> PrecisionSpec:
         """The precision target governing one member experiment."""
         return entry.precision if entry.precision is not None else self.precision
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable payload (schema-versioned)."""
-        return {
-            "schema_version": CAMPAIGN_SCHEMA_VERSION,
-            "name": self.name,
-            "title": self.title,
-            "experiments": [entry.to_dict() for entry in self.experiments],
-            "precision": self.precision.to_dict(),
-            "profile": self.profile,
-            "n_workers": self.n_workers,
-            "seed": self.seed,
-            "notes": list(self.notes),
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialise to JSON text; :meth:`from_json` restores an equal spec."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CampaignSpec":
-        """Rebuild a campaign from :meth:`to_dict` output, checking the schema."""
-        if not isinstance(payload, dict):
-            raise SpecError(f"campaign spec must be a JSON object, got {type(payload).__name__}")
-        payload = dict(payload)
-        version = payload.pop("schema_version", None)
-        if not isinstance(version, int) or version > CAMPAIGN_SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported campaign-spec schema version {version!r} "
-                f"(this build reads <= {CAMPAIGN_SCHEMA_VERSION})"
-            )
-        # Deliberate legacy read: campaigns written before the engine knob
-        # was removed carry this key.
-        _check_legacy_engine(payload.pop("engine", None), "campaign spec")
-        data = dict(_from_payload(cls, payload, "campaign spec"))
-        if data.get("experiments") is not None:
-            data["experiments"] = tuple(data["experiments"])
-        if data.get("notes") is not None:
-            data["notes"] = tuple(data["notes"])
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        """Inverse of :meth:`to_json`."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecError(f"campaign spec is not valid JSON: {error}") from error
-        return cls.from_dict(payload)

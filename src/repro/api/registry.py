@@ -62,7 +62,6 @@ __all__ = [
     "register_topology",
     "available_topologies",
     "resolve_topology",
-    "build_deployment",
 ]
 
 #: A receiver builder: ``builder(allocation, n_segments, **options)``.
@@ -270,11 +269,6 @@ def resolve_topology(name: str) -> TopologyBuilder:
             "(add your own with repro.api.registry.register_topology)"
         )
     return builder
-
-
-def build_deployment(spec: DeploymentSpec) -> Deployment:
-    """Construct the deployment a :class:`DeploymentSpec` describes."""
-    return resolve_topology(spec.topology)(spec)
 
 
 def _deployment_geometry(spec: DeploymentSpec) -> dict[str, Any]:

@@ -13,19 +13,19 @@ Specs are frozen dataclasses of primitives, so they are picklable (sweep
 points travel to pool workers without ``functools.partial`` gymnastics) and
 content-hashable (:func:`repro.experiments.store.stable_key` gives the same
 digest in every process, which is what keys the persistent point cache and
-result artifacts).  ``to_json``/``from_json`` round-trip every spec exactly
-under ``SPEC_SCHEMA_VERSION``; validation is eager — a malformed spec fails
-at construction with an error naming the offending field, not deep inside a
+result artifacts).  One JSON codec (:class:`_SpecCodec`) serves every spec:
+``to_dict``/``to_json`` write each field in declaration order and
+``from_dict``/``from_json`` restore an equal spec under
+``SPEC_SCHEMA_VERSION``.  Validation is eager — a malformed spec fails at
+construction with an error naming the offending field, not deep inside a
 sweep.
 
-The numeric conventions match the hard-coded scenario factories they
-replace (:func:`repro.experiments.config.aci_scenario` and
-``cci_scenario``): a scenario-level ``sir_db`` is the *total* SIR over all
-interferers that do not pin their own ``sir_db``, split equally using the
-paper's 3.0103 dB-per-doubling rule, and the sender allocation (when not
-given explicitly) is derived from the ACI interferer layout exactly as
-:func:`repro.experiments.config.aci_sender_allocation` does — so a builtin
-figure rebuilt from its spec realises bit-identical waveforms.
+A scenario-level ``sir_db`` is the *total* SIR over all interferers that do
+not pin their own ``sir_db``, split equally between them using the paper's
+3.0103 dB-per-doubling rule (:meth:`ScenarioSpec.build`, through which
+:func:`repro.experiments.config.aci_scenario` and ``cci_scenario`` build as
+well); without an explicit allocation, the sender layout is derived from the
+ACI interferer set by :func:`repro.experiments.config.aci_sender_allocation`.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import json
 import math
 import re
 import string
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 if TYPE_CHECKING:  # runtime imports of repro.network would be circular
     from repro.network.building import Deployment
@@ -90,11 +90,13 @@ def _set(obj: Any, name: str, value: Any) -> None:
     object.__setattr__(obj, name, value)
 
 
-def _from_payload(cls: type[Any], payload: dict[str, Any], path: str) -> dict[str, Any]:
+def _from_payload(cls: type[Any], payload: Any, path: str) -> dict[str, Any]:
     """Validate payload keys against ``cls`` fields; reject typos and missing
     required fields eagerly (a SpecError, never a raw TypeError)."""
     if not isinstance(payload, dict):
-        raise SpecError(f"{path} must be a JSON object, got {type(payload).__name__}")
+        # JSON lists arrive as tuples (see _decode_lists).
+        kind = "list" if isinstance(payload, tuple) else type(payload).__name__
+        raise SpecError(f"{path} must be a JSON object, got {kind}")
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(payload) - names)
     if unknown:
@@ -112,19 +114,148 @@ def _from_payload(cls: type[Any], payload: dict[str, Any], path: str) -> dict[st
     return payload
 
 
-def _check_legacy_engine(value: Any, path: str) -> None:
-    """Accept the ``engine`` key that specs dumped by older builds carry.
+def _encode(value: Any) -> Any:
+    """JSON form of a field value: nested specs as objects, tuples as lists."""
+    if isinstance(value, _SpecCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
-    Those specs hold ``"engine": null`` (or ``"fast"``, the batched path
-    every run takes); any other value asks for a link engine that no longer
-    exists.
+
+def _decode_lists(value: Any) -> Any:
+    """Inverse of :func:`_encode` for lists, at every depth: they read as tuples.
+
+    JSON objects stay dicts; the owning spec's ``__post_init__`` decodes the
+    nested specs among them (:func:`_decode_spec`, :func:`_decode_specs`).
     """
-    if value not in (None, "fast"):
-        raise SpecError(
-            f"{path} pins engine {value!r}, which no longer exists: every run uses "
-            "the batched link engine, and the per-packet reference path survives "
-            "only as a test oracle; remove the 'engine' field"
-        )
+    if isinstance(value, list):
+        return tuple(_decode_lists(item) for item in value)
+    return value
+
+
+_S = TypeVar("_S", bound="_SpecCodec")
+
+
+class _SpecCodec:
+    """The JSON codec every spec dataclass of :mod:`repro.api` shares.
+
+    A subclass names the payload path its errors use by default
+    (``class ChannelSpec(_SpecCodec, path="channel")``); a top-level spec
+    also names the schema version it writes first and reads up to.
+    """
+
+    _path: ClassVar[str]
+    _schema_version: ClassVar[int | None]
+
+    if TYPE_CHECKING:  # every subclass is a dataclass
+        __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+        def __init__(self, **values: Any) -> None: ...
+
+    def __init_subclass__(
+        cls, *, path: str, schema_version: int | None = None, **kwargs: Any
+    ) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._path = path
+        cls._schema_version = schema_version
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serialisable payload: every field, in declaration order."""
+        payload: dict[str, Any] = {}
+        if self._schema_version is not None:
+            payload["schema_version"] = self._schema_version
+        for spec_field in fields(self):
+            payload[spec_field.name] = _encode(getattr(self, spec_field.name))
+        return payload
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """Serialise to JSON text; :meth:`from_json` restores an equal spec."""
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_dict(cls: type[_S], payload: Any, path: str | None = None) -> _S:
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        ``path`` names the payload in error messages.  Every failure is a
+        :class:`SpecError`: a ``TypeError`` or ``ValueError`` raised while
+        the spec is built (a list where a number belongs, a pair with one
+        element) is re-raised as one that names ``path``.
+        """
+        path = cls._path if path is None else path
+        version = cls._schema_version
+        if version is not None and isinstance(payload, dict):
+            payload = dict(payload)
+            found = payload.pop("schema_version", None)
+            if not isinstance(found, int) or found > version:
+                raise SpecError(
+                    f"unsupported {path} schema version {found!r} "
+                    f"(this build reads <= {version})"
+                )
+            # Deliberate legacy read: payloads written before the engine
+            # knob was removed hold "engine": null (or "fast", the batched
+            # path every run takes); any other value asks for a link engine
+            # that no longer exists.
+            engine = payload.pop("engine", None)
+            if engine not in (None, "fast"):
+                raise SpecError(
+                    f"{path} pins engine {engine!r}, which no longer exists: every run "
+                    "uses the batched link engine, and the per-packet reference path "
+                    "survives only as a test oracle; remove the 'engine' field"
+                )
+        data = _from_payload(cls, payload, path)
+        try:
+            return cls(**{name: _decode_lists(value) for name, value in data.items()})
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as error:
+            raise SpecError(f"{path}: {error}") from error
+
+    @classmethod
+    def from_json(cls: type[_S], text: str) -> _S:
+        """Inverse of :meth:`to_json`."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise SpecError(f"{cls._path} is not valid JSON: {error}") from error
+        return cls.from_dict(payload)
+
+
+def _decode_spec(spec: Any, name: str, cls: type[_SpecCodec], path: str) -> None:
+    """Decode the nested-spec field ``name`` of ``spec`` in place.
+
+    JSON null reads as the field's default; anything else that is not
+    already a ``cls`` decodes through ``cls.from_dict`` under ``path``, so a
+    value that is not a JSON object fails there, naming ``path``.
+    """
+    value = getattr(spec, name)
+    if value is None:
+        default = type(spec).__dataclass_fields__[name]
+        value = default.default if default.default_factory is MISSING else default.default_factory()
+    elif not isinstance(value, cls):
+        value = cls.from_dict(value, path)
+    _set(spec, name, value)
+
+
+def _decode_specs(spec: Any, name: str, cls: type[_SpecCodec], path: str) -> None:
+    """Decode the tuple-of-specs field ``name`` of ``spec`` in place.
+
+    JSON null reads as an empty tuple, and item ``i`` decodes as
+    :func:`_decode_spec` decodes a single spec, under ``path[i]``.
+    """
+    value = getattr(spec, name)
+    if value is None:
+        value = ()
+    if not isinstance(value, (tuple, list)):
+        raise SpecError(f"{path} must be a JSON list, got {type(value).__name__}")
+    _set(
+        spec,
+        name,
+        tuple(
+            item if isinstance(item, cls) else cls.from_dict(item, f"{path}[{i}]")
+            for i, item in enumerate(value)
+        ),
+    )
 
 
 def _require_mcs(name: str, path: str) -> None:
@@ -136,7 +267,7 @@ def _require_mcs(name: str, path: str) -> None:
 # Channel                                                                     #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_SpecCodec, path="channel"):
     """Declarative propagation channel of a link (desired or interfering).
 
     ``kind`` selects the model: ``"flat"`` (single unit tap, the default),
@@ -197,27 +328,12 @@ class ChannelSpec:
         assert self.taps is not None  # enforced in __post_init__
         return StaticTapChannel(taps=tuple(complex(re_, im) for re_, im in self.taps))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "delay_spread_ns": self.delay_spread_ns,
-            "rician_k_db": self.rician_k_db,
-            "taps": None if self.taps is None else [list(pair) for pair in self.taps],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "channel") -> "ChannelSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if data.get("taps") is not None:
-            data["taps"] = tuple(tuple(pair) for pair in data["taps"])
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Allocation                                                                  #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class AllocationSpec:
+class AllocationSpec(_SpecCodec, path="allocation"):
     """Declarative sender allocation.
 
     ``kind="dot11g"`` is the standard 802.11a/g 64-point grid;
@@ -286,19 +402,12 @@ class AllocationSpec:
             name=self.name,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "allocation") -> "AllocationSpec":
-        return cls(**_from_payload(cls, payload, path))
-
 
 # --------------------------------------------------------------------------- #
 # Interferers                                                                 #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class InterfererSpec:
+class InterfererSpec(_SpecCodec, path="interferer"):
     """One declarative interfering transmitter.
 
     ``kind="aci"`` places the interferer on the block of subcarriers
@@ -342,10 +451,7 @@ class InterfererSpec:
                 f"interferer edge_window_length must be >= 0, got {self.edge_window_length}"
             )
         _require_mcs(self.mcs_name, "interferer mcs_name")
-        if self.channel is None:  # JSON null reads as the default flat channel
-            _set(self, "channel", ChannelSpec())
-        if isinstance(self.channel, dict):
-            _set(self, "channel", ChannelSpec.from_dict(self.channel, "interferer channel"))
+        _decode_spec(self, "channel", ChannelSpec, "interferer channel")
 
     def build(self, sender: OfdmAllocation, sir_db: float, index: int) -> RealizableInterferer:
         """Resolve to a realisable interferer on the sender's grid."""
@@ -375,24 +481,12 @@ class InterfererSpec:
             label=self.label if self.label is not None else f"cci-{index}",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["channel"] = self.channel.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "interferer") -> "InterfererSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if isinstance(data.get("channel"), dict):
-            data["channel"] = ChannelSpec.from_dict(data["channel"], f"{path} channel")
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Scenario                                                                    #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_SpecCodec, path="scenario"):
     """Declarative link-level scenario: sender + channel + interferer set.
 
     ``sir_db`` is the total signal-to-interference ratio shared by every
@@ -422,24 +516,9 @@ class ScenarioSpec:
             raise SpecError("scenario n_preamble_symbols must be >= 1")
         if self.pad_symbols < 0:
             raise SpecError("scenario pad_symbols must be >= 0")
-        if self.interferers is None:  # JSON null reads as an empty set
-            _set(self, "interferers", ())
-        if self.channel is None:
-            _set(self, "channel", ChannelSpec())
-        interferers = tuple(
-            InterfererSpec.from_dict(item, f"interferers[{i}]") if isinstance(item, dict) else item
-            for i, item in enumerate(self.interferers)
-        )
-        for i, item in enumerate(interferers):
-            if not isinstance(item, InterfererSpec):
-                raise SpecError(
-                    f"interferers[{i}] must be an InterfererSpec, got {type(item).__name__}"
-                )
-        _set(self, "interferers", interferers)
-        if isinstance(self.channel, dict):
-            _set(self, "channel", ChannelSpec.from_dict(self.channel, "scenario channel"))
-        if isinstance(self.allocation, dict):
-            _set(self, "allocation", AllocationSpec.from_dict(self.allocation))
+        _decode_spec(self, "allocation", AllocationSpec, "allocation")
+        _decode_specs(self, "interferers", InterfererSpec, "interferers")
+        _decode_spec(self, "channel", ChannelSpec, "scenario channel")
 
     # ------------------------------------------------------------------ #
     def sender_allocation(self) -> OfdmAllocation:
@@ -478,10 +557,10 @@ class ScenarioSpec:
                 "shared sir_db; set scenario.sir_db (total SIR) or pin each interferer"
             )
         # The total SIR splits equally: each of n sharing interferers is
-        # 10*log10(n) dB weaker, computed as 10*0.30103*log2(n) with the same
-        # 0.30103 (~log10 2) constant as the factories this layer replaces —
-        # log2 of 1 and 2 is exactly 0.0 / 1.0, so the one- and two-interferer
-        # figures calibrate bit-identically while n >= 3 splits correctly.
+        # 10*log10(n) dB weaker, computed as 10*0.30103*log2(n) with the
+        # paper's 0.30103 (~log10 2) dB-per-doubling constant.  log2 of 1 and
+        # 2 is exactly 0.0 / 1.0, so one- and two-interferer scenarios get
+        # the exact offsets 0 and 3.0103 dB that their recorded results use.
         shared_sir = None
         if shared:
             assert self.sir_db is not None  # enforced by the check above
@@ -504,32 +583,12 @@ class ScenarioSpec:
             pad_symbols=self.pad_symbols,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mcs_name": self.mcs_name,
-            "payload_length": self.payload_length,
-            "snr_db": self.snr_db,
-            "sir_db": self.sir_db,
-            "allocation": None if self.allocation is None else self.allocation.to_dict(),
-            "interferers": [spec.to_dict() for spec in self.interferers],
-            "channel": self.channel.to_dict(),
-            "n_preamble_symbols": self.n_preamble_symbols,
-            "pad_symbols": self.pad_symbols,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "scenario") -> "ScenarioSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if data.get("interferers") is not None:
-            data["interferers"] = tuple(data["interferers"])
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Network deployments                                                         #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(_SpecCodec, path="deployment"):
     """Declarative multi-floor Wi-Fi deployment (the network-level scenario).
 
     ``topology`` names a placement rule in the topology registry
@@ -612,13 +671,6 @@ class DeploymentSpec:
 
         return resolve_topology(self.topology)(self)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "deployment") -> "DeploymentSpec":
-        return cls(**_from_payload(cls, payload, path))
-
 
 # --------------------------------------------------------------------------- #
 # Receivers                                                                   #
@@ -633,7 +685,7 @@ RECEIVER_DISPLAY: dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(_SpecCodec, path="receiver"):
     """One receiver under test, resolved through the plugin registry.
 
     ``name`` must be registered (builtins: ``standard``, ``cprecycle``,
@@ -675,18 +727,6 @@ class ReceiverSpec:
         if self.display is not None:
             return self.display
         return RECEIVER_DISPLAY.get(self.name, self.name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "n_segments": self.n_segments,
-            "display": self.display,
-            "options": self.options,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "receiver") -> "ReceiverSpec":
-        return cls(**_from_payload(cls, payload, path))
 
 
 # --------------------------------------------------------------------------- #
@@ -747,7 +787,7 @@ def axis_placeholder(field_name: str) -> str:
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_SpecCodec, path="sweep axis"):
     """One grid dimension: a target field and its values.
 
     Either ``values`` (explicit grid) or ``span`` (an inclusive
@@ -795,57 +835,26 @@ class SweepAxis:
         n_points = self.n_points if self.n_points is not None else n_points_default
         return SweepAxis(field=self.field, values=tuple(sir_axis(self.span[0], self.span[1], n_points)))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "field": self.field,
-            "values": None if self.values is None else list(self.values),
-            "span": None if self.span is None else list(self.span),
-            "n_points": self.n_points,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "sweep axis") -> "SweepAxis":
-        data = dict(_from_payload(cls, payload, path))
-        for key in ("values", "span"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_SpecCodec, path="sweep"):
     """The experiment grid: one :class:`SweepAxis` per dimension, outer
     axes first.  Points are executed in row-major grid order."""
 
     axes: tuple[SweepAxis, ...]
 
     def __post_init__(self) -> None:
-        axes = tuple(
-            SweepAxis.from_dict(axis, f"sweep axes[{i}]") if isinstance(axis, dict) else axis
-            for i, axis in enumerate(self.axes)
-        )
-        if not axes:
+        _decode_specs(self, "axes", SweepAxis, "sweep axes")
+        if not self.axes:
             raise SpecError("a sweep needs at least one axis")
-        for i, axis in enumerate(axes):
-            if not isinstance(axis, SweepAxis):
-                raise SpecError(f"sweep axes[{i}] must be a SweepAxis, got {type(axis).__name__}")
-        names = [axis.field for axis in axes]
+        names = [axis.field for axis in self.axes]
         if len(set(names)) != len(names):
             raise SpecError(f"sweep axes target duplicate fields: {names}")
-        _set(self, "axes", axes)
 
     @property
     def x_axis(self) -> SweepAxis:
         """The innermost axis — the figure's x dimension."""
         return self.axes[-1]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"axes": [axis.to_dict() for axis in self.axes]}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "sweep") -> "SweepSpec":
-        data = dict(_from_payload(cls, payload, path))
-        return cls(axes=tuple(data.get("axes") or ()))
 
 
 def _axis_probe_value(axis: SweepAxis) -> Any:
@@ -920,7 +929,7 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_SpecCodec, path="experiment spec", schema_version=SPEC_SCHEMA_VERSION):
     """One complete, serialisable experiment.
 
     ``kind="psr"`` (the default) sweeps packet success rate over the grid:
@@ -970,17 +979,9 @@ class ExperimentSpec:
         if self.payload_length is not None and self.payload_length < 1:
             raise SpecError(f"experiment payload_length must be >= 1, got {self.payload_length}")
         _set(self, "notes", tuple(self.notes or ()))
-        if self.receivers is None:  # JSON null reads as an empty set
-            _set(self, "receivers", ())
-        if isinstance(self.scenario, dict):
-            _set(self, "scenario", ScenarioSpec.from_dict(self.scenario))
-        if isinstance(self.sweep, dict):
-            _set(self, "sweep", SweepSpec.from_dict(self.sweep))
-        receivers = tuple(
-            ReceiverSpec.from_dict(item, f"receivers[{i}]") if isinstance(item, dict) else item
-            for i, item in enumerate(self.receivers)
-        )
-        _set(self, "receivers", receivers)
+        _decode_spec(self, "scenario", ScenarioSpec, "scenario")
+        _decode_specs(self, "receivers", ReceiverSpec, "receivers")
+        _decode_spec(self, "sweep", SweepSpec, "sweep")
         if self.kind == "analysis":
             self._validate_analysis()
         else:
@@ -1014,17 +1015,12 @@ class ExperimentSpec:
                 f"psr experiment {self.name!r} must not set 'analysis'/'params' "
                 "(use kind='analysis' for registered analyses)"
             )
-        if not isinstance(self.scenario, ScenarioSpec):
+        if self.scenario is None:
             raise SpecError(f"psr experiment {self.name!r} needs a ScenarioSpec 'scenario'")
-        if self.sweep is None or not isinstance(self.sweep, SweepSpec):
+        if self.sweep is None:
             raise SpecError(f"psr experiment {self.name!r} needs a SweepSpec 'sweep'")
         if not self.receivers:
             raise SpecError(f"psr experiment {self.name!r} needs at least one ReceiverSpec")
-        for i, receiver in enumerate(self.receivers):
-            if not isinstance(receiver, ReceiverSpec):
-                raise SpecError(
-                    f"receivers[{i}] must be a ReceiverSpec, got {type(receiver).__name__}"
-                )
         names = [receiver.name for receiver in self.receivers]
         if len(set(names)) != len(names):
             raise SpecError(f"receiver names must be unique, got {names}")
@@ -1149,62 +1145,3 @@ class ExperimentSpec:
             payload_length=payload,
             seed=seed,
         )
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable payload (schema-versioned)."""
-        return {
-            "schema_version": SPEC_SCHEMA_VERSION,
-            "name": self.name,
-            "figure": self.figure,
-            "title": self.title,
-            "kind": self.kind,
-            "scenario": None if self.scenario is None else self.scenario.to_dict(),
-            "receivers": [receiver.to_dict() for receiver in self.receivers],
-            "sweep": None if self.sweep is None else self.sweep.to_dict(),
-            "series_label": self.series_label,
-            "x_label": self.x_label,
-            "x_transform": self.x_transform,
-            "y_label": self.y_label,
-            "notes": list(self.notes),
-            "analysis": self.analysis,
-            "params": self.params,
-            "n_packets": self.n_packets,
-            "payload_length": self.payload_length,
-            "seed": self.seed,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialise to JSON text; :meth:`from_json` restores an equal spec."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output, checking the schema."""
-        if not isinstance(payload, dict):
-            raise SpecError(f"experiment spec must be a JSON object, got {type(payload).__name__}")
-        payload = dict(payload)
-        version = payload.pop("schema_version", None)
-        if not isinstance(version, int) or version > SPEC_SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported experiment-spec schema version {version!r} "
-                f"(this build reads <= {SPEC_SCHEMA_VERSION})"
-            )
-        # Deliberate legacy read: specs dumped before the engine knob was
-        # removed carry this key.
-        _check_legacy_engine(payload.pop("engine", None), "experiment spec")
-        data = dict(_from_payload(cls, payload, "experiment spec"))
-        if data.get("receivers") is not None:
-            data["receivers"] = tuple(data["receivers"])
-        if data.get("notes") is not None:
-            data["notes"] = tuple(data["notes"])
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Inverse of :meth:`to_json`."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecError(f"experiment spec is not valid JSON: {error}") from error
-        return cls.from_dict(payload)

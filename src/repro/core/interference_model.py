@@ -76,10 +76,6 @@ class InterferenceModel:
 
     def __init__(self, deviations: np.ndarray, config: CPRecycleConfig | None = None):
         deviations = np.asarray(deviations, dtype=complex)
-        if deviations.ndim == 2:
-            # Backwards-compatible input (subcarriers, samples): treat the
-            # sample axis as pooled segments with a single training symbol.
-            deviations = deviations[:, :, None]
         if deviations.ndim != 3:
             raise ValueError(
                 "deviations must have shape (n_subcarriers, n_segments, n_preambles)"

@@ -6,6 +6,14 @@ uses it to motivate CPRecycle: it works at mild interference but collapses at
 -20/-30 dB SIR because the arithmetic mean is destroyed by outlier segments,
 it assumes observations sit exactly on lattice points, and it ignores phase
 structure (section 3.3).
+
+That collapse is the paper's claim.  This simulator measures naive between
+the standard receiver and the oracle at both SIRs: symbol error rates over
+20 packets at seeds 11 / 7 of ``fig05_naive.build_spec(sir_db)``'s scenario
+with ``payload_length=60`` and a 2.5 MHz (8-subcarrier) guard, with its
+16-segment receivers, are 15.92 / 18.44% (standard), 9.57 / 11.31% (naive)
+and 4.51 / 4.49% (oracle) at -20 dB, and 63.35 / 63.96%, 57.65 / 59.31% and
+45.29 / 47.57% at -30 dB.
 """
 
 from __future__ import annotations

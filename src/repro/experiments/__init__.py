@@ -13,7 +13,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.link import (
     LinkResult,
-    PacketStats,
     packet_success_rate,
     psr,
     symbol_error_rate,
@@ -38,7 +37,6 @@ __all__ = [
     "InjectedFault",
     "LinkResult",
     "PAPER_MCS_SET",
-    "PacketStats",
     "QUICK_PROFILE",
     "SNR_FOR_MCS",
     "aci_scenario",

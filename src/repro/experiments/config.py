@@ -15,9 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from repro.channel.interference import adjacent_channel_interferer, co_channel_interferer
 from repro.channel.scenario import Scenario
-from repro.phy.subcarriers import OfdmAllocation, dot11g_allocation, wideband_allocation
+from repro.phy.subcarriers import OfdmAllocation, wideband_allocation
 from repro.receiver.base import OfdmReceiverBase
 
 __all__ = [
@@ -112,27 +111,30 @@ def aci_scenario(
     snr_db: float | None = None,
     edge_window_length: int = ACI_EDGE_WINDOW,
 ) -> Scenario:
-    """Adjacent-channel-interference scenario (Figs. 4, 5, 8, 9, 10, 14)."""
-    sender = aci_sender_allocation(two_sided=two_sided, guard_subcarriers=guard_subcarriers)
+    """Adjacent-channel-interference scenario (Figs. 4, 5, 8, 9, 10, 14).
+
+    ``sir_db`` is the total SIR, which a two-sided scenario splits equally
+    between its upper and lower interferer (:meth:`repro.api.ScenarioSpec.build`).
+    """
+    # Imported lazily: repro.api imports this module.
+    from repro.api.specs import InterfererSpec, ScenarioSpec
+
     sides = ("upper", "lower") if two_sided else ("upper",)
-    per_interferer_sir = sir_db + (10.0 * 0.30103 if len(sides) == 2 else 0.0)  # split power
-    interferers = [
-        adjacent_channel_interferer(
-            sender,
-            sir_db=per_interferer_sir,
-            guard_subcarriers=guard_subcarriers,
-            side=side,
-            edge_window_length=edge_window_length,
-        )
-        for side in sides
-    ]
-    return Scenario(
-        sender,
+    return ScenarioSpec(
         mcs_name=mcs_name,
         payload_length=payload_length,
-        snr_db=SNR_FOR_MCS[mcs_name] if snr_db is None else snr_db,
-        interferers=interferers,
-    )
+        snr_db=snr_db,
+        sir_db=sir_db,
+        interferers=tuple(
+            InterfererSpec(
+                kind="aci",
+                guard_subcarriers=guard_subcarriers,
+                side=side,
+                edge_window_length=edge_window_length,
+            )
+            for side in sides
+        ),
+    ).build()
 
 
 def cci_scenario(
@@ -142,20 +144,21 @@ def cci_scenario(
     n_interferers: int = 1,
     snr_db: float | None = None,
 ) -> Scenario:
-    """Co-channel-interference scenario on the 802.11g allocation (Figs. 11, 12)."""
-    sender = dot11g_allocation()
-    per_interferer_sir = sir_db + 10.0 * 0.30103 * (n_interferers - 1)
-    interferers = [
-        co_channel_interferer(sender, sir_db=per_interferer_sir, label=f"cci-{index}")
-        for index in range(n_interferers)
-    ]
-    return Scenario(
-        sender,
+    """Co-channel-interference scenario on the 802.11g allocation (Figs. 11, 12).
+
+    ``sir_db`` is the total SIR, split equally between the ``n_interferers``
+    (:meth:`repro.api.ScenarioSpec.build`).
+    """
+    # Imported lazily: repro.api imports this module.
+    from repro.api.specs import InterfererSpec, ScenarioSpec
+
+    return ScenarioSpec(
         mcs_name=mcs_name,
         payload_length=payload_length,
-        snr_db=SNR_FOR_MCS[mcs_name] if snr_db is None else snr_db,
-        interferers=interferers,
-    )
+        snr_db=snr_db,
+        sir_db=sir_db,
+        interferers=(InterfererSpec(kind="cci"),) * n_interferers,
+    ).build()
 
 
 # --------------------------------------------------------------------------- #

@@ -37,7 +37,6 @@ from repro.receiver.decode_chain import decode_coded_bits_batch
 
 __all__ = [
     "LinkResult",
-    "PacketStats",
     "packet_success_rate",
     "psr",
     "symbol_error_rate",
@@ -158,10 +157,6 @@ class LinkResult:
 
     def __add__(self, other: "LinkResult") -> "LinkResult":
         return self.merge(other)
-
-
-#: Backwards-compatible alias: the result type predates round-merging.
-PacketStats = LinkResult
 
 
 @overload

@@ -54,20 +54,17 @@ def preamble_frequency_symbols(
     allocation: OfdmAllocation,
     n_symbols: int,
     seed: int = 7,
-    use_dot11_ltf: bool | None = None,
 ) -> np.ndarray:
     """Known frequency-domain training symbols for an allocation.
 
     Returns an array of shape ``(n_symbols, fft_size)``.  For the standard
     64-bin 802.11 allocation the genuine L-LTF sequence is used for every
-    training symbol (the default); other allocations use seeded BPSK values on
-    the occupied bins.
+    training symbol; other allocations use seeded BPSK values on the occupied
+    bins.
     """
     if n_symbols < 1:
         raise ValueError("a frame needs at least one preamble symbol")
-    if use_dot11_ltf is None:
-        use_dot11_ltf = allocation.fft_size == 64 and allocation.name.startswith("802.11")
-    if use_dot11_ltf:
+    if allocation.fft_size == 64 and allocation.name.startswith("802.11"):
         base = dot11_ltf_sequence(allocation.fft_size)
         return np.tile(base, (n_symbols, 1))
     rng = np.random.default_rng(seed)

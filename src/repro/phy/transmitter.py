@@ -128,7 +128,6 @@ class OfdmTransmitter:
         self,
         n_symbols: int,
         rng: int | np.random.Generator | None = None,
-        include_pilots: bool = True,
     ) -> np.ndarray:
         """A stream of OFDM symbols carrying random data (no framing).
 
@@ -148,10 +147,7 @@ class OfdmTransmitter:
         points = constellation.map(bits).reshape(n_symbols, n_data)
         pilots = None
         if self.allocation.n_pilot_subcarriers:
-            if include_pilots:
-                pilots = pilot_values(n_symbols, self.allocation.n_pilot_subcarriers)
-            else:
-                pilots = np.zeros((n_symbols, self.allocation.n_pilot_subcarriers))
+            pilots = pilot_values(n_symbols, self.allocation.n_pilot_subcarriers)
         grid = assemble_frequency_symbols(self.allocation, points, pilots)
         stream = ofdm_modulate(self.allocation, grid)
         if self.edge_window_length:

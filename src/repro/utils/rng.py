@@ -29,6 +29,13 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
     so that changing the number of packets in one sweep point does not shift
     the noise realisations of another.
 
+    Stream paths that differ only by trailing zeros give the same generator,
+    because :class:`numpy.random.SeedSequence` pools ``[seed, *stream]``
+    without its length: ``child_rng(1)``, ``child_rng(1, 0)`` and
+    ``child_rng(1, 0, 0)`` are one stream, and Fig. 13's
+    ``child_rng(3, 13, 0, 0)`` is packet 13's ``child_rng(3, 13)`` of a link
+    sweep at seed 3.  Changing the derivation would move every digest.
+
     Under ``REPRO_TRACE`` the seed material of every derived stream is
     digested into the running task's span (a no-op None-check otherwise —
     see :mod:`repro.obs.tracer`).

@@ -515,6 +515,19 @@ class TestCli:
             runner.main(["--spec", str(bad)])
         assert "invalid spec" in capsys.readouterr().err
 
+    def test_wrong_typed_nested_spec_in_spec_file_is_a_usage_error(self, tmp_path, capsys):
+        payload = runner.builtin_spec("fig8").to_dict()
+        payload["scenario"]["channel"] = 5
+        bad = tmp_path / "bad-channel.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["--spec", str(bad)])
+        assert excinfo.value.code == 2
+        assert (
+            f"invalid spec file {bad}: scenario channel must be a JSON object, got int"
+            in capsys.readouterr().err
+        )
+
     def test_builtin_spec_unknown_name(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             runner.builtin_spec("fig99")

@@ -14,6 +14,7 @@ The load-bearing guarantees:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,8 @@ import pytest
 
 from repro.api import (
     AllocationSpec,
+    CampaignExperiment,
+    CampaignSpec,
     ChannelSpec,
     DeploymentSpec,
     ExperimentSpec,
@@ -58,6 +61,60 @@ def _psr_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _payload(cls):
+    """A valid JSON payload of ``cls`` with every nested spec filled in."""
+    spec = _psr_spec(
+        scenario=ScenarioSpec(
+            interferers=(InterfererSpec(kind="aci"),),
+            channel=ChannelSpec(kind="static", taps=((1.0, 0.0),)),
+        )
+    )
+    if cls is ExperimentSpec:
+        return spec.to_dict()
+    return CampaignSpec(
+        name="c",
+        experiments=(
+            CampaignExperiment(spec=spec),
+            CampaignExperiment(deployment=DeploymentSpec(), name="network"),
+        ),
+    ).to_dict()
+
+
+#: (payload class, key path, wrong-typed value, the SpecError it must raise).
+_WRONG_TYPED_FIELDS = [
+    (ExperimentSpec, ("scenario", "channel"), 5,
+     "scenario channel must be a JSON object, got int"),
+    (ExperimentSpec, ("scenario", "interferers", 0, "channel"), 5,
+     "interferer channel must be a JSON object, got int"),
+    (ExperimentSpec, ("scenario", "interferers", 0, "channel"), "flat",
+     "interferer channel must be a JSON object, got str"),
+    (ExperimentSpec, ("scenario", "allocation"), 5,
+     "allocation must be a JSON object, got int"),
+    (ExperimentSpec, ("scenario", "allocation"), [],
+     "allocation must be a JSON object, got list"),
+    (ExperimentSpec, ("sweep", "axes"), 5, "sweep axes must be a JSON list, got int"),
+    (ExperimentSpec, ("scenario", "interferers"), 5, "interferers must be a JSON list, got int"),
+    (ExperimentSpec, ("receivers",), 5, "receivers must be a JSON list, got int"),
+    (ExperimentSpec, ("notes",), 5, "experiment spec: 'int' object is not iterable"),
+    (ExperimentSpec, ("scenario", "channel", "taps"), 5,
+     "scenario channel: 'int' object is not iterable"),
+    (ExperimentSpec, ("scenario", "channel", "taps"), [[1]],
+     "scenario channel: not enough values to unpack"),
+    (ExperimentSpec, ("sweep", "axes", 0, "values"), 5,
+     "sweep axes[0]: 'int' object is not iterable"),
+    (ExperimentSpec, ("n_packets",), "ten", "experiment spec: '<' not supported"),
+    (CampaignSpec, ("experiments",), 5, "experiments must be a JSON list, got int"),
+    (CampaignSpec, ("experiments", 0, "spec"), 5,
+     "experiment spec must be a JSON object, got int"),
+    (CampaignSpec, ("experiments", 0, "spec", "n_packets"), "ten",
+     "experiment spec: '<' not supported"),
+    (CampaignSpec, ("experiments", 0, "precision"), 5,
+     "experiment precision must be a JSON object, got int"),
+    (CampaignSpec, ("experiments", 1, "deployment"), 5,
+     "deployment must be a JSON object, got int"),
+]
 
 
 class TestChannelSpec:
@@ -559,6 +616,20 @@ class TestValidation:
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="not valid JSON"):
             ExperimentSpec.from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "cls, keys, value, message",
+        _WRONG_TYPED_FIELDS,
+        ids=[f"{'.'.join(map(str, keys))}={value!r}" for _, keys, value, _ in _WRONG_TYPED_FIELDS],
+    )
+    def test_wrong_typed_field_fails_at_load_naming_its_path(self, cls, keys, value, message):
+        payload = _payload(cls)
+        parent = payload
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with pytest.raises(SpecError, match=re.escape(message)):
+            cls.from_dict(payload)
 
 
 class TestRoundTrip:

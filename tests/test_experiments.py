@@ -1,5 +1,7 @@
 """Tests for the experiment harness: link engine, results, figure modules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,14 @@ class TestConfig:
         scenario = expcfg.cci_scenario("16qam-1/2", 5.0, 30, n_interferers=2)
         assert scenario.allocation.fft_size == 64
         assert len(scenario.interferers) == 2
+
+    def test_cci_scenario_splits_the_total_sir_equally(self):
+        # Three equal interferers at sir_db + 10*log10(3) each sum to sir_db
+        # (ScenarioSpec.build's rule, with its 0.30103 dB-per-doubling constant).
+        scenario = expcfg.cci_scenario("qpsk-1/2", 5.0, 30, n_interferers=3)
+        assert [spec.sir_db for spec in scenario.interferers] == [
+            5.0 + 10.0 * 0.30103 * math.log2(3)
+        ] * 3
 
     def test_build_receivers_names(self):
         receivers = expcfg.build_receivers(dot11g_allocation(), ("standard", "naive", "oracle", "cprecycle"))

@@ -210,3 +210,14 @@ class TestScenario:
         rx = scenario.realize(0)
         assert len(rx.interferers) == 2
         assert rx.sir_db == pytest.approx(10.0 - 3.0, abs=1.5)
+
+
+def test_package_quick_start_runs(capsys):
+    # The ``Quick start::`` block of the package docstring, run as written.
+    import textwrap
+
+    import repro
+
+    block = repro.__doc__.split("Quick start::\n", 1)[1]
+    exec(compile(textwrap.dedent(block), "repro quick start", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2

@@ -153,6 +153,10 @@ class TestInterferenceModel:
         with pytest.raises(ValueError):
             model.log_likelihood(np.zeros((6, 2, 3), dtype=complex))
 
+    def test_two_dimensional_deviations_rejected(self):
+        with pytest.raises(ValueError, match="must have shape"):
+            InterferenceModel(self._deviations()[:, :, 0])
+
 
 class TestSphere:
     def test_centroid(self):

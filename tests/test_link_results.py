@@ -10,7 +10,7 @@ import pytest
 
 from repro.api.specs import InterfererSpec, ScenarioSpec
 from repro.experiments.config import build_receivers
-from repro.experiments.link import LinkResult, PacketStats, packet_success_rate, psr
+from repro.experiments.link import LinkResult, packet_success_rate, psr
 from test_fast_path import oracle_link_run
 
 
@@ -47,10 +47,6 @@ class TestPsr:
 
 
 class TestLinkResultValidation:
-    def test_packet_stats_is_link_result(self):
-        # Backwards-compatible alias for pre-campaign callers.
-        assert PacketStats is LinkResult
-
     def test_counts_must_be_consistent(self):
         with pytest.raises(ValueError):
             LinkResult(receiver="r", n_packets=2, n_success=3)

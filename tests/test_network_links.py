@@ -10,7 +10,6 @@ from repro.api import (
     ReceiverSpec,
     SpecError,
     available_topologies,
-    build_deployment,
     register_topology,
     run_experiment_spec,
 )
@@ -198,24 +197,22 @@ class TestTopologyRegistry:
         assert {"building", "grid", "random"} <= set(available_topologies())
 
     def test_building_and_grid_resolve_to_office_building(self):
-        building = build_deployment(DeploymentSpec(topology="building"))
+        building = DeploymentSpec(topology="building").build()
         assert isinstance(building, OfficeBuilding)
         assert building.placement_jitter_m == 3.0
-        grid = build_deployment(DeploymentSpec(topology="grid"))
+        grid = DeploymentSpec(topology="grid").build()
         assert isinstance(grid, OfficeBuilding)
         assert grid.placement_jitter_m == 0.0
 
     def test_random_resolves_and_rejects_jitter(self):
-        assert isinstance(
-            build_deployment(DeploymentSpec(topology="random")), UniformRandomDeployment
-        )
+        assert isinstance(DeploymentSpec(topology="random").build(), UniformRandomDeployment)
         with pytest.raises(SpecError, match="placement_jitter_m"):
-            build_deployment(DeploymentSpec(topology="random", placement_jitter_m=1.0))
+            DeploymentSpec(topology="random", placement_jitter_m=1.0).build()
 
     def test_pathloss_parameters_reach_the_model(self):
-        deployment = build_deployment(
-            DeploymentSpec(topology="grid", path_loss_exponent=2.5, floor_loss_db=10.0)
-        )
+        deployment = DeploymentSpec(
+            topology="grid", path_loss_exponent=2.5, floor_loss_db=10.0
+        ).build()
         assert deployment.pathloss.path_loss_exponent == 2.5
         assert deployment.pathloss.floor_loss_db == 10.0
 
@@ -230,7 +227,7 @@ class TestTopologyRegistry:
                 n_floors=spec.n_floors, aps_per_floor=spec.aps_per_floor
             )
 
-        deployment = build_deployment(DeploymentSpec(topology="test-line", n_floors=2))
+        deployment = DeploymentSpec(topology="test-line", n_floors=2).build()
         assert deployment.n_access_points == 16
         with pytest.raises(ValueError, match="already registered"):
             register_topology("test-line")(lambda spec: None)

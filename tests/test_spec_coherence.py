@@ -1,10 +1,11 @@
 """Live coherence of the serialisable classes and the analysis registry.
 
-Every dataclass in the ``repro`` package that defines ``to_dict`` persists
-into manifests, artifacts and content hashes (``stable_key``), so each one
-must write every field and read it back unchanged.  The checks run on the
-real classes: the package is walked, every such class needs an instance
-below, and a class added without one fails.  The lazy
+Every dataclass in the ``repro`` package that has ``to_dict`` (its own, or
+the spec codec's) persists into manifests, artifacts and content hashes
+(``stable_key``), so each one must write every field and read it back
+unchanged; the specs write their fields in declaration order.  The checks
+run on the real classes: the package is walked, every such class needs an
+instance below, and a class added without one fails.  The lazy
 ``_BUILTIN_ANALYSIS_MODULES`` table must name exactly the library's
 registered analyses, each with the module that registers it, so a spec
 naming an analysis resolves from a fresh interpreter.
@@ -128,6 +129,10 @@ INSTANCES = [
     ),
 ]
 
+#: The spec instances: every class but ``FigureResult``, whose artifact key
+#: order is its own.
+SPECS = [item for item in INSTANCES if not isinstance(item, FigureResult)]
+
 
 def _library_modules():
     return [
@@ -144,7 +149,7 @@ def _serialisable_classes():
         if isinstance(value, type)
         and dataclasses.is_dataclass(value)
         and value.__module__ == module.__name__
-        and "to_dict" in vars(value)
+        and hasattr(value, "to_dict")
     }
 
 
@@ -163,8 +168,15 @@ class TestSerialisableClasses:
     def test_round_trips(self, instance):
         cls = type(instance)
         assert cls.from_dict(instance.to_dict()) == instance
-        if "to_json" in vars(cls):
+        if hasattr(cls, "to_json"):
             assert cls.from_json(instance.to_json()) == instance
+
+    @pytest.mark.parametrize("instance", SPECS, ids=lambda item: type(item).__name__)
+    def test_to_dict_writes_fields_in_declaration_order(self, instance):
+        names = [f.name for f in dataclasses.fields(instance)]
+        if isinstance(instance, (ExperimentSpec, CampaignSpec)):
+            names = ["schema_version", *names]
+        assert list(instance.to_dict()) == names
 
 
 class TestAnalysisRegistry:

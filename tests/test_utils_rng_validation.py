@@ -51,6 +51,15 @@ class TestRng:
         }
         assert len(set(draws.values())) == len(draws)
 
+    def test_child_rng_trailing_zero_streams_coincide(self):
+        # SeedSequence pools [seed, *stream] without its length (see child_rng).
+        def draw(*path):
+            return rng_utils.child_rng(*path).standard_normal(4).tobytes()
+
+        assert draw(1) == draw(1, 0) == draw(1, 0, 0)
+        assert draw(3, 13, 0, 0) == draw(3, 13)
+        assert draw(3, 13, 0, 1) != draw(3, 13)
+
     def test_ensure_rng_accepts_numpy_integer_seed(self):
         a = rng_utils.ensure_rng(np.int64(5)).integers(0, 10**9)
         assert a == rng_utils.ensure_rng(5).integers(0, 10**9)
