@@ -34,6 +34,7 @@ import json
 import math
 import re
 import string
+from contextvars import ContextVar
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
@@ -136,6 +137,24 @@ def _decode_lists(value: Any) -> Any:
 
 _S = TypeVar("_S", bound="_SpecCodec")
 
+#: The class and payload path :meth:`_SpecCodec.from_dict` is building, so
+#: that a nested spec decoded in that class's ``__post_init__`` can be named
+#: after it (see :func:`_payload_path`).
+_DECODING: ContextVar[tuple[type[Any], str] | None] = ContextVar("_DECODING", default=None)
+
+
+def _payload_path(spec: _SpecCodec) -> str:
+    """The payload path ``spec`` is being decoded under, else its class default.
+
+    An interferer loaded as ``interferers[2]`` names its channel
+    ``interferers[2] channel``; one constructed directly says
+    ``interferer channel``.
+    """
+    decoding = _DECODING.get()
+    if decoding is not None and decoding[0] is type(spec):
+        return decoding[1]
+    return spec._path
+
 
 class _SpecCodec:
     """The JSON codec every spec dataclass of :mod:`repro.api` shares.
@@ -204,12 +223,15 @@ class _SpecCodec:
                     "survives only as a test oracle; remove the 'engine' field"
                 )
         data = _from_payload(cls, payload, path)
+        token = _DECODING.set((cls, path))
         try:
             return cls(**{name: _decode_lists(value) for name, value in data.items()})
         except SpecError:
             raise
         except (TypeError, ValueError) as error:
             raise SpecError(f"{path}: {error}") from error
+        finally:
+            _DECODING.reset(token)
 
     @classmethod
     def from_json(cls: type[_S], text: str) -> _S:
@@ -451,7 +473,7 @@ class InterfererSpec(_SpecCodec, path="interferer"):
                 f"interferer edge_window_length must be >= 0, got {self.edge_window_length}"
             )
         _require_mcs(self.mcs_name, "interferer mcs_name")
-        _decode_spec(self, "channel", ChannelSpec, "interferer channel")
+        _decode_spec(self, "channel", ChannelSpec, f"{_payload_path(self)} channel")
 
     def build(self, sender: OfdmAllocation, sir_db: float, index: int) -> RealizableInterferer:
         """Resolve to a realisable interferer on the sender's grid."""
@@ -524,9 +546,8 @@ class ScenarioSpec(_SpecCodec, path="scenario"):
     def sender_allocation(self) -> OfdmAllocation:
         """Sender allocation: explicit spec, or derived from the ACI layout.
 
-        The derivation matches the hard-coded factories bit for bit: with no
-        ACI interferer the standard 802.11g grid is used; otherwise the
-        paper's wideband layout sized by the widest guard band and by
+        With no ACI interferer the standard 802.11g grid is used; otherwise
+        the paper's wideband layout sized by the widest guard band and by
         whether any interferer sits below the sender.
         """
         if self.allocation is not None:

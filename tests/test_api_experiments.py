@@ -1,9 +1,10 @@
 """Tests for the spec execution facade, the receiver registry and the CLI.
 
-The bit-identity class reconstructs the pre-refactor execution path from
-the primitives it was built on (``aci_scenario``/``cci_scenario`` +
-``build_receivers`` + ``packet_success_rate``, or the per-packet link oracle
-of ``test_fast_path``) and asserts the spec-driven figures reproduce it
+The bit-identity class runs each sweep point by hand from primitives the
+spec layer does not use (the reference scenarios of ``scenario_reference``,
+built from the channel primitives, + ``build_receivers`` +
+``packet_success_rate``, or the per-packet link oracle of
+``test_fast_path``) and asserts the spec-driven figures reproduce it
 exactly, for any worker count.
 """
 
@@ -46,13 +47,14 @@ from repro.experiments.store import ResultStore
 from repro.experiments.sweeps import sir_axis
 from repro.phy.subcarriers import dot11g_allocation
 from repro.receiver.standard import StandardOfdmReceiver
+from scenario_reference import reference_aci_scenario, reference_cci_scenario
 from test_fast_path import oracle_link_run
 
 TINY = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
 
 
 def _legacy_point(scenario, receiver_names, profile, n_segments=None, oracle=False):
-    """One sweep point exactly as the pre-refactor figure modules ran it.
+    """One sweep point run by hand: ``scenario``'s packets through the receivers.
 
     ``oracle`` simulates the packets through the per-packet link oracle
     instead of :func:`packet_success_rate`.
@@ -68,7 +70,7 @@ def _legacy_point(scenario, receiver_names, profile, n_segments=None, oracle=Fal
 
 
 class TestBitIdentity:
-    """Spec-driven figures == the hard-coded pre-refactor path."""
+    """Spec-driven figures == the same points run by hand from reference scenarios."""
 
     @pytest.mark.parametrize("legacy_link", ["fast", "reference"])
     def test_fig8_matches_legacy_path(self, legacy_link):
@@ -77,7 +79,7 @@ class TestBitIdentity:
         result = run_experiment_spec(spec, TINY)
         for index, sir in enumerate(sirs):
             legacy = _legacy_point(
-                expcfg.aci_scenario("qpsk-1/2", sir, payload_length=TINY.payload_length),
+                reference_aci_scenario("qpsk-1/2", sir, payload_length=TINY.payload_length),
                 ("standard", "cprecycle"),
                 TINY,
                 oracle=legacy_link == "reference",
@@ -91,7 +93,7 @@ class TestBitIdentity:
         result = run_experiment_spec(spec, TINY)
         for index, guard in enumerate(guards):
             legacy = _legacy_point(
-                expcfg.aci_scenario(
+                reference_aci_scenario(
                     "16qam-1/2", -10.0, payload_length=TINY.payload_length,
                     guard_subcarriers=guard,
                 ),
@@ -107,7 +109,7 @@ class TestBitIdentity:
         result = run_experiment_spec(spec, TINY)
         for index, sir in enumerate(sirs):
             legacy = _legacy_point(
-                expcfg.cci_scenario(
+                reference_cci_scenario(
                     "qpsk-1/2", sir, payload_length=TINY.payload_length, n_interferers=2
                 ),
                 ("standard", "cprecycle"),
@@ -118,12 +120,10 @@ class TestBitIdentity:
     def test_fig14_segment_budget_matches_legacy_path(self):
         spec = fig14_segment_sweep.build_spec(sir_values_db=(-16.0,), segment_fractions=(0.1,))
         result = run_experiment_spec(spec, TINY)
-        cp_length = expcfg.aci_scenario(
-            "16qam-1/2", -16.0, payload_length=TINY.payload_length
-        ).allocation.cp_length
-        n_segments = max(1, int(round(0.1 * cp_length)))
+        scenario = reference_aci_scenario("16qam-1/2", -16.0, payload_length=TINY.payload_length)
+        n_segments = max(1, int(round(0.1 * scenario.allocation.cp_length)))
         legacy = _legacy_point(
-            expcfg.aci_scenario("16qam-1/2", -16.0, payload_length=TINY.payload_length),
+            scenario,
             ("cprecycle",),
             TINY,
             n_segments=n_segments,

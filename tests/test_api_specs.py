@@ -2,9 +2,10 @@
 
 The load-bearing guarantees:
 
-* ``ScenarioSpec.build()`` produces scenarios bit-identical to the
-  hard-coded factories it replaces (same allocations, same per-interferer
-  SIR split, same realised waveforms);
+* ``ScenarioSpec.build()``, and the ``aci_scenario``/``cci_scenario``
+  factories that build through it, produce scenarios bit-identical to the
+  hand-written references of ``scenario_reference`` (same allocations, same
+  per-interferer SIR split, same realised waveforms);
 * every builtin ``ExperimentSpec`` round-trips ``to_json``/``from_json``
   exactly, resolved and unresolved;
 * spec hashes are stable across processes (they key the persistent point
@@ -43,6 +44,7 @@ from repro.experiments.config import QUICK_PROFILE, ExperimentProfile
 from repro.experiments.runner import BUILTIN_SPECS, builtin_spec
 from repro.experiments.store import stable_key
 from repro.utils.rng import child_rng
+from scenario_reference import reference_aci_scenario, reference_cci_scenario
 
 TINY = ExperimentProfile(name="tiny", n_packets=2, payload_length=30, n_sir_points=2)
 
@@ -87,9 +89,9 @@ _WRONG_TYPED_FIELDS = [
     (ExperimentSpec, ("scenario", "channel"), 5,
      "scenario channel must be a JSON object, got int"),
     (ExperimentSpec, ("scenario", "interferers", 0, "channel"), 5,
-     "interferer channel must be a JSON object, got int"),
+     "interferers[0] channel must be a JSON object, got int"),
     (ExperimentSpec, ("scenario", "interferers", 0, "channel"), "flat",
-     "interferer channel must be a JSON object, got str"),
+     "interferers[0] channel must be a JSON object, got str"),
     (ExperimentSpec, ("scenario", "allocation"), 5,
      "allocation must be a JSON object, got int"),
     (ExperimentSpec, ("scenario", "allocation"), [],
@@ -153,9 +155,22 @@ class TestChannelSpec:
         payload["channel"] = None
         assert InterfererSpec.from_dict(payload).channel == ChannelSpec()
 
+    def test_wrong_typed_interferer_channel_names_its_path(self):
+        # Loaded, the channel is named after the interferer's payload path
+        # (see _WRONG_TYPED_FIELDS); constructed directly, after the class.
+        with pytest.raises(SpecError, match="^interferer channel must be a JSON object, got int"):
+            InterfererSpec(kind="aci", channel=5)
+        payload = InterfererSpec(kind="aci").to_dict()
+        payload["channel"] = 5
+        with pytest.raises(SpecError, match="^interferer channel must be"):
+            InterfererSpec.from_dict(payload)
+        with pytest.raises(SpecError, match=r"^interferers\[3\] channel must be"):
+            InterfererSpec.from_dict(payload, "interferers[3]")
+
 
 class TestScenarioSpecBuild:
-    """Spec-built scenarios realise bit-identically to the factories."""
+    """Spec-built scenarios, and the factories that build through them,
+    realise bit-identically to hand-written reference scenarios."""
 
     def _assert_same_realization(self, built, reference, seed=(9, 1)):
         assert built.allocation == reference.allocation
@@ -165,7 +180,7 @@ class TestScenarioSpecBuild:
         rx_b = reference.realize(child_rng(*seed))
         assert np.array_equal(rx_a.composite, rx_b.composite)
 
-    def test_aci_single_matches_factory(self):
+    def test_aci_single_matches_reference(self):
         spec = ScenarioSpec(
             mcs_name="qpsk-1/2",
             payload_length=30,
@@ -173,10 +188,10 @@ class TestScenarioSpecBuild:
             interferers=(InterfererSpec(kind="aci"),),
         )
         self._assert_same_realization(
-            spec.build(), expcfg.aci_scenario("qpsk-1/2", -18.0, payload_length=30)
+            spec.build(), reference_aci_scenario("qpsk-1/2", -18.0, payload_length=30)
         )
 
-    def test_aci_two_sided_matches_factory(self):
+    def test_aci_two_sided_matches_reference(self):
         spec = ScenarioSpec(
             mcs_name="16qam-1/2",
             payload_length=30,
@@ -188,10 +203,10 @@ class TestScenarioSpecBuild:
         )
         self._assert_same_realization(
             spec.build(),
-            expcfg.aci_scenario("16qam-1/2", -15.0, payload_length=30, two_sided=True),
+            reference_aci_scenario("16qam-1/2", -15.0, payload_length=30, two_sided=True),
         )
 
-    def test_cci_two_matches_factory(self):
+    def test_cci_two_matches_reference(self):
         spec = ScenarioSpec(
             mcs_name="qpsk-1/2",
             payload_length=30,
@@ -199,8 +214,37 @@ class TestScenarioSpecBuild:
             interferers=(InterfererSpec(kind="cci"), InterfererSpec(kind="cci")),
         )
         self._assert_same_realization(
-            spec.build(), expcfg.cci_scenario("qpsk-1/2", 8.0, payload_length=30, n_interferers=2)
+            spec.build(),
+            reference_cci_scenario("qpsk-1/2", 8.0, payload_length=30, n_interferers=2),
         )
+
+    @pytest.mark.parametrize("mcs_name", ["bpsk-1/2", "qpsk-1/2", "16qam-1/2", "64qam-2/3"])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {},
+            {"guard_subcarriers": 0, "edge_window_length": 0},
+            {"guard_subcarriers": 40},
+            {"two_sided": True},
+            {"two_sided": True, "guard_subcarriers": 0, "edge_window_length": 0, "snr_db": 15.0},
+        ],
+        ids=["default", "no-guard-no-window", "wide-guard", "two-sided", "two-sided-no-guard"],
+    )
+    def test_aci_factory_matches_reference(self, mcs_name, layout):
+        for sir_db in (-20.0, 7.5):
+            self._assert_same_realization(
+                expcfg.aci_scenario(mcs_name, sir_db, 20, **layout),
+                reference_aci_scenario(mcs_name, sir_db, 20, **layout),
+            )
+
+    @pytest.mark.parametrize("mcs_name", ["bpsk-1/2", "qpsk-1/2", "16qam-1/2", "64qam-2/3"])
+    @pytest.mark.parametrize("n_interferers", [1, 2])
+    def test_cci_factory_matches_reference(self, mcs_name, n_interferers):
+        for sir_db, snr_db in ((-10.0, None), (7.5, 15.0)):
+            self._assert_same_realization(
+                expcfg.cci_scenario(mcs_name, sir_db, 20, n_interferers, snr_db),
+                reference_cci_scenario(mcs_name, sir_db, 20, n_interferers, snr_db),
+            )
 
     def test_wide_guard_switches_grid(self):
         spec = ScenarioSpec(
